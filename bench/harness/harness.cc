@@ -248,32 +248,13 @@ initCli(int argc, char **argv)
         std::exit(1);
     }
 
-    if (g_cli.cacheSpec.empty() && !no_cache)
-        if (const char *env = std::getenv("HERMES_RESULT_CACHE"))
-            g_cli.cacheSpec = env;
-    g_cache.reset();
-    if (!g_cli.cacheSpec.empty()) {
-        try {
-            g_cache = std::make_unique<sweep::ResultCache>(
-                sweep::parseResultCacheSpec(g_cli.cacheSpec));
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            std::exit(1);
-        }
-    }
-
-    if (g_cli.warmupCacheSpec.empty() && !no_warmup_cache)
-        if (const char *env = std::getenv("HERMES_WARMUP_CACHE"))
-            g_cli.warmupCacheSpec = env;
-    g_warmup_cache.reset();
-    if (!g_cli.warmupCacheSpec.empty()) {
-        try {
-            g_warmup_cache = std::make_unique<WarmupCache>(
-                parseWarmupCacheSpec(g_cli.warmupCacheSpec));
-        } catch (const std::exception &e) {
-            std::fprintf(stderr, "error: %s\n", e.what());
-            std::exit(1);
-        }
+    try {
+        g_cache = openStore<sweep::ResultCache>(g_cli.cacheSpec, no_cache);
+        g_warmup_cache =
+            openStore<WarmupCache>(g_cli.warmupCacheSpec, no_warmup_cache);
+    } catch (const std::exception &e) {
+        std::fprintf(stderr, "error: %s\n", e.what());
+        std::exit(1);
     }
 
     if (!g_cli.csvPath.empty() || !g_cli.jsonPath.empty())

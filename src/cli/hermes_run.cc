@@ -355,9 +355,9 @@ main(int argc, char **argv)
                     (opt.label.empty() ? "" : "+") + t.name();
         }
 
-        // The same scenario described to hermes_sweep (or a server
-        // spec) must hash identically, so mirror its grid-point shape:
-        // a single trace replicates across every core.
+        // The same scenario described to hermes_sweep must hash
+        // identically, so mirror its grid-point shape: a single trace
+        // replicates across every core.
         sweep::GridPoint point;
         point.label = opt.label;
         point.config = cfg;
@@ -367,23 +367,10 @@ main(int argc, char **argv)
                 static_cast<std::size_t>(cfg.numCores), traces[0]);
         point.budget = budget;
 
-        std::string cache_spec = opt.cacheSpec;
-        if (cache_spec.empty() && !opt.noCache)
-            if (const char *env = std::getenv("HERMES_RESULT_CACHE"))
-                cache_spec = env;
-        std::unique_ptr<sweep::ResultCache> cache;
-        if (!cache_spec.empty())
-            cache = std::make_unique<sweep::ResultCache>(
-                sweep::parseResultCacheSpec(cache_spec));
-
-        std::string warmup_spec = opt.warmupCacheSpec;
-        if (warmup_spec.empty() && !opt.noWarmupCache)
-            if (const char *env = std::getenv("HERMES_WARMUP_CACHE"))
-                warmup_spec = env;
-        std::unique_ptr<WarmupCache> warmup_cache;
-        if (!warmup_spec.empty())
-            warmup_cache = std::make_unique<WarmupCache>(
-                parseWarmupCacheSpec(warmup_spec));
+        const auto cache =
+            openStore<sweep::ResultCache>(opt.cacheSpec, opt.noCache);
+        const auto warmup_cache =
+            openStore<WarmupCache>(opt.warmupCacheSpec, opt.noWarmupCache);
 
         RunStats stats;
         std::optional<sweep::PointResult> hit;

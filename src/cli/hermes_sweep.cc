@@ -24,14 +24,7 @@
  *
  * With --cache DIR (or HERMES_RESULT_CACHE) every completed point also
  * lands in a shared content-addressed store, and later sweeps load
- * matching points instead of simulating them. --serve turns the same
- * machinery into a long-running job server on a unix socket; --client
- * and --submit-to talk to it (see docs/result-cache.md):
- *
- *   hermes_sweep --serve /tmp/hermes.sock --cache cache/ &
- *   hermes_sweep --axis ... --suite quick \
- *       --submit-to /tmp/hermes.sock --csv results.csv
- *   hermes_sweep --client /tmp/hermes.sock --request stats
+ * matching points instead of simulating them (docs/result-cache.md).
  */
 
 #include <cstdio>
@@ -41,7 +34,6 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -54,7 +46,6 @@
 #include "sweep/axis.hh"
 #include "sweep/journal.hh"
 #include "sweep/result_cache.hh"
-#include "sweep/server.hh"
 #include "sweep/sweep.hh"
 #include "trace/resolve.hh"
 #include "trace/suite.hh"
@@ -105,7 +96,7 @@ usage(const char *argv0, int exit_code)
         "  --progress       per-point meter with points/sec and ETA\n"
         "  --no-progress\n"
         "\n"
-        "result cache & server mode:\n"
+        "result & warmup caches:\n"
         "  --cache SPEC     content-addressed result store\n"
         "                   \"DIR[,max_bytes=SIZE][,max_entries=N]\";\n"
         "                   cached points load instead of simulating\n"
@@ -120,17 +111,6 @@ usage(const char *argv0, int exit_code)
         "                   (env HERMES_WARMUP_CACHE)\n"
         "  --no-warmup-cache\n"
         "                   ignore HERMES_WARMUP_CACHE\n"
-        "  --serve SOCK     serve a job queue on unix socket SOCK\n"
-        "                   (--threads workers; ctrl-C or a client\n"
-        "                   \"shutdown\" request stops it)\n"
-        "  --state DIR      server state directory (queue journal and\n"
-        "                   the default cache; default \"SOCK.state\")\n"
-        "  --submit-to SOCK run this sweep's grid through a server\n"
-        "                   instead of simulating locally\n"
-        "  --client SOCK    send each --request line to a server and\n"
-        "                   print the responses\n"
-        "  --request LINE   protocol request for --client (repeatable;\n"
-        "                   e.g. \"stats\", \"ping\", \"shutdown\")\n"
         "\n"
         "output (CSV/JSON/fingerprint need a complete grid):\n"
         "  --csv FILE|-     one CSV row per grid point\n"
@@ -175,11 +155,6 @@ struct Options
     bool noCache = false;
     std::string warmupCacheSpec;
     bool noWarmupCache = false;
-    std::string servePath;
-    std::string stateDir;
-    std::string submitTo;
-    std::string clientPath;
-    std::vector<std::string> requests;
 
     std::string csvPath;
     std::string jsonPath;
@@ -302,16 +277,6 @@ parseCli(int argc, char **argv)
             opt.warmupCacheSpec = value();
         } else if (arg == "--no-warmup-cache") {
             opt.noWarmupCache = true;
-        } else if (arg == "--serve") {
-            opt.servePath = value();
-        } else if (arg == "--state") {
-            opt.stateDir = value();
-        } else if (arg == "--submit-to") {
-            opt.submitTo = value();
-        } else if (arg == "--client") {
-            opt.clientPath = value();
-        } else if (arg == "--request") {
-            opt.requests.push_back(value());
         } else if (arg == "--csv") {
             opt.csvPath = value();
         } else if (arg == "--json") {
@@ -375,67 +340,7 @@ parseCli(int argc, char **argv)
                      "mutually exclusive\n");
         usage(argv[0], 2);
     }
-    if (!opt.clientPath.empty() && opt.requests.empty()) {
-        std::fprintf(stderr,
-                     "error: --client needs at least one --request\n");
-        usage(argv[0], 2);
-    }
-    if (!opt.requests.empty() && opt.clientPath.empty()) {
-        std::fprintf(stderr, "error: --request needs --client SOCK\n");
-        usage(argv[0], 2);
-    }
-    if (!opt.servePath.empty() &&
-        (opt.merge || opt.shard.count > 1 || !opt.submitTo.empty() ||
-         !opt.clientPath.empty() || !opt.resumePaths.empty())) {
-        std::fprintf(stderr,
-                     "error: --serve is a standalone mode (no "
-                     "--merge/--shard/--resume/--submit-to/--client)"
-                     "\n");
-        usage(argv[0], 2);
-    }
-    if (!opt.submitTo.empty() &&
-        (opt.merge || opt.shard.count > 1 || !opt.resumePaths.empty())) {
-        std::fprintf(stderr,
-                     "error: --submit-to runs the whole grid through "
-                     "the server (no --merge/--shard/--resume)\n");
-        usage(argv[0], 2);
-    }
-    if (!opt.stateDir.empty() && opt.servePath.empty()) {
-        std::fprintf(stderr, "error: --state needs --serve SOCK\n");
-        usage(argv[0], 2);
-    }
     return opt;
-}
-
-/**
- * Resolve the result cache from --cache, falling back to the
- * HERMES_RESULT_CACHE environment unless --no-cache. Returns nullptr
- * when neither names a store.
- */
-std::unique_ptr<sweep::ResultCache>
-openCache(const Options &opt)
-{
-    std::string spec = opt.cacheSpec;
-    if (spec.empty() && !opt.noCache)
-        if (const char *env = std::getenv("HERMES_RESULT_CACHE"))
-            spec = env;
-    if (spec.empty())
-        return nullptr;
-    return std::make_unique<sweep::ResultCache>(
-        sweep::parseResultCacheSpec(spec));
-}
-
-/** The warmup-checkpoint analogue (--warmup-cache, HERMES_WARMUP_CACHE). */
-std::unique_ptr<WarmupCache>
-openWarmupCache(const Options &opt)
-{
-    std::string spec = opt.warmupCacheSpec;
-    if (spec.empty() && !opt.noWarmupCache)
-        if (const char *env = std::getenv("HERMES_WARMUP_CACHE"))
-            spec = env;
-    if (spec.empty())
-        return nullptr;
-    return std::make_unique<WarmupCache>(parseWarmupCacheSpec(spec));
 }
 
 /**
@@ -529,57 +434,10 @@ main(int argc, char **argv)
 {
     Options opt = parseCli(argc, argv);
     try {
-        // Client mode: protocol round trips only, no grid involved.
-        if (!opt.clientPath.empty()) {
-            for (const std::string &req : opt.requests)
-                std::printf(
-                    "%s\n",
-                    sweep::serverRequest(opt.clientPath, req).c_str());
-            return 0;
-        }
-
-        std::unique_ptr<sweep::ResultCache> cache = openCache(opt);
-        std::unique_ptr<WarmupCache> warmupCache = openWarmupCache(opt);
-
-        // Server mode: hold a job queue open until a client asks it to
-        // shut down. Results persist in the cache; pending submissions
-        // persist in <state>/queue.log, so a killed server resumes.
-        if (!opt.servePath.empty()) {
-            const std::string state = opt.stateDir.empty()
-                                          ? opt.servePath + ".state"
-                                          : opt.stateDir;
-            if (!cache)
-                cache = std::make_unique<sweep::ResultCache>(
-                    sweep::ResultCacheConfig{state + "/cache", 0, 0});
-            sweep::ServeOptions sopts;
-            sopts.socketPath = opt.servePath;
-            sopts.stateDir = state;
-            sopts.workers =
-                opt.threads > 0
-                    ? opt.threads
-                    : static_cast<int>(
-                          std::thread::hardware_concurrency());
-            if (sopts.workers < 1)
-                sopts.workers = 1;
-            sopts.cache = cache.get();
-            sweep::SweepServer server(sopts);
-            server.start();
-            const sweep::ServerStats boot = server.statsSnapshot();
-            std::fprintf(stderr,
-                         "serve: listening on %s (%d workers, cache "
-                         "%s, %zu jobs restored)\n",
-                         opt.servePath.c_str(), sopts.workers,
-                         cache->dir().c_str(), boot.restored);
-            server.waitForShutdown();
-            server.stop();
-            const sweep::ServerStats st = server.statsSnapshot();
-            std::fprintf(stderr,
-                         "serve: done (%zu submitted, %zu completed, "
-                         "%zu failed, %zu cache hits)\n",
-                         st.submitted, st.completed, st.failed,
-                         st.cacheHits);
-            return 0;
-        }
+        const auto cache =
+            openStore<sweep::ResultCache>(opt.cacheSpec, opt.noCache);
+        const auto warmupCache =
+            openStore<WarmupCache>(opt.warmupCacheSpec, opt.noWarmupCache);
 
         const std::vector<sweep::GridPoint> grid = buildGrid(opt);
 
@@ -602,8 +460,9 @@ main(int argc, char **argv)
             return 0;
         }
 
-        // Union every --resume journal into one validated segment.
-        std::unique_ptr<sweep::JournalSegment> resume;
+        // Union every --resume journal into one validated segment in
+        // canonical (grid-index) order.
+        std::vector<std::vector<sweep::JournalSegment>> files;
         for (const std::string &path : opt.resumePaths) {
             bool truncated = false;
             auto segments = sweep::readJournal(path, &truncated);
@@ -620,15 +479,12 @@ main(int argc, char **argv)
                     " grid segments (a fig-driver journal?); "
                     "hermes_sweep drives single-grid journals");
             sweep::validateSegment(segments[0], grid);
-            if (!resume) {
-                resume = std::make_unique<sweep::JournalSegment>(
-                    std::move(segments[0]));
-            } else {
-                auto merged = sweep::mergeSegments(
-                    {{*resume}, {std::move(segments[0])}});
-                *resume = std::move(merged[0]);
-            }
+            files.push_back(std::move(segments));
         }
+        std::unique_ptr<sweep::JournalSegment> resume;
+        if (!files.empty())
+            resume = std::make_unique<sweep::JournalSegment>(
+                std::move(sweep::mergeSegments(files)[0]));
 
         std::unique_ptr<sweep::JournalWriter> writer;
         if (!opt.journalPath.empty())
@@ -669,68 +525,6 @@ main(int argc, char **argv)
                     std::to_string(n) +
                     " points missing, e.g.:" + missing);
             }
-        } else if (!opt.submitTo.empty()) {
-            // Run the grid through a serving hermes_sweep: submit
-            // everything (the server dedups by fingerprint and answers
-            // warm points from its cache), then collect in grid order.
-            const std::size_t n = grid.size();
-            run.results.resize(n);
-            run.present.assign(n, false);
-            if (writer)
-                writer->beginGrid(grid);
-            std::vector<std::string> fps(n);
-            for (std::size_t i = 0; i < n; ++i) {
-                fps[i] =
-                    fingerprintHex(sweep::pointFingerprint(grid[i]));
-                const std::string resp = sweep::serverRequest(
-                    opt.submitTo,
-                    "submit " + sweep::specFromPoint(grid[i]));
-                if (resp.compare(0, 3, "ok ") != 0)
-                    throw std::runtime_error("submit of '" +
-                                             grid[i].label +
-                                             "' failed: " + resp);
-                // The server echoes the fingerprint it derived from
-                // the spec; a mismatch means the two binaries disagree
-                // on point identity (codec drift) and every poll would
-                // chase the wrong job.
-                if (resp.compare(3, 16, fps[i]) != 0)
-                    throw std::runtime_error(
-                        "server disagrees on the identity of '" +
-                        grid[i].label + "' (local " + fps[i] +
-                        ", server: " + resp.substr(3) +
-                        "); mixed hermes versions?");
-            }
-            for (std::size_t i = 0; i < n; ++i) {
-                std::string resp = sweep::serverRequest(
-                    opt.submitTo, "wait " + fps[i]);
-                if (resp != "ok " + fps[i] + " done")
-                    throw std::runtime_error(
-                        "point '" + grid[i].label +
-                        "' did not complete: " + resp);
-                resp = sweep::serverRequest(opt.submitTo,
-                                            "result " + fps[i]);
-                if (resp.compare(0, 3, "ok ") != 0)
-                    throw std::runtime_error("cannot fetch '" +
-                                             grid[i].label +
-                                             "': " + resp);
-                sweep::JournalRecord rec =
-                    sweep::decodeJournalRecord(resp.substr(3));
-                if (rec.pointFp != sweep::pointFingerprint(grid[i]) ||
-                    rec.result.label != grid[i].label)
-                    throw std::runtime_error(
-                        "server returned a record for the wrong "
-                        "point ('" +
-                        rec.result.label + "' vs '" + grid[i].label +
-                        "')");
-                rec.result.index = i;
-                run.results[i] = std::move(rec.result);
-                run.present[i] = true;
-                ++run.cached;
-                if (writer)
-                    writer->append(run.results[i]);
-                if (cache)
-                    cache->store(grid[i], run.results[i]);
-            }
         } else {
             sweep::SweepOptions eopts;
             eopts.threads = opt.threads;
@@ -770,7 +564,7 @@ main(int argc, char **argv)
                             " points missing")
                                .c_str());
         if (warmupCache) {
-            const WarmupCacheStats &wc = warmupCache->stats();
+            const StoreStats &wc = warmupCache->stats();
             std::fprintf(stderr,
                          "warmup-cache: %zu warmed, %zu restored "
                          "(%zu stored, %zu rejected, %zu evicted)\n",

@@ -1,19 +1,5 @@
 #include "sim/warmup_cache.hh"
 
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
-#include <dirent.h>
-#include <fcntl.h>
-#include <stdexcept>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
-#include <vector>
-
-#include "common/config.hh"
-#include "sim/report.hh"
-#include "sweep/result_cache.hh" // ensureDirectory
 #include "trace/trace_io.hh"
 
 namespace hermes
@@ -22,116 +8,19 @@ namespace hermes
 namespace
 {
 
-[[noreturn]] void
-fail(const std::string &what)
-{
-    throw std::runtime_error("warmup cache: " + what);
-}
-
-struct EntryInfo
-{
-    std::string name;
-    std::uint64_t bytes = 0;
-    /** mtime in nanoseconds — the LRU clock (hits touch it). */
-    std::int64_t mtimeNs = 0;
-};
-
-std::vector<EntryInfo>
-scanEntries(const std::string &dir)
-{
-    std::vector<EntryInfo> out;
-    DIR *d = opendir(dir.c_str());
-    if (d == nullptr)
-        fail("cannot scan " + dir + ": " + std::strerror(errno));
-    while (const dirent *e = readdir(d)) {
-        const std::string name = e->d_name;
-        // Entries are exactly "<hex16>.ckpt"; tmp files and strangers
-        // are invisible to the budget and never evicted from here.
-        if (name.size() != 21 || name.compare(16, 5, ".ckpt") != 0)
-            continue;
-        struct stat st = {};
-        if (stat((dir + "/" + name).c_str(), &st) != 0)
-            continue;
-        EntryInfo info;
-        info.name = name;
-        info.bytes = static_cast<std::uint64_t>(st.st_size);
-        info.mtimeNs =
-            static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
-            st.st_mtim.tv_nsec;
-        out.push_back(std::move(info));
-    }
-    closedir(d);
-    return out;
-}
+constexpr const char *kExt = "ckpt";
 
 } // namespace
 
-WarmupCacheConfig
-parseWarmupCacheSpec(const std::string &spec)
+WarmupCache::WarmupCache(StoreConfig cfg)
+    : store_(std::move(cfg), kExt, kWhat)
 {
-    WarmupCacheConfig cfg;
-    std::size_t pos = 0;
-    bool first = true;
-    while (pos <= spec.size()) {
-        std::size_t next = spec.find(',', pos);
-        if (next == std::string::npos)
-            next = spec.size();
-        const std::string part = spec.substr(pos, next - pos);
-        pos = next + 1;
-        if (first) {
-            first = false;
-            if (part.empty())
-                throw std::invalid_argument(
-                    "warmup cache spec wants "
-                    "\"DIR[,max_bytes=SIZE][,max_entries=N]\"; got '" +
-                    spec + "'");
-            cfg.dir = part;
-            continue;
-        }
-        const std::size_t eq = part.find('=');
-        const std::string key =
-            eq == std::string::npos ? part : part.substr(0, eq);
-        const std::string value =
-            eq == std::string::npos ? "" : part.substr(eq + 1);
-        if (key == "max_bytes") {
-            const auto v = parseSizeBytes(value);
-            if (!v || *v == 0)
-                throw std::invalid_argument(
-                    "warmup cache max_bytes wants a positive size "
-                    "(K/M/G suffixes allowed); got '" +
-                    value + "'");
-            cfg.maxBytes = *v;
-        } else if (key == "max_entries") {
-            const auto v = parseUint64(value);
-            if (!v || *v == 0)
-                throw std::invalid_argument(
-                    "warmup cache max_entries wants a positive "
-                    "integer; got '" +
-                    value + "'");
-            cfg.maxEntries = *v;
-        } else {
-            throw std::invalid_argument(
-                "unknown warmup cache option '" + key +
-                "' (want max_bytes or max_entries)");
-        }
-    }
-    return cfg;
-}
-
-WarmupCache::WarmupCache(WarmupCacheConfig cfg) : cfg_(std::move(cfg))
-{
-    if (cfg_.dir.empty())
-        fail("empty cache directory");
-    sweep::ensureDirectory(cfg_.dir);
-    struct stat st = {};
-    if (stat(cfg_.dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode))
-        fail(cfg_.dir + " is not a directory");
 }
 
 std::string
 WarmupCache::entryName(std::uint64_t fp)
 {
-    return fingerprintHex(fp) + ".ckpt";
+    return ContentStore::entryName(fp, kExt);
 }
 
 std::unique_lock<std::mutex>
@@ -139,7 +28,7 @@ WarmupCache::lockFingerprint(std::uint64_t fp)
 {
     std::mutex *m = nullptr;
     {
-        std::lock_guard<std::mutex> g(mutex_);
+        std::lock_guard<std::mutex> g(fpLocksMutex_);
         auto &slot = fpLocks_[fp];
         if (slot == nullptr)
             slot = std::make_unique<std::mutex>();
@@ -151,91 +40,18 @@ WarmupCache::lockFingerprint(std::uint64_t fp)
 bool
 WarmupCache::load(SimSession &session)
 {
-    const std::uint64_t fp = session.warmupFingerprint();
-    const std::string path = cfg_.dir + "/" + entryName(fp);
-    if (access(path.c_str(), F_OK) != 0) {
-        std::lock_guard<std::mutex> g(mutex_);
-        ++stats_.misses;
-        return false;
-    }
-    bool restored = false;
-    try {
-        auto source = openByteSource(path);
-        restored = session.restore(*source);
-    } catch (const std::exception &) {
-        restored = false;
-    }
-    std::lock_guard<std::mutex> g(mutex_);
-    if (restored) {
-        // Refresh the LRU clock; eviction drops the coldest mtime.
-        static_cast<void>(utimensat(AT_FDCWD, path.c_str(), nullptr, 0));
-        ++stats_.hits;
-        return true;
-    }
-    // Never serve a doubtful entry: the store is first-writer-wins, so
-    // an invalid file must go away for the re-warmed state to land.
-    static_cast<void>(unlink(path.c_str()));
-    ++stats_.rejected;
-    ++stats_.misses;
-    return false;
+    return store_.load(session.warmupFingerprint(),
+                       [&session](const std::string &path) {
+                           auto source = openByteSource(path);
+                           return session.restore(*source);
+                       });
 }
 
 void
 WarmupCache::store(SimSession &session)
 {
-    const std::uint64_t fp = session.warmupFingerprint();
-    const std::string path = cfg_.dir + "/" + entryName(fp);
-    // Content-addressed and deterministic: an existing entry already
-    // holds this warmed state, so the first writer wins and re-stores
-    // cost one access() check.
-    if (access(path.c_str(), F_OK) == 0)
-        return;
-    // Atomic publish via the crash-safe sink (pid-unique tmp + fsync +
-    // rename): concurrent processes may race on the rename — harmless,
-    // both wrote identical state — but no reader ever sees a torn
-    // checkpoint.
-    auto sink = openByteSink(path, Compression::None);
-    session.snapshot(*sink);
-    sink->finish();
-    std::lock_guard<std::mutex> g(mutex_);
-    ++stats_.stores;
-    evictToBudgetLocked();
-}
-
-std::size_t
-WarmupCache::entryCount() const
-{
-    std::lock_guard<std::mutex> g(mutex_);
-    return scanEntries(cfg_.dir).size();
-}
-
-void
-WarmupCache::evictToBudgetLocked()
-{
-    if (cfg_.maxBytes == 0 && cfg_.maxEntries == 0)
-        return;
-    // Rescan instead of tracking incrementally: other processes share
-    // the directory, and stores are rare next to simulation work.
-    std::vector<EntryInfo> entries = scanEntries(cfg_.dir);
-    std::uint64_t bytes = 0;
-    for (const EntryInfo &e : entries)
-        bytes += e.bytes;
-    std::sort(entries.begin(), entries.end(),
-              [](const EntryInfo &a, const EntryInfo &b) {
-                  return a.mtimeNs != b.mtimeNs ? a.mtimeNs < b.mtimeNs
-                                                : a.name < b.name;
-              });
-    std::size_t count = entries.size();
-    std::size_t victim = 0;
-    while (victim < entries.size() &&
-           ((cfg_.maxEntries != 0 && count > cfg_.maxEntries) ||
-            (cfg_.maxBytes != 0 && bytes > cfg_.maxBytes))) {
-        const EntryInfo &e = entries[victim++];
-        if (unlink((cfg_.dir + "/" + e.name).c_str()) == 0)
-            ++stats_.evicted;
-        --count;
-        bytes -= e.bytes;
-    }
+    store_.publish(session.warmupFingerprint(),
+                   [&session](ByteSink &sink) { session.snapshot(sink); });
 }
 
 RunStats

@@ -16,22 +16,9 @@
  * and a trailing FNV-1a checksum.
  *
  * Trust model: load() verifies magic, version, fingerprint and
- * checksum via SimSession::restore(); a corrupt, truncated or stale
- * entry is unlinked and reported as a miss — the caller re-warms and
- * the store rewrites the entry cleanly. Determinism makes concurrent
- * writers safe: equal fingerprints imply byte-identical snapshots, and
- * each store is an atomic tmp-file rename (trace_io's crash-safe
- * ByteSink), so readers never see a torn checkpoint.
- *
- * Size is LRU-bounded (by mtime; hits touch it): after a store grows
- * the directory past max_bytes / max_entries, the oldest entries are
- * evicted until it fits. Both limits default to unbounded.
- *
- * Deliberately NOT part of the parameter registry, for the same reason
- * as the result cache: registry keys feed fingerprints, so a cache
- * knob there would change the identities it stores under. Addressed by
- * CLI flag (--warmup-cache SPEC) or environment (HERMES_WARMUP_CACHE);
- * see parseWarmupCacheSpec().
+ * checksum via SimSession::restore(). Directory, atomic publish,
+ * reject-and-unlink, LRU eviction and the spec grammar are the shared
+ * store engine's (common/content_store.hh).
  */
 
 #include <cstdint>
@@ -40,47 +27,23 @@
 #include <mutex>
 #include <string>
 
+#include "common/content_store.hh"
 #include "sim/simulator.hh"
 
 namespace hermes
 {
 
-/** Where the store lives and how big it may grow (0 = unbounded). */
-struct WarmupCacheConfig
-{
-    std::string dir;
-    std::uint64_t maxBytes = 0;
-    std::uint64_t maxEntries = 0;
-};
-
-/**
- * Parse "DIR[,max_bytes=SIZE][,max_entries=N]" (the --warmup-cache
- * flag and HERMES_WARMUP_CACHE syntax; SIZE takes K/M/G suffixes).
- * Throws std::invalid_argument on malformed specs.
- */
-WarmupCacheConfig parseWarmupCacheSpec(const std::string &spec);
-
-/** Hit/miss/housekeeping counters for one WarmupCache instance. */
-struct WarmupCacheStats
-{
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    /** Entries written (stores of already-present identities are free). */
-    std::size_t stores = 0;
-    /** Corrupt/stale entries unlinked during load(). */
-    std::size_t rejected = 0;
-    std::size_t evicted = 0;
-};
-
 /** The store itself. Thread-safe; one instance per process is enough. */
 class WarmupCache
 {
   public:
-    /** Opens (mkdir -p) the directory. Throws std::runtime_error. */
-    explicit WarmupCache(WarmupCacheConfig cfg);
+    /** Environment default for --warmup-cache (see openStore()). */
+    static constexpr const char *kEnv = "HERMES_WARMUP_CACHE";
+    /** The store's name in error messages. */
+    static constexpr const char *kWhat = "warmup cache";
 
-    WarmupCache(const WarmupCache &) = delete;
-    WarmupCache &operator=(const WarmupCache &) = delete;
+    /** Opens (mkdir -p) the directory. Throws std::runtime_error. */
+    explicit WarmupCache(StoreConfig cfg);
 
     /**
      * Try to restore @p session (built phase) from the entry matching
@@ -92,9 +55,9 @@ class WarmupCache
 
     /**
      * Persist @p session's warmed state (warmed phase) under its
-     * warmup fingerprint: stream to a tmp file, fsync, atomically
-     * rename, evict past the budget. Already-present identities are
-     * skipped (first writer wins; determinism makes them identical).
+     * warmup fingerprint (atomic publish, then eviction past the
+     * budget). Already-present identities are skipped (first writer
+     * wins; determinism makes them identical).
      */
     void store(SimSession &session);
 
@@ -106,21 +69,18 @@ class WarmupCache
      */
     std::unique_lock<std::mutex> lockFingerprint(std::uint64_t fp);
 
-    const std::string &dir() const { return cfg_.dir; }
-    const WarmupCacheStats &stats() const { return stats_; }
+    const std::string &dir() const { return store_.dir(); }
+    const StoreStats &stats() const { return store_.stats(); }
 
     /** Live count of "*.ckpt" entries (rescans the directory). */
-    std::size_t entryCount() const;
+    std::size_t entryCount() const { return store_.entryCount(); }
 
     /** Entry filename for a warmup fingerprint: "<hex16>.ckpt". */
     static std::string entryName(std::uint64_t fp);
 
   private:
-    void evictToBudgetLocked();
-
-    WarmupCacheConfig cfg_;
-    mutable std::mutex mutex_;
-    WarmupCacheStats stats_;
+    ContentStore store_;
+    std::mutex fpLocksMutex_;
     /** Never erased; bounded by the distinct identities of one run. */
     std::map<std::uint64_t, std::unique_ptr<std::mutex>> fpLocks_;
 };

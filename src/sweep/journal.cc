@@ -780,9 +780,9 @@ JournalWriter::writeLine(const std::string &line)
     // cache but not the disk would silently demote every record synced
     // after it.
     if (std::fwrite(line.data(), 1, line.size(), file_) != line.size() ||
-        std::fflush(file_) != 0)
-        throw std::runtime_error("journal: write failed on " + path_);
-    static_cast<void>(fsync(fileno(file_)));
+        std::fflush(file_) != 0 || fsync(fileno(file_)) != 0)
+        throw std::runtime_error("journal: write failed on " + path_ +
+                                 ": " + std::strerror(errno));
 }
 
 void

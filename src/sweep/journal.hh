@@ -35,6 +35,15 @@
  * tolerates exactly that (a truncated *tail*, including a trailing
  * header-only segment left by a crash between beginGrid and the first
  * append) and rejects any earlier malformed line.
+ *
+ * Identity: a journal's identity is its canonical form,
+ * journalText(mergeSegments(...)), which orders records by grid index.
+ * Appends stay in completion order, because a record must be durable
+ * the moment its point finishes, so two runs of one grid (different
+ * thread counts, or cache hits, which land in grid order, against
+ * simulations, which land as they complete) write the same records in
+ * different orders. Compare journals in canonical form; --merge
+ * already writes it.
  */
 
 #include <cstdint>
@@ -88,7 +97,7 @@ std::string encodeJournalRecord(const JournalRecord &rec);
 /**
  * Parse + verify one record line: the decoded stats must reproduce the
  * recorded "fp" fingerprint. Throws std::runtime_error on any defect.
- * Shared by the journal loader, the result cache and the sweep server.
+ * Shared by the journal loader and the result cache.
  */
 JournalRecord decodeJournalRecord(const std::string &line);
 

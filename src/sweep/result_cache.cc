@@ -1,19 +1,11 @@
 #include "sweep/result_cache.hh"
 
-#include <algorithm>
-#include <cerrno>
-#include <cstdio>
-#include <cstring>
-#include <dirent.h>
-#include <fcntl.h>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
-#include <vector>
 
-#include "common/config.hh"
 #include "sim/report.hh"
+#include "trace/trace_io.hh"
 
 namespace hermes::sweep
 {
@@ -21,11 +13,7 @@ namespace hermes::sweep
 namespace
 {
 
-[[noreturn]] void
-fail(const std::string &what)
-{
-    throw std::runtime_error("result cache: " + what);
-}
+constexpr const char *kExt = "rec";
 
 /** The first line of every entry; byte-compared on load. */
 std::string
@@ -36,180 +24,44 @@ entryHeader(std::uint64_t point_fp)
            fingerprintHex(point_fp) + "\"}";
 }
 
-struct EntryInfo
+[[noreturn]] void
+fail(const std::string &what)
 {
-    std::string name;
-    std::uint64_t bytes = 0;
-    /** mtime in nanoseconds — the LRU clock (hits touch it). */
-    std::int64_t mtimeNs = 0;
-};
-
-std::vector<EntryInfo>
-scanEntries(const std::string &dir)
-{
-    std::vector<EntryInfo> out;
-    DIR *d = opendir(dir.c_str());
-    if (d == nullptr)
-        fail("cannot scan " + dir + ": " + std::strerror(errno));
-    while (const dirent *e = readdir(d)) {
-        const std::string name = e->d_name;
-        // Entries are exactly "<hex16>.rec"; tmp files and strangers
-        // are invisible to the budget and never evicted from here.
-        if (name.size() != 20 || name.compare(16, 4, ".rec") != 0)
-            continue;
-        struct stat st = {};
-        if (stat((dir + "/" + name).c_str(), &st) != 0)
-            continue;
-        EntryInfo info;
-        info.name = name;
-        info.bytes = static_cast<std::uint64_t>(st.st_size);
-        info.mtimeNs =
-            static_cast<std::int64_t>(st.st_mtim.tv_sec) * 1000000000 +
-            st.st_mtim.tv_nsec;
-        out.push_back(std::move(info));
-    }
-    closedir(d);
-    return out;
-}
-
-std::string
-slurpFile(const std::string &path, bool &exists)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (f == nullptr) {
-        exists = false;
-        return "";
-    }
-    exists = true;
-    std::string text;
-    char buf[4096];
-    std::size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        text.append(buf, n);
-    std::fclose(f);
-    return text;
+    throw std::runtime_error(std::string(ResultCache::kWhat) + ": " +
+                             what);
 }
 
 } // namespace
 
-void
-ensureDirectory(const std::string &path)
+ResultCache::ResultCache(StoreConfig cfg)
+    : store_(std::move(cfg), kExt, kWhat)
 {
-    std::size_t pos = 0;
-    while (pos <= path.size()) {
-        std::size_t next = path.find('/', pos);
-        if (next == std::string::npos)
-            next = path.size();
-        const std::string partial = path.substr(0, next);
-        pos = next + 1;
-        if (partial.empty() || partial == ".")
-            continue;
-        if (mkdir(partial.c_str(), 0777) != 0 && errno != EEXIST)
-            throw std::runtime_error("cannot create directory " +
-                                     partial + ": " +
-                                     std::strerror(errno));
-    }
-}
-
-ResultCacheConfig
-parseResultCacheSpec(const std::string &spec)
-{
-    ResultCacheConfig cfg;
-    std::size_t pos = 0;
-    bool first = true;
-    while (pos <= spec.size()) {
-        std::size_t next = spec.find(',', pos);
-        if (next == std::string::npos)
-            next = spec.size();
-        const std::string part = spec.substr(pos, next - pos);
-        pos = next + 1;
-        if (first) {
-            first = false;
-            if (part.empty())
-                throw std::invalid_argument(
-                    "result cache spec wants "
-                    "\"DIR[,max_bytes=SIZE][,max_entries=N]\"; got '" +
-                    spec + "'");
-            cfg.dir = part;
-            continue;
-        }
-        const std::size_t eq = part.find('=');
-        const std::string key =
-            eq == std::string::npos ? part : part.substr(0, eq);
-        const std::string value =
-            eq == std::string::npos ? "" : part.substr(eq + 1);
-        if (key == "max_bytes") {
-            const auto v = parseSizeBytes(value);
-            if (!v || *v == 0)
-                throw std::invalid_argument(
-                    "result cache max_bytes wants a positive size "
-                    "(K/M/G suffixes allowed); got '" +
-                    value + "'");
-            cfg.maxBytes = *v;
-        } else if (key == "max_entries") {
-            const auto v = parseUint64(value);
-            if (!v || *v == 0)
-                throw std::invalid_argument(
-                    "result cache max_entries wants a positive "
-                    "integer; got '" +
-                    value + "'");
-            cfg.maxEntries = *v;
-        } else {
-            throw std::invalid_argument(
-                "unknown result cache option '" + key +
-                "' (want max_bytes or max_entries)");
-        }
-    }
-    return cfg;
-}
-
-ResultCache::ResultCache(ResultCacheConfig cfg) : cfg_(std::move(cfg))
-{
-    if (cfg_.dir.empty())
-        fail("empty cache directory");
-    ensureDirectory(cfg_.dir);
-    struct stat st = {};
-    if (stat(cfg_.dir.c_str(), &st) != 0 || !S_ISDIR(st.st_mode))
-        fail(cfg_.dir + " is not a directory");
 }
 
 std::string
 ResultCache::entryName(std::uint64_t point_fp)
 {
-    return fingerprintHex(point_fp) + ".rec";
+    return ContentStore::entryName(point_fp, kExt);
 }
 
 std::optional<PointResult>
 ResultCache::load(const GridPoint &point)
 {
-    std::lock_guard<std::mutex> g(mutex_);
-    return loadLocked(pointFingerprint(point), &point);
-}
-
-std::optional<PointResult>
-ResultCache::loadByFp(std::uint64_t point_fp)
-{
-    std::lock_guard<std::mutex> g(mutex_);
-    return loadLocked(point_fp, nullptr);
-}
-
-std::optional<PointResult>
-ResultCache::loadLocked(std::uint64_t point_fp, const GridPoint *point)
-{
-    const std::string path = cfg_.dir + "/" + entryName(point_fp);
-    bool exists = false;
-    const std::string text = slurpFile(path, exists);
-    if (!exists) {
-        ++stats_.misses;
-        return std::nullopt;
-    }
-    try {
+    const std::uint64_t point_fp = pointFingerprint(point);
+    std::optional<PointResult> hit;
+    const auto verify = [&](const std::string &path) {
+        std::ifstream in(path, std::ios::binary);
+        if (!in)
+            fail("cannot read " + path);
+        std::ostringstream buf;
+        buf << in.rdbuf();
+        const std::string text = buf.str();
         const std::size_t nl1 = text.find('\n');
         if (nl1 == std::string::npos)
             fail("truncated entry");
         // The header is deterministic given the key, so a flat byte
         // compare checks version and point echo at once.
-        if (text.substr(0, nl1) != entryHeader(point_fp))
+        if (text.compare(0, nl1, entryHeader(point_fp)) != 0)
             fail("version/point header mismatch");
         const std::size_t nl2 = text.find('\n', nl1 + 1);
         if (nl2 == std::string::npos || nl2 + 1 != text.size())
@@ -218,23 +70,16 @@ ResultCache::loadLocked(std::uint64_t point_fp, const GridPoint *point)
             decodeJournalRecord(text.substr(nl1 + 1, nl2 - nl1 - 1));
         if (rec.pointFp != point_fp)
             fail("record point fingerprint mismatch");
-        if (point != nullptr && rec.result.label != point->label)
+        if (rec.result.label != point.label)
             fail("label mismatch");
-        // Refresh the LRU clock; eviction drops the coldest mtime.
-        static_cast<void>(
-            utimensat(AT_FDCWD, path.c_str(), nullptr, 0));
-        ++stats_.hits;
         rec.result.index = 0;
         rec.result.ok = true;
-        return rec.result;
-    } catch (const std::exception &) {
-        // Never serve a doubtful entry: drop it and let the caller
-        // re-simulate (the store will then rewrite it cleanly).
-        static_cast<void>(unlink(path.c_str()));
-        ++stats_.rejected;
-        ++stats_.misses;
+        hit = std::move(rec.result);
+        return true;
+    };
+    if (!store_.load(point_fp, verify))
         return std::nullopt;
-    }
+    return hit;
 }
 
 void
@@ -242,89 +87,20 @@ ResultCache::store(const GridPoint &point, const PointResult &r)
 {
     if (!r.ok)
         return;
-    std::lock_guard<std::mutex> g(mutex_);
     if (r.label != point.label)
         fail("store: result label '" + r.label +
              "' does not match point '" + point.label + "'");
     const std::uint64_t point_fp = pointFingerprint(point);
-    const std::string path = cfg_.dir + "/" + entryName(point_fp);
-    // Content-addressed and deterministic: an existing entry already
-    // holds these stats, so the first writer wins and re-stores (e.g.
-    // every resumed point of a warm re-run) cost one access() check.
-    if (access(path.c_str(), F_OK) == 0)
-        return;
-
-    JournalRecord rec;
-    rec.index = 0;
-    rec.pointFp = point_fp;
-    rec.result = r;
-    rec.result.index = 0;
-    const std::string text =
-        entryHeader(point_fp) + "\n" + encodeJournalRecord(rec) + "\n";
-
-    // Atomic publish: tmp file + fsync + rename. Concurrent processes
-    // may race on the rename — harmless, both wrote identical stats —
-    // but no reader ever sees a half-written entry. The pid suffix
-    // keeps their tmp files apart.
-    const std::string tmp = cfg_.dir + "/.tmp." +
-                            fingerprintHex(point_fp) + "." +
-                            std::to_string(getpid());
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (f == nullptr)
-        fail("cannot write " + tmp + ": " + std::strerror(errno));
-    const bool wrote =
-        std::fwrite(text.data(), 1, text.size(), f) == text.size() &&
-        std::fflush(f) == 0;
-    if (wrote)
-        static_cast<void>(fsync(fileno(f)));
-    std::fclose(f);
-    if (!wrote) {
-        static_cast<void>(unlink(tmp.c_str()));
-        fail("write failed on " + tmp);
-    }
-    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-        const int err = errno;
-        static_cast<void>(unlink(tmp.c_str()));
-        fail("cannot publish " + path + ": " + std::strerror(err));
-    }
-    ++stats_.stores;
-    evictToBudgetLocked();
-}
-
-std::size_t
-ResultCache::entryCount() const
-{
-    std::lock_guard<std::mutex> g(mutex_);
-    return scanEntries(cfg_.dir).size();
-}
-
-void
-ResultCache::evictToBudgetLocked()
-{
-    if (cfg_.maxBytes == 0 && cfg_.maxEntries == 0)
-        return;
-    // Rescan instead of tracking incrementally: other processes share
-    // the directory, and stores are rare next to simulation work.
-    std::vector<EntryInfo> entries = scanEntries(cfg_.dir);
-    std::uint64_t bytes = 0;
-    for (const EntryInfo &e : entries)
-        bytes += e.bytes;
-    std::sort(entries.begin(), entries.end(),
-              [](const EntryInfo &a, const EntryInfo &b) {
-                  return a.mtimeNs != b.mtimeNs ? a.mtimeNs < b.mtimeNs
-                                                : a.name < b.name;
-              });
-    std::size_t count = entries.size();
-    std::size_t victim = 0;
-    while (victim < entries.size() &&
-           ((cfg_.maxEntries != 0 && count > cfg_.maxEntries) ||
-            (cfg_.maxBytes != 0 && bytes > cfg_.maxBytes))) {
-        const EntryInfo &e = entries[victim++];
-        if (unlink((cfg_.dir + "/" + e.name).c_str()) == 0)
-            ++stats_.evicted;
-        --count;
-        bytes -= e.bytes;
-    }
+    store_.publish(point_fp, [&](ByteSink &sink) {
+        JournalRecord rec;
+        rec.index = 0;
+        rec.pointFp = point_fp;
+        rec.result = r;
+        rec.result.index = 0;
+        const std::string text = entryHeader(point_fp) + "\n" +
+                                 encodeJournalRecord(rec) + "\n";
+        sink.write(text.data(), text.size());
+    });
 }
 
 } // namespace hermes::sweep

@@ -2,13 +2,13 @@
 
 /**
  * @file
- * Content-addressed result store: a directory holding one file per
- * completed grid point, named by the point's identity fingerprint
- * (pointFingerprint over label + full registry-rendered config +
- * traces + budget). Any sweep — hermes_sweep, hermes_run, a bench
- * driver, a CI shard — that reaches the same point loads the recorded
- * result instead of simulating, so overlapping figure grids and
- * repeated runs share one warm store.
+ * Content-addressed result store: one entry per completed grid point,
+ * keyed by the point's identity fingerprint (pointFingerprint over
+ * label + full registry-rendered config + traces + budget). Any sweep
+ * — hermes_sweep, hermes_run, a bench driver, a CI shard — that
+ * reaches the same point loads the recorded result instead of
+ * simulating, so overlapping figure grids and repeated runs share one
+ * warm store.
  *
  * Entry layout ("<hex16>.rec", two journal-format lines):
  *   {"hermes_result_cache":V,"point":"<hex16>"}   <- version + key echo
@@ -20,73 +20,33 @@
  *
  * Trust model: every load re-derives the record's stats fingerprint
  * (decodeJournalRecord) and re-checks the filename / header / record
- * point fingerprints against each other — a corrupt or stale entry is
- * unlinked and reported as a miss, never returned. Determinism makes
- * concurrent writers safe: two processes storing the same point write
- * identical stats, and each store is an atomic tmp-file rename, so
- * readers always see a complete entry.
- *
- * Size is LRU-bounded (by mtime; hits touch it): after a store grows
- * the directory past max_bytes / max_entries, the oldest entries are
- * evicted until it fits. Both limits default to unbounded.
- *
- * Deliberately NOT part of the parameter registry: registry keys are
- * rendered into every point's fingerprint, so a cache knob there would
- * change point identity and invalidate the store it configures. The
- * cache is addressed by CLI flag (--cache SPEC) or environment
- * (HERMES_RESULT_CACHE) instead; see parseResultCacheSpec().
+ * point fingerprints and the label against each other. Directory,
+ * atomic publish, reject-and-unlink, LRU eviction and the spec grammar
+ * are the shared store engine's (common/content_store.hh).
  */
 
 #include <cstdint>
-#include <mutex>
 #include <optional>
 #include <string>
 
+#include "common/content_store.hh"
 #include "sweep/journal.hh"
 #include "sweep/sweep.hh"
 
 namespace hermes::sweep
 {
 
-/** Where the store lives and how big it may grow (0 = unbounded). */
-struct ResultCacheConfig
-{
-    std::string dir;
-    std::uint64_t maxBytes = 0;
-    std::uint64_t maxEntries = 0;
-};
-
-/**
- * Parse "DIR[,max_bytes=SIZE][,max_entries=N]" (the --cache flag and
- * HERMES_RESULT_CACHE syntax; SIZE takes K/M/G suffixes). Throws
- * std::invalid_argument on malformed specs.
- */
-ResultCacheConfig parseResultCacheSpec(const std::string &spec);
-
-/** mkdir -p. Throws std::runtime_error when a component can't be made. */
-void ensureDirectory(const std::string &path);
-
-/** Hit/miss/housekeeping counters for one ResultCache instance. */
-struct ResultCacheStats
-{
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    /** Entries written (stores of already-present points are free). */
-    std::size_t stores = 0;
-    /** Corrupt/stale entries unlinked during load(). */
-    std::size_t rejected = 0;
-    std::size_t evicted = 0;
-};
-
 /** The store itself. Thread-safe; one instance per process is enough. */
 class ResultCache
 {
   public:
-    /** Opens (mkdir -p) the directory. Throws std::runtime_error. */
-    explicit ResultCache(ResultCacheConfig cfg);
+    /** Environment default for --cache (see openStore()). */
+    static constexpr const char *kEnv = "HERMES_RESULT_CACHE";
+    /** The store's name in error messages. */
+    static constexpr const char *kWhat = "result cache";
 
-    ResultCache(const ResultCache &) = delete;
-    ResultCache &operator=(const ResultCache &) = delete;
+    /** Opens (mkdir -p) the directory. Throws std::runtime_error. */
+    explicit ResultCache(StoreConfig cfg);
 
     /**
      * Look @p point up. A hit returns the verified result (index 0 —
@@ -96,36 +56,23 @@ class ResultCache
     std::optional<PointResult> load(const GridPoint &point);
 
     /**
-     * Look a point up by fingerprint alone (the server's poll path,
-     * where only the job id survives a restart). Same verification
-     * minus the caller-side label/config cross-check.
-     */
-    std::optional<PointResult> loadByFp(std::uint64_t point_fp);
-
-    /**
-     * Persist @p r under @p point's fingerprint: write to a tmp file,
-     * fsync, atomically rename, evict past the budget. Failed results
-     * (!r.ok) and already-present points are skipped.
+     * Persist @p r under @p point's fingerprint (atomic publish, then
+     * eviction past the budget). Failed results (!r.ok) and
+     * already-present points are skipped.
      */
     void store(const GridPoint &point, const PointResult &r);
 
-    const std::string &dir() const { return cfg_.dir; }
-    const ResultCacheStats &stats() const { return stats_; }
+    const std::string &dir() const { return store_.dir(); }
+    const StoreStats &stats() const { return store_.stats(); }
 
     /** Live count of "*.rec" entries (rescans the directory). */
-    std::size_t entryCount() const;
+    std::size_t entryCount() const { return store_.entryCount(); }
 
     /** Entry filename for a point fingerprint: "<hex16>.rec". */
     static std::string entryName(std::uint64_t point_fp);
 
   private:
-    std::optional<PointResult> loadLocked(std::uint64_t point_fp,
-                                          const GridPoint *point);
-    void evictToBudgetLocked();
-
-    ResultCacheConfig cfg_;
-    mutable std::mutex mutex_;
-    ResultCacheStats stats_;
+    ContentStore store_;
 };
 
 } // namespace hermes::sweep

@@ -7,8 +7,8 @@
  * recompilation — `hermes_run --trace corpus.chase:footprint_mb=512`
  * instantiates a half-GB pointer chase on the spot.
  *
- * Grammar (':'-separated so specs compose with the comma-separated
- * trace lists and the sweep server's ';'-separated point specs):
+ * Grammar (':'-separated so specs compose with comma-separated trace
+ * lists):
  *
  *   corpus.<generator>[:<knob>=<value>]...
  *

@@ -3,8 +3,8 @@
 /**
  * @file
  * The one trace resolver every front end goes through (`hermes_run
- * --trace`, `hermes_sweep` grids, the sweep server's point specs and
- * the bench harness): a trace spec string is either
+ * --trace`, `hermes_sweep` grids and the bench harness): a trace spec
+ * string is either
  *
  *   - a suite trace name      ("spec06.mcf_like.0"),
  *   - a corpus generator spec ("corpus.chase:footprint_mb=256"), or

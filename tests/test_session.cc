@@ -13,7 +13,8 @@
 //     it unchanged, warmup-affecting ones (predictor, warmup window)
 //     change it;
 //  4. the WarmupCache round-trips warmed state through disk, unlinks
-//     bad entries, evicts past its budget and rejects malformed specs.
+//     bad entries and evicts past its budget (the spec parser and the
+//     checkpoint mutation sweep live in test_content_store.cc).
 
 #include <gtest/gtest.h>
 
@@ -420,7 +421,7 @@ TEST(WarmupCacheTest, CorruptEntryUnlinkedAndRewarmed)
 TEST(WarmupCacheTest, EvictsPastEntryBudget)
 {
     const auto cases = sessionCases();
-    WarmupCacheConfig cfg{tempDir("evict")};
+    StoreConfig cfg{tempDir("evict")};
     cfg.maxEntries = 1;
     WarmupCache cache(std::move(cfg));
 
@@ -431,28 +432,6 @@ TEST(WarmupCacheTest, EvictsPastEntryBudget)
     EXPECT_EQ(cache.stats().stores, 2u);
     EXPECT_EQ(cache.stats().evicted, 1u);
     EXPECT_EQ(cache.entryCount(), 1u);
-}
-
-TEST(WarmupCacheTest, SpecParser)
-{
-    const WarmupCacheConfig plain = parseWarmupCacheSpec("/tmp/wc");
-    EXPECT_EQ(plain.dir, "/tmp/wc");
-    EXPECT_EQ(plain.maxBytes, 0u);
-    EXPECT_EQ(plain.maxEntries, 0u);
-
-    const WarmupCacheConfig full =
-        parseWarmupCacheSpec("/tmp/wc,max_bytes=64M,max_entries=9");
-    EXPECT_EQ(full.maxBytes, 64ull * 1024 * 1024);
-    EXPECT_EQ(full.maxEntries, 9u);
-
-    EXPECT_THROW(parseWarmupCacheSpec(""), std::invalid_argument);
-    EXPECT_THROW(parseWarmupCacheSpec("/d,max_bytes="),
-                 std::invalid_argument);
-    EXPECT_THROW(parseWarmupCacheSpec("/d,bogus=1"),
-                 std::invalid_argument);
-
-    EXPECT_EQ(WarmupCache::entryName(0xabcdef0123456789ull),
-              "abcdef0123456789.ckpt");
 }
 
 } // namespace

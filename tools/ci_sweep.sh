@@ -168,12 +168,22 @@ warm)
         fi
         # ...and still reproduce pass 1 (and the pinned golden)
         # byte-for-byte: journals included, since cached results carry
-        # even their host-perf payload back unchanged.
+        # even their host-perf payload back unchanged. A journal's
+        # identity is its canonical (grid-index) form, which --merge
+        # writes: appends land in completion order, and a threaded
+        # pass 1 completes points out of the grid order in which the
+        # all-cached pass 2 appends them (src/sweep/journal.hh).
         if ! cmp -s "$out/$fig-pass1.fp" "$out/$fig-pass2.fp"; then
             echo "FAIL: warm $fig fingerprint drifted across passes" >&2
             exit 1
         fi
-        if ! cmp -s "$out/$fig-pass1.jsonl" "$out/$fig-pass2.jsonl"; then
+        for pass in 1 2; do
+            ${fig}_space --resume "$out/$fig-pass$pass.jsonl" --merge \
+                --journal "$out/$fig-pass$pass.canonical.jsonl" \
+                2>>"$out/$fig-pass$pass.log"
+        done
+        if ! cmp -s "$out/$fig-pass1.canonical.jsonl" \
+            "$out/$fig-pass2.canonical.jsonl"; then
             echo "FAIL: warm $fig journal drifted across passes" >&2
             exit 1
         fi
