@@ -53,8 +53,8 @@ main(int argc, char **argv)
                      b);
         const double sb = geomeanSpeedup(base, nopf);
         const double sw = geomeanSpeedup(with, nopf);
-        t.addRow({prefetcherKindName(pf), Table::fmt(sb), Table::fmt(sw),
-                  Table::pct(sw / sb - 1.0)});
+        t.addRow(
+            {pf, Table::fmt(sb), Table::fmt(sw), Table::pct(sw / sb - 1.0)});
     }
     t.print("Fig. 4b: Ideal Hermes with different prefetchers");
     return 0;

@@ -45,9 +45,9 @@ main(int argc, char **argv)
             }
         }
         for (const auto &[cat, p] : agg)
-            t.addRow({predictorKindName(pk), cat,
-                      Table::pct(p.accuracy()), Table::pct(p.coverage())});
-        t.addRow({predictorKindName(pk), "AVG", Table::pct(all.accuracy()),
+            t.addRow({pk, cat, Table::pct(p.accuracy()),
+                      Table::pct(p.coverage())});
+        t.addRow({pk, "AVG", Table::pct(all.accuracy()),
                   Table::pct(all.coverage())});
     }
     t.print("Fig. 9: accuracy and coverage of HMP / TTP / POPET");

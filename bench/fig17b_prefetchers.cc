@@ -34,9 +34,8 @@ main(int argc, char **argv)
             withHermes(cfgPrefetcher(pf), PredictorKind::Popet, 6), b);
         const double sb = geomeanSpeedup(base, nopf);
         const double sho = geomeanSpeedup(ho, nopf);
-        t.addRow({prefetcherKindName(pf), Table::fmt(sb),
-                  Table::fmt(geomeanSpeedup(hp, nopf)), Table::fmt(sho),
-                  Table::pct(sho / sb - 1.0)});
+        t.addRow({pf, Table::fmt(sb), Table::fmt(geomeanSpeedup(hp, nopf)),
+                  Table::fmt(sho), Table::pct(sho / sb - 1.0)});
     }
     t.print("Fig. 17b: Hermes with different baseline prefetchers");
     return 0;

@@ -37,8 +37,7 @@ main(int argc, char **argv)
         const double r0 = reads(runSuite(cfgPrefetcher(pf), b));
         const double r1 = reads(runSuite(
             withHermes(cfgPrefetcher(pf), PredictorKind::Popet, 6), b));
-        t.addRow({prefetcherKindName(pf),
-                  Table::pct(r0 / base_reads - 1.0),
+        t.addRow({pf, Table::pct(r0 / base_reads - 1.0),
                   Table::pct(r1 / base_reads - 1.0),
                   Table::pct((r1 - r0) / r0)});
     }

@@ -1,5 +1,6 @@
 #include "harness/harness.hh"
 
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -10,6 +11,7 @@
 #include <stdexcept>
 #include <unistd.h>
 
+#include "common/config.hh"
 #include "common/stats.hh"
 #include "sim/param_registry.hh"
 #include "trace/resolve.hh"
@@ -103,15 +105,20 @@ usage(const char *argv0)
     std::exit(2);
 }
 
-/** Strict integer parse; exits via usage() on any non-numeric input. */
+/** --threads/HERMES_THREADS (@p what) or exit 2 with a message. */
 int
-parseIntOrUsage(const std::string &s, const char *argv0)
+threadCountOrUsage(const char *what, const std::string &s,
+                   const char *argv0)
 {
-    char *end = nullptr;
-    const long v = std::strtol(s.c_str(), &end, 10);
-    if (s.empty() || end == nullptr || *end != '\0')
+    const auto v = parseThreadCount(s);
+    if (!v) {
+        std::fprintf(stderr,
+                     "error: %s wants an integer from 0 (all hardware "
+                     "threads) to %d, got '%s'\n",
+                     what, INT_MAX, s.c_str());
         usage(argv0);
-    return static_cast<int>(v);
+    }
+    return *v;
 }
 
 void
@@ -143,7 +150,8 @@ initCli(int argc, char **argv)
     g_cli = CliOptions{};
     g_cli.progress = isatty(fileno(stderr)) != 0;
     if (const char *env = std::getenv("HERMES_THREADS"))
-        g_cli.threads = parseIntOrUsage(env, argv[0]);
+        g_cli.threads =
+            threadCountOrUsage("HERMES_THREADS", env, argv[0]);
     bool no_cache = false;
     bool no_warmup_cache = false;
 
@@ -155,7 +163,8 @@ initCli(int argc, char **argv)
             return argv[++i];
         };
         if (arg == "--threads") {
-            g_cli.threads = parseIntOrUsage(value(), argv[0]);
+            g_cli.threads =
+                threadCountOrUsage("--threads", value(), argv[0]);
         } else if (arg == "--suite") {
             g_cli.suiteName = value();
             // Fail fast on typos and bad corpus knobs/file paths:
@@ -167,7 +176,15 @@ initCli(int argc, char **argv)
                 std::exit(2);
             }
         } else if (arg == "--scale") {
-            setenv("HERMES_SIM_SCALE", value().c_str(), 1);
+            const std::string scale = value();
+            if (!parseScale(scale)) {
+                std::fprintf(stderr,
+                             "error: --scale wants a finite positive "
+                             "number, got '%s'\n",
+                             scale.c_str());
+                usage(argv[0]);
+            }
+            setenv("HERMES_SIM_SCALE", scale.c_str(), 1);
         } else if (arg == "--csv") {
             g_cli.csvPath = value();
         } else if (arg == "--json") {
@@ -464,25 +481,13 @@ budget(std::uint64_t warmup, std::uint64_t sim)
 SystemConfig
 cfgNoPrefetch()
 {
-    SystemConfig cfg = SystemConfig::baseline(1);
-    cfg.prefetcher = PrefetcherKind::None;
-    return cfg;
-}
-
-SystemConfig
-cfgPrefetcher(PrefetcherKind pf)
-{
-    SystemConfig cfg = SystemConfig::baseline(1);
-    cfg.prefetcher = pf;
-    return cfg;
+    return cfgPrefetcher(PrefetcherKind::None);
 }
 
 SystemConfig
 cfgPrefetcher(const std::string &pf)
 {
     SystemConfig cfg = SystemConfig::baseline(1);
-    // The registry route: resolves registry-only prefetchers too, and
-    // rejects typos with a nearest-name suggestion.
     ParamRegistry::instance().apply(cfg, "prefetcher", pf);
     return cfg;
 }
@@ -491,15 +496,6 @@ SystemConfig
 cfgBaseline()
 {
     return cfgPrefetcher(PrefetcherKind::Pythia);
-}
-
-SystemConfig
-withHermes(SystemConfig cfg, PredictorKind pred, Cycle issue_latency)
-{
-    cfg.predictor = pred;
-    cfg.hermesIssueEnabled = true;
-    cfg.hermesIssueLatency = issue_latency;
-    return cfg;
 }
 
 SystemConfig
@@ -513,9 +509,9 @@ withHermes(SystemConfig cfg, const std::string &pred,
 }
 
 SystemConfig
-withPredictorOnly(SystemConfig cfg, PredictorKind pred)
+withPredictorOnly(SystemConfig cfg, const std::string &pred)
 {
-    cfg.predictor = pred;
+    ParamRegistry::instance().apply(cfg, "predictor", pred);
     cfg.hermesIssueEnabled = false;
     return cfg;
 }

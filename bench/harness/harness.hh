@@ -154,28 +154,21 @@ bool gridComplete();
 SimBudget budget(std::uint64_t warmup = SimBudget::sweepDefaults().warmupInstrs,
                  std::uint64_t sim = SimBudget::sweepDefaults().simInstrs);
 
-/** Named baseline configurations (single core unless stated). */
-SystemConfig cfgNoPrefetch();
-SystemConfig cfgPrefetcher(PrefetcherKind pf);
 /**
- * Prefetcher by registered model name (see hermes_run --list-models);
- * reaches registry-only prefetchers the enum overload cannot.
+ * Named baseline configurations (single core unless stated). Models
+ * are registered names (PrefetcherKind::Pythia is "pythia"; see
+ * hermes_run --list-models); a typo throws std::invalid_argument with
+ * a nearest-name suggestion.
  */
+SystemConfig cfgNoPrefetch();
 SystemConfig cfgPrefetcher(const std::string &pf);
 /** Pythia baseline (the paper's Table 4 system). */
 SystemConfig cfgBaseline();
 /** Add Hermes with the given predictor to a config. */
-SystemConfig withHermes(SystemConfig cfg, PredictorKind pred,
-                        Cycle issue_latency = 6);
-/**
- * Hermes with a predictor by registered model name — the registry
- * route, so drivers can sweep every contender including ones that have
- * no PredictorKind enumerator.
- */
 SystemConfig withHermes(SystemConfig cfg, const std::string &pred,
                         Cycle issue_latency = 6);
 /** Predictor observing loads but never issuing requests. */
-SystemConfig withPredictorOnly(SystemConfig cfg, PredictorKind pred);
+SystemConfig withPredictorOnly(SystemConfig cfg, const std::string &pred);
 
 /** A run result labelled by trace. */
 struct TraceResult

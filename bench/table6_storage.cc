@@ -12,6 +12,7 @@
 #include "predictor/hmp.hh"
 #include "predictor/popet.hh"
 #include "predictor/ttp.hh"
+#include "sim/model_registry.hh"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -31,7 +32,7 @@ main(int argc, char **argv)
 
     const struct
     {
-        PrefetcherKind kind;
+        const char *name;
         const char *paper;
     } pf[] = {
         {PrefetcherKind::Pythia, "25.5"}, {PrefetcherKind::Bingo, "46"},
@@ -39,8 +40,9 @@ main(int argc, char **argv)
         {PrefetcherKind::Sms, "20"},
     };
     for (const auto &p : pf) {
-        const auto pref = makePrefetcher(p.kind);
-        t.addRow({prefetcherKindName(p.kind),
+        const auto pref =
+            ModelRegistry::instance().makePrefetcher(p.name, {});
+        t.addRow({p.name,
                   Table::fmt(pref->storageBits() / 8192.0, 1), p.paper});
     }
 

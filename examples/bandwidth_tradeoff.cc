@@ -31,7 +31,7 @@ main(int argc, char **argv)
     std::printf("%8s %10s %10s %10s %12s\n", "MTPS", "no-pf IPC",
                 "hermes", "pythia", "pythia+herm");
     for (unsigned mtps : {200u, 400u, 800u, 1600u, 3200u, 6400u}) {
-        auto cfg_with = [&](PrefetcherKind pf, bool hermes) {
+        auto cfg_with = [&](const char *pf, bool hermes) {
             SystemConfig cfg = SystemConfig::baseline(1);
             cfg.dram.mtps = mtps;
             cfg.prefetcher = pf;
@@ -42,20 +42,16 @@ main(int argc, char **argv)
             return cfg;
         };
         const double ipc0 =
-            simulateOne(cfg_with(PrefetcherKind::None, false), trace,
-                        budget)
+            simulate(cfg_with(PrefetcherKind::None, false), {trace}, budget)
                 .ipc(0);
         const double ipc_h =
-            simulateOne(cfg_with(PrefetcherKind::None, true), trace,
-                        budget)
+            simulate(cfg_with(PrefetcherKind::None, true), {trace}, budget)
                 .ipc(0);
         const double ipc_p =
-            simulateOne(cfg_with(PrefetcherKind::Pythia, false), trace,
-                        budget)
+            simulate(cfg_with(PrefetcherKind::Pythia, false), {trace}, budget)
                 .ipc(0);
         const double ipc_ph =
-            simulateOne(cfg_with(PrefetcherKind::Pythia, true), trace,
-                        budget)
+            simulate(cfg_with(PrefetcherKind::Pythia, true), {trace}, budget)
                 .ipc(0);
         std::printf("%8u %10.3f %10.3f %10.3f %12.3f\n", mtps, ipc0,
                     ipc_h, ipc_p, ipc_ph);

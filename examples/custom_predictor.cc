@@ -149,7 +149,7 @@ main(int argc, char **argv)
     budget.warmupInstrs = 20'000;
     budget.simInstrs = 80'000;
     const RunStats stats =
-        simulateOne(cfg, findTrace(trace), budget);
+        simulate(cfg, {findTrace(trace)}, budget);
 
     const PredictorStats pred = stats.predTotal();
     std::printf("example_bias on %s: accuracy %.3f coverage %.3f "

@@ -41,10 +41,10 @@ main(int argc, char **argv)
     for (const auto &spec : fullSuite()) {
         if (spec.category() != "Ligra")
             continue;
-        const RunStats r0 = simulateOne(nopf, spec, budget);
-        const RunStats rh = simulateOne(hermes_only, spec, budget);
-        const RunStats rp = simulateOne(pythia, spec, budget);
-        const RunStats rc = simulateOne(combo, spec, budget);
+        const RunStats r0 = simulate(nopf, {spec}, budget);
+        const RunStats rh = simulate(hermes_only, {spec}, budget);
+        const RunStats rp = simulate(pythia, {spec}, budget);
+        const RunStats rc = simulate(combo, {spec}, budget);
         const PredictorStats p = rc.predTotal();
         std::printf("%-26s %8.3f %8.3f %8.3f %8.3f %6.1f %6.1f\n",
                     spec.name().c_str(), r0.ipc(0), rh.ipc(0), rp.ipc(0),

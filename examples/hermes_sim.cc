@@ -28,6 +28,7 @@
 #include <sstream>
 
 #include "common/config.hh"
+#include "sim/param_registry.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
 #include "trace/trace_file.hh"
@@ -102,10 +103,12 @@ main(int argc, char **argv)
 
     const int cores = static_cast<int>(cfg.get("cores", std::int64_t{1}));
     SystemConfig sys = SystemConfig::baseline(cores);
-    sys.prefetcher = prefetcherKindFromString(
-        cfg.get("prefetcher", std::string("none")));
-    sys.predictor = predictorKindFromString(
-        cfg.get("predictor", std::string("none")));
+    // Registered model names (hermes_run --list-models); a typo throws
+    // with a nearest-name suggestion.
+    ParamRegistry::instance().apply(
+        sys, "prefetcher", cfg.get("prefetcher", std::string("none")));
+    ParamRegistry::instance().apply(
+        sys, "predictor", cfg.get("predictor", std::string("none")));
     sys.hermesIssueEnabled = cfg.get("hermes", false);
     sys.hermesIssueLatency = static_cast<Cycle>(
         cfg.get("hermes_latency", std::int64_t{6}));
@@ -146,13 +149,8 @@ main(int argc, char **argv)
         const std::string trace_name =
             cfg.get("trace", std::string("spec06.mcf_like.0"));
         label = trace_name;
-        const TraceSpec spec = findTrace(trace_name);
-        if (cores == 1) {
-            stats = simulateOne(sys, spec, budget);
-        } else {
-            std::vector<TraceSpec> mix(cores, spec);
-            stats = simulateMix(sys, mix, budget);
-        }
+        // One trace runs on every core (a homogeneous mix).
+        stats = simulate(sys, {findTrace(trace_name)}, budget);
     }
 
     if (cfg.get("csv", false)) {

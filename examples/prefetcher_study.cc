@@ -11,6 +11,7 @@
 #include <cstdio>
 
 #include "common/config.hh"
+#include "sim/model_registry.hh"
 #include "sim/simulator.hh"
 
 using namespace hermes;
@@ -28,7 +29,7 @@ main(int argc, char **argv)
     budget.warmupInstrs = budget.simInstrs / 2;
 
     const SystemConfig base = SystemConfig::baseline(1);
-    const RunStats r0 = simulateOne(base, trace, budget);
+    const RunStats r0 = simulate(base, {trace}, budget);
     const double base_ipc = r0.ipc(0);
     const double base_reads =
         static_cast<double>(r0.dram.totalReads());
@@ -45,16 +46,16 @@ main(int argc, char **argv)
                     PrefetcherKind::Pythia}) {
         SystemConfig cfg = base;
         cfg.prefetcher = pf;
-        const RunStats rp = simulateOne(cfg, trace, budget);
+        const RunStats rp = simulate(cfg, {trace}, budget);
 
         SystemConfig hcfg = cfg;
         hcfg.predictor = PredictorKind::Popet;
         hcfg.hermesIssueEnabled = true;
-        const RunStats rh = simulateOne(hcfg, trace, budget);
+        const RunStats rh = simulate(hcfg, {trace}, budget);
 
-        const auto pref = makePrefetcher(pf);
-        std::printf("%-10s %8.1f%% %8.1f%% %8.1f%% %8.1f%% %9.1f\n",
-                    prefetcherKindName(pf),
+        const auto pref =
+            ModelRegistry::instance().makePrefetcher(pf, ModelContext{});
+        std::printf("%-10s %8.1f%% %8.1f%% %8.1f%% %8.1f%% %9.1f\n", pf,
                     100.0 * (rp.ipc(0) / base_ipc - 1.0),
                     100.0 * (rh.ipc(0) / base_ipc - 1.0),
                     100.0 * (rp.dram.totalReads() / base_reads - 1.0),

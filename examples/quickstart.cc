@@ -43,8 +43,8 @@ main(int argc, char **argv)
                 trace.category().c_str(),
                 static_cast<unsigned long long>(instrs));
 
-    const RunStats b = simulateOne(base, trace, budget);
-    const RunStats h = simulateOne(hermes_cfg, trace, budget);
+    const RunStats b = simulate(base, {trace}, budget);
+    const RunStats h = simulate(hermes_cfg, {trace}, budget);
 
     std::printf("\n%-28s %10s %10s\n", "", "baseline", "+Hermes");
     std::printf("%-28s %10.3f %10.3f\n", "IPC", b.ipc(0), h.ipc(0));

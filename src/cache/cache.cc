@@ -1,6 +1,7 @@
 #include "cache/cache.hh"
 
 #include <cassert>
+#include <typeinfo>
 
 namespace hermes
 {
@@ -16,13 +17,27 @@ lowestSetBit(std::uint64_t word)
 
 } // namespace
 
-Cache::Cache(CacheParams params)
+Cache::ReplClass
+Cache::classify(const ReplacementPolicy &policy)
+{
+    // Exact class matches only: a subclass of SrripPolicy (which is not
+    // final) may override the callbacks, so it must dispatch virtually.
+    const std::type_info &t = typeid(policy);
+    if (t == typeid(LruPolicy))
+        return ReplClass::Lru;
+    if (t == typeid(SrripPolicy))
+        return ReplClass::Srrip;
+    if (t == typeid(ShipPolicy))
+        return ReplClass::Ship;
+    return ReplClass::Virtual;
+}
+
+Cache::Cache(CacheParams params, std::unique_ptr<ReplacementPolicy> repl)
     : params_(std::move(params)),
-      repl_(params_.replFactory
-                ? params_.replFactory(params_.sets, params_.ways)
-                : makeReplacement(params_.repl, params_.sets,
-                                  params_.ways)),
-      customRepl_(static_cast<bool>(params_.replFactory)),
+      repl_(repl != nullptr ? std::move(repl)
+                            : std::make_unique<LruPolicy>(params_.sets,
+                                                          params_.ways)),
+      replClass_(classify(*repl_)),
       tags_(static_cast<std::size_t>(params_.sets) * params_.ways,
             kInvalidTag),
       lineFlags_(static_cast<std::size_t>(params_.sets) * params_.ways, 0),
@@ -140,21 +155,20 @@ Cache::replOnHit(std::uint32_t set, std::uint32_t way, Addr pc,
                  AccessType type)
 {
     ReplacementPolicy *p = repl_.get();
-    if (customRepl_) {
-        p->onHit(set, way, pc, type);
-        return;
-    }
-    switch (params_.repl) {
-      case ReplKind::Lru:
+    switch (replClass_) {
+      case ReplClass::Lru:
         static_cast<LruPolicy *>(p)->LruPolicy::onHit(set, way, pc, type);
         break;
-      case ReplKind::Srrip:
+      case ReplClass::Srrip:
         static_cast<SrripPolicy *>(p)->SrripPolicy::onHit(set, way, pc,
                                                           type);
         break;
-      case ReplKind::Ship:
+      case ReplClass::Ship:
         static_cast<ShipPolicy *>(p)->ShipPolicy::onHit(set, way, pc,
                                                         type);
+        break;
+      case ReplClass::Virtual:
+        p->onHit(set, way, pc, type);
         break;
     }
 }
@@ -164,22 +178,21 @@ Cache::replOnInsert(std::uint32_t set, std::uint32_t way, Addr pc,
                     AccessType type)
 {
     ReplacementPolicy *p = repl_.get();
-    if (customRepl_) {
-        p->onInsert(set, way, pc, type);
-        return;
-    }
-    switch (params_.repl) {
-      case ReplKind::Lru:
+    switch (replClass_) {
+      case ReplClass::Lru:
         static_cast<LruPolicy *>(p)->LruPolicy::onInsert(set, way, pc,
                                                          type);
         break;
-      case ReplKind::Srrip:
+      case ReplClass::Srrip:
         static_cast<SrripPolicy *>(p)->SrripPolicy::onInsert(set, way, pc,
                                                              type);
         break;
-      case ReplKind::Ship:
+      case ReplClass::Ship:
         static_cast<ShipPolicy *>(p)->ShipPolicy::onInsert(set, way, pc,
                                                            type);
+        break;
+      case ReplClass::Virtual:
+        p->onInsert(set, way, pc, type);
         break;
     }
 }
@@ -188,19 +201,18 @@ void
 Cache::replOnEvict(std::uint32_t set, std::uint32_t way)
 {
     ReplacementPolicy *p = repl_.get();
-    if (customRepl_) {
-        p->onEvict(set, way);
-        return;
-    }
-    switch (params_.repl) {
-      case ReplKind::Lru:
+    switch (replClass_) {
+      case ReplClass::Lru:
         static_cast<LruPolicy *>(p)->LruPolicy::onEvict(set, way);
         break;
-      case ReplKind::Srrip:
+      case ReplClass::Srrip:
         static_cast<SrripPolicy *>(p)->SrripPolicy::onEvict(set, way);
         break;
-      case ReplKind::Ship:
+      case ReplClass::Ship:
         static_cast<ShipPolicy *>(p)->ShipPolicy::onEvict(set, way);
+        break;
+      case ReplClass::Virtual:
+        p->onEvict(set, way);
         break;
     }
 }
@@ -209,17 +221,17 @@ std::uint32_t
 Cache::replVictim(std::uint32_t set)
 {
     ReplacementPolicy *p = repl_.get();
-    if (customRepl_)
-        return p->victim(set);
-    switch (params_.repl) {
-      case ReplKind::Lru:
+    switch (replClass_) {
+      case ReplClass::Lru:
         return static_cast<LruPolicy *>(p)->LruPolicy::victim(set);
-      case ReplKind::Srrip:
+      case ReplClass::Srrip:
         return static_cast<SrripPolicy *>(p)->SrripPolicy::victim(set);
-      case ReplKind::Ship:
+      case ReplClass::Ship:
         return static_cast<ShipPolicy *>(p)->ShipPolicy::victim(set);
+      case ReplClass::Virtual:
+        break;
     }
-    return 0; // unreachable
+    return p->victim(set);
 }
 
 bool

@@ -27,8 +27,9 @@
  *    MSHR slots are tracked in bitmasks so allocation and retry visit
  *    only live slots, in slot order;
  *  - the request queues are power-of-two ring buffers (Ring<>);
- *  - replacement callbacks are devirtualized by dispatching on
- *    ReplKind to the sealed policy classes;
+ *  - replacement callbacks are devirtualized: the cache recognises the
+ *    built-in policy classes once, at construction, and calls them
+ *    directly (any other policy dispatches virtually);
  *  - tick() returns immediately when all queues are empty and no MSHR
  *    is waiting to be forwarded, which is the common case for upper
  *    levels in low-MPKI phases.
@@ -65,17 +66,6 @@ struct CacheParams
     std::uint32_t pqSize = 32;
     /** Max tag lookups per cycle per queue class. */
     std::uint32_t lookupsPerCycle = 4;
-    ReplKind repl = ReplKind::Lru;
-    /**
-     * Registry-model override: when set, the cache builds its policy
-     * through this factory (sets, ways) and dispatches virtually
-     * instead of through the sealed ReplKind classes. Populated by
-     * System for registry-selected policies so cache/ never depends on
-     * sim/.
-     */
-    std::function<std::unique_ptr<ReplacementPolicy>(std::uint32_t,
-                                                     std::uint32_t)>
-        replFactory;
 
     std::uint64_t sizeBytes() const
     {
@@ -121,7 +111,13 @@ struct CacheStats
 class Cache final : public MemDevice, public MemClient
 {
   public:
-    explicit Cache(CacheParams params);
+    /**
+     * @p repl is the replacement policy for this geometry (System
+     * builds the LLC's from the model registry by name); null means
+     * LRU, the L1/L2 policy.
+     */
+    explicit Cache(CacheParams params,
+                   std::unique_ptr<ReplacementPolicy> repl = nullptr);
 
     /** Wire the next-lower memory device (cache or DRAM controller). */
     void setLower(MemDevice *lower) { lower_ = lower; }
@@ -284,10 +280,20 @@ class Cache final : public MemDevice, public MemClient
     void respondUpward(MemRequest waiter, const MemRequest &fill);
     void invokePrefetcher(const MemRequest &req, bool hit);
 
+    /** The policy's class, worked out once at construction: the
+     * sealed built-ins are called directly, anything else virtually. */
+    enum class ReplClass : std::uint8_t
+    {
+        Lru,
+        Srrip,
+        Ship,
+        Virtual,
+    };
+    static ReplClass classify(const ReplacementPolicy &policy);
+
     CacheParams params_;
     std::unique_ptr<ReplacementPolicy> repl_;
-    /** Policy came from params_.replFactory: dispatch virtually. */
-    bool customRepl_ = false;
+    ReplClass replClass_;
 
     // Flat tag/metadata store: tags_[set*ways + way].
     std::vector<Addr> tags_;

@@ -1,7 +1,6 @@
 #include "cache/replacement.hh"
 
-#include <cassert>
-#include <stdexcept>
+#include <memory>
 
 #include "sim/model_registry.hh"
 
@@ -50,44 +49,5 @@ const ModelRegistrar shipRegistrar(replDef(
     }));
 
 } // namespace
-
-std::unique_ptr<ReplacementPolicy>
-makeReplacement(ReplKind kind, std::uint32_t sets, std::uint32_t ways)
-{
-    assert(sets > 0 && ways > 0);
-    // Thin shim over the model registry: the enum names resolve to the
-    // same registered factories the string path uses.
-    ModelContext ctx;
-    ctx.sets = sets;
-    ctx.ways = ways;
-    return ModelRegistry::instance().makeReplacement(replKindName(kind),
-                                                     std::move(ctx));
-}
-
-ReplKind
-replKindFromString(const std::string &name)
-{
-    if (name == "lru")
-        return ReplKind::Lru;
-    if (name == "srrip")
-        return ReplKind::Srrip;
-    if (name == "ship")
-        return ReplKind::Ship;
-    throw std::invalid_argument("unknown replacement policy: " + name);
-}
-
-const char *
-replKindName(ReplKind kind)
-{
-    switch (kind) {
-      case ReplKind::Lru:
-        return "lru";
-      case ReplKind::Srrip:
-        return "srrip";
-      case ReplKind::Ship:
-        return "ship";
-    }
-    return "?";
-}
 
 } // namespace hermes

@@ -4,18 +4,18 @@
  * @file
  * Cache replacement policies: LRU (L1/L2), SRRIP, and SHiP (the paper's
  * LLC policy, Table 4). Policies are separate from the cache so tests
- * can exercise them in isolation and caches can swap them by config.
+ * can exercise them in isolation and caches can swap them by config;
+ * each registers under its name ("lru", "srrip", "ship") in the model
+ * registry, which is how the "llc.repl" parameter selects one.
  *
  * The concrete classes are declared here (not hidden behind the
- * factory) and marked final so the cache can devirtualize the
- * per-access policy callbacks: it dispatches once on ReplKind and then
- * calls the sealed class directly, which the compiler turns into plain
+ * factory) so the cache can devirtualize the per-access policy
+ * callbacks: it recognises these exact classes once, at construction,
+ * and then calls them directly, which the compiler turns into plain
  * (inlineable) calls on the L1/L2/LLC hit path.
  */
 
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "cache/mem_iface.hh"
@@ -24,20 +24,6 @@
 
 namespace hermes
 {
-
-/** Replacement policy selector. */
-enum class ReplKind : std::uint8_t
-{
-    Lru,
-    Srrip,
-    Ship,
-};
-
-/** Parse a policy name ("lru", "srrip", "ship"); throws on unknown. */
-ReplKind replKindFromString(const std::string &name);
-
-/** Printable name for a kind. */
-const char *replKindName(ReplKind kind);
 
 /**
  * Replacement policy interface. The cache informs the policy of every
@@ -359,10 +345,5 @@ class ShipPolicy final : public SrripPolicy
     std::vector<bool> reused_;
     std::vector<std::uint8_t> shct_;
 };
-
-/** Instantiate a policy for a sets x ways geometry. */
-std::unique_ptr<ReplacementPolicy> makeReplacement(ReplKind kind,
-                                                   std::uint32_t sets,
-                                                   std::uint32_t ways);
 
 } // namespace hermes

@@ -238,8 +238,7 @@ parseCli(int argc, char **argv)
             // Validate here: SimBudget::fromEnv only warns on bad env
             // values, but an explicit flag deserves a hard error.
             const std::string scale = value();
-            const auto v = parseFiniteDouble(scale);
-            if (!v || *v <= 0) {
+            if (!parseScale(scale)) {
                 std::fprintf(stderr,
                              "error: --scale wants a finite positive "
                              "number, got '%s'\n",
@@ -408,8 +407,8 @@ main(int argc, char **argv)
             std::printf("scenario %s: %d core(s), prefetcher=%s, "
                         "predictor=%s, hermes=%s\n",
                         opt.label.c_str(), cfg.numCores,
-                        cfg.prefetcherName().c_str(),
-                        cfg.predictorName().c_str(),
+                        cfg.prefetcher.c_str(),
+                        cfg.predictor.c_str(),
                         cfg.hermesIssueEnabled ? "on" : "off");
             std::printf("  cycles %llu  instrs %llu  ipc0 %.4f  "
                         "llc_mpki %.3f\n",

@@ -27,6 +27,7 @@
  * matching points instead of simulating them (docs/result-cache.md).
  */
 
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -178,16 +179,29 @@ parseCountOrDie(const std::string &s, const char *argv0)
     return static_cast<std::uint64_t>(*v);
 }
 
+/** --threads/HERMES_THREADS (@p what) or exit 2 with a message. */
+int
+threadCountOrDie(const char *what, const std::string &s,
+                 const char *argv0)
+{
+    const auto v = parseThreadCount(s);
+    if (!v) {
+        std::fprintf(stderr,
+                     "error: %s wants an integer from 0 (all hardware "
+                     "threads) to %d, got '%s'\n",
+                     what, INT_MAX, s.c_str());
+        usage(argv0, 2);
+    }
+    return *v;
+}
+
 Options
 parseCli(int argc, char **argv)
 {
     Options opt;
     opt.progress = isatty(fileno(stderr)) != 0;
-    if (const char *env = std::getenv("HERMES_THREADS")) {
-        const auto v = parseInt64(env);
-        if (v)
-            opt.threads = static_cast<int>(*v);
-    }
+    if (const char *env = std::getenv("HERMES_THREADS"))
+        opt.threads = threadCountOrDie("HERMES_THREADS", env, argv[0]);
     std::vector<std::string> cli_overrides;
 
     for (int i = 1; i < argc; ++i) {
@@ -236,8 +250,7 @@ parseCli(int argc, char **argv)
             opt.instrs = parseCountOrDie(value(), argv[0]);
         } else if (arg == "--scale") {
             const std::string scale = value();
-            const auto v = parseFiniteDouble(scale);
-            if (!v || *v <= 0) {
+            if (!parseScale(scale)) {
                 std::fprintf(stderr,
                              "error: --scale wants a finite positive "
                              "number, got '%s'\n",
@@ -254,17 +267,7 @@ parseCli(int argc, char **argv)
         } else if (arg == "--merge") {
             opt.merge = true;
         } else if (arg == "--threads") {
-            const std::string s = value();
-            const auto v = parseInt64(s);
-            if (!v || *v < 0) {
-                std::fprintf(stderr,
-                             "error: --threads wants a non-negative "
-                             "integer (0 = all hardware threads), got "
-                             "'%s'\n",
-                             s.c_str());
-                usage(argv[0], 2);
-            }
-            opt.threads = static_cast<int>(*v);
+            opt.threads = threadCountOrDie("--threads", value(), argv[0]);
         } else if (arg == "--progress") {
             opt.progress = true;
         } else if (arg == "--no-progress") {

@@ -5,6 +5,7 @@
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace hermes
@@ -78,6 +79,28 @@ parseFiniteDouble(const std::string &s)
     if (end == s.c_str() || *end != '\0' || !std::isfinite(v))
         return std::nullopt;
     return v;
+}
+
+std::optional<double>
+parseScale(const std::string &s)
+{
+    if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])))
+        return std::nullopt;
+    const auto v = parseFiniteDouble(s);
+    if (!v || *v <= 0)
+        return std::nullopt;
+    return v;
+}
+
+std::optional<int>
+parseThreadCount(const std::string &s)
+{
+    if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])))
+        return std::nullopt;
+    const auto v = parseInt64(s);
+    if (!v || *v < 0 || *v > std::numeric_limits<int>::max())
+        return std::nullopt;
+    return static_cast<int>(*v);
 }
 
 std::optional<bool>

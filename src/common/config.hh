@@ -28,6 +28,17 @@ std::optional<double> parseFiniteDouble(const std::string &s);
 std::optional<bool> parseBoolWord(const std::string &s);
 
 /**
+ * The numeric front-end flags, parsed one way by hermes_run,
+ * hermes_sweep and the bench harness. Both reject leading whitespace
+ * and anything parseInt64/parseFiniteDouble would.
+ *  - parseScale: a finite number > 0 (--scale, HERMES_SIM_SCALE);
+ *  - parseThreadCount: an integer in [0, INT_MAX] (--threads,
+ *    HERMES_THREADS; 0 means all hardware threads).
+ */
+std::optional<double> parseScale(const std::string &s);
+std::optional<int> parseThreadCount(const std::string &s);
+
+/**
  * parseInt64 plus case-insensitive K/M/G suffixes (powers of 1024),
  * e.g. "3M" == 3145728. Negative values and overflow are rejected.
  */

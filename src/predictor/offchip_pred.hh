@@ -108,17 +108,18 @@ class OffChipPredictor
     virtual void loadState(StateReader &) {}
 };
 
-/** Predictor kinds evaluated in the paper (§7.2). */
-enum class PredictorKind : std::uint8_t
+/**
+ * Registry names of the predictors evaluated in the paper (§7.2), the
+ * values of SystemConfig::predictor. Every registered model is
+ * selectable by name; these are spelled out for the paper's grid.
+ */
+namespace PredictorKind
 {
-    None,
-    Popet,
-    Hmp,
-    Ttp,
-    Ideal,
-};
-
-PredictorKind predictorKindFromString(const std::string &name);
-const char *predictorKindName(PredictorKind kind);
+inline constexpr const char *None = "none";
+inline constexpr const char *Popet = "popet";
+inline constexpr const char *Hmp = "hmp";
+inline constexpr const char *Ttp = "ttp";
+inline constexpr const char *Ideal = "ideal";
+} // namespace PredictorKind
 
 } // namespace hermes

@@ -1,5 +1,3 @@
-#include <stdexcept>
-
 #include "predictor/offchip_pred.hh"
 #include "sim/model_registry.hh"
 
@@ -27,39 +25,5 @@ nonePredictorDef()
 const ModelRegistrar noneRegistrar(nonePredictorDef());
 
 } // namespace
-
-PredictorKind
-predictorKindFromString(const std::string &name)
-{
-    if (name == "none")
-        return PredictorKind::None;
-    if (name == "popet")
-        return PredictorKind::Popet;
-    if (name == "hmp")
-        return PredictorKind::Hmp;
-    if (name == "ttp")
-        return PredictorKind::Ttp;
-    if (name == "ideal")
-        return PredictorKind::Ideal;
-    throw std::invalid_argument("unknown off-chip predictor: " + name);
-}
-
-const char *
-predictorKindName(PredictorKind kind)
-{
-    switch (kind) {
-      case PredictorKind::None:
-        return "none";
-      case PredictorKind::Popet:
-        return "popet";
-      case PredictorKind::Hmp:
-        return "hmp";
-      case PredictorKind::Ttp:
-        return "ttp";
-      case PredictorKind::Ideal:
-        return "ideal";
-    }
-    return "?";
-}
 
 } // namespace hermes

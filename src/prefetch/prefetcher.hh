@@ -95,26 +95,21 @@ class Prefetcher
     PrefetcherStats stats_;
 };
 
-/** Known prefetcher kinds (Table 6 plus a simple streamer baseline). */
-enum class PrefetcherKind : std::uint8_t
+/**
+ * Registry names of the prefetchers of Table 6 plus a simple streamer
+ * baseline, the values of SystemConfig::prefetcher. Every registered
+ * model is selectable by name; these are spelled out for the paper's
+ * grid.
+ */
+namespace PrefetcherKind
 {
-    None,
-    Streamer,
-    Spp,
-    Bingo,
-    Mlop,
-    Sms,
-    Pythia,
-};
-
-/** Instantiate a prefetcher; returns nullptr for None. */
-std::unique_ptr<Prefetcher> makePrefetcher(PrefetcherKind kind,
-                                           std::uint64_t seed = 1);
-
-/** Parse a prefetcher name ("none", "streamer", "spp", ...). */
-PrefetcherKind prefetcherKindFromString(const std::string &name);
-
-/** Printable name for a kind. */
-const char *prefetcherKindName(PrefetcherKind kind);
+inline constexpr const char *None = "none";
+inline constexpr const char *Streamer = "streamer";
+inline constexpr const char *Spp = "spp";
+inline constexpr const char *Bingo = "bingo";
+inline constexpr const char *Mlop = "mlop";
+inline constexpr const char *Sms = "sms";
+inline constexpr const char *Pythia = "pythia";
+} // namespace PrefetcherKind
 
 } // namespace hermes

@@ -1,5 +1,3 @@
-#include <stdexcept>
-
 #include "prefetch/prefetcher.hh"
 #include "sim/model_registry.hh"
 
@@ -27,58 +25,5 @@ nonePrefetcherDef()
 const ModelRegistrar noneRegistrar(nonePrefetcherDef());
 
 } // namespace
-
-std::unique_ptr<Prefetcher>
-makePrefetcher(PrefetcherKind kind, std::uint64_t seed)
-{
-    // Thin shim over the model registry: the enum names resolve to the
-    // same registered factories the string path uses.
-    ModelContext ctx;
-    ctx.seed = seed;
-    return ModelRegistry::instance().makePrefetcher(
-        prefetcherKindName(kind), std::move(ctx));
-}
-
-PrefetcherKind
-prefetcherKindFromString(const std::string &name)
-{
-    if (name == "none")
-        return PrefetcherKind::None;
-    if (name == "streamer")
-        return PrefetcherKind::Streamer;
-    if (name == "spp")
-        return PrefetcherKind::Spp;
-    if (name == "bingo")
-        return PrefetcherKind::Bingo;
-    if (name == "mlop")
-        return PrefetcherKind::Mlop;
-    if (name == "sms")
-        return PrefetcherKind::Sms;
-    if (name == "pythia")
-        return PrefetcherKind::Pythia;
-    throw std::invalid_argument("unknown prefetcher: " + name);
-}
-
-const char *
-prefetcherKindName(PrefetcherKind kind)
-{
-    switch (kind) {
-      case PrefetcherKind::None:
-        return "none";
-      case PrefetcherKind::Streamer:
-        return "streamer";
-      case PrefetcherKind::Spp:
-        return "spp";
-      case PrefetcherKind::Bingo:
-        return "bingo";
-      case PrefetcherKind::Mlop:
-        return "mlop";
-      case PrefetcherKind::Sms:
-        return "sms";
-      case PrefetcherKind::Pythia:
-        return "pythia";
-    }
-    return "?";
-}
 
 } // namespace hermes

@@ -12,7 +12,7 @@ namespace hermes
 {
 
 const char *
-modelKindName(ModelKind kind)
+modelKindLabel(ModelKind kind)
 {
     switch (kind) {
       case ModelKind::Predictor:
@@ -150,7 +150,7 @@ ModelRegistry::add(ModelDef def)
         std::make_pair(static_cast<int>(def.kind), def.name);
     if (index_.count(key) != 0)
         throw std::invalid_argument(
-            std::string(modelKindName(def.kind)) + " '" + def.name +
+            std::string(modelKindLabel(def.kind)) + " '" + def.name +
             "' is already registered");
     for (const ModelKnob &k : def.knobs) {
         if (!validName(k.name))
@@ -237,7 +237,7 @@ ModelRegistry::findOrThrow(ModelKind kind, const std::string &name) const
 {
     if (const ModelDef *d = find(kind, name))
         return *d;
-    std::string msg = std::string("unknown ") + modelKindName(kind) +
+    std::string msg = std::string("unknown ") + modelKindLabel(kind) +
                       " '" + name + "'";
     std::string best;
     std::size_t best_dist = ~std::size_t{0};
@@ -324,7 +324,7 @@ ModelRegistry::describe() const
         for (const ModelDef *d : models(kind)) {
             if (!out.empty())
                 out += "\n";
-            out += std::string(modelKindName(kind)) + " " + d->name +
+            out += std::string(modelKindLabel(kind)) + " " + d->name +
                    " — " + d->doc + "\n";
 
             std::vector<KnobRow> rows;

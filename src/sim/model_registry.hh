@@ -11,15 +11,16 @@
  * parameter-registry keys (stored sparsely in SystemConfig::modelKnobs,
  * so configurations that never touch them render — and fingerprint —
  * exactly as before the registry existed), and the model becomes
- * selectable by string through the existing "predictor", "prefetcher"
- * and "llc.repl" parameters.
+ * selectable by name through the "predictor", "prefetcher" and
+ * "llc.repl" parameters. The registry is the only way models are
+ * selected: SystemConfig holds one name per choice and System builds
+ * each model from it here.
  *
  * A new model is therefore ONE new .cc file: the class, a registrar,
  * nothing else. No enum edits, no SystemConfig fields, no System
- * wiring (the legacy PredictorKind/PrefetcherKind/ReplKind paths are
- * thin shims over this registry). See docs/extending-models.md and
- * examples/custom_predictor.cc for the worked example, and
- * `hermes_run --list-models` for the generated reference.
+ * wiring. See docs/extending-models.md and examples/custom_predictor.cc
+ * for the worked example, and `hermes_run --list-models` for the
+ * generated reference.
  */
 
 #include <cstdint>
@@ -48,7 +49,7 @@ enum class ModelKind : std::uint8_t
 };
 
 /** Printable kind name ("predictor", "prefetcher", "replacement"). */
-const char *modelKindName(ModelKind kind);
+const char *modelKindLabel(ModelKind kind);
 
 /** Knob key prefix per kind ("pred", "pref", "repl"). */
 const char *modelKnobPrefix(ModelKind kind);

@@ -16,20 +16,20 @@ namespace
 {
 
 /**
- * Choices for a model-selection key: the legacy enum names in their
+ * Choices for a model-selection key: the paper's models in their
  * documented order, then any further registered models sorted by name.
  * Built at ParamRegistry construction (first use, i.e. after static
  * initialization has run every ModelRegistrar); apply() additionally
  * consults the live registry.
  */
 std::vector<std::string>
-modelChoices(ModelKind kind, std::vector<std::string> legacy)
+modelChoices(ModelKind kind, std::vector<std::string> documented)
 {
     for (const std::string &name : ModelRegistry::instance().names(kind))
-        if (std::find(legacy.begin(), legacy.end(), name) ==
-            legacy.end())
-            legacy.push_back(name);
-    return legacy;
+        if (std::find(documented.begin(), documented.end(), name) ==
+            documented.end())
+            documented.push_back(name);
+    return documented;
 }
 
 /** Format a bound without a decimal point ("64", "4294967296"). */
@@ -156,22 +156,6 @@ ParamRegistry::ParamRegistry()
         add(std::move(d));
     };
 
-    // Enum fields need a from/to string pair instead of an accessor.
-    auto enumerated = [&](const char *key,
-                          std::vector<std::string> choices, auto getName,
-                          auto setFromName, const char *doc) {
-        ParamDef d;
-        d.key = key;
-        d.type = ParamType::Enum;
-        d.doc = doc;
-        d.choices = std::move(choices);
-        d.get = [getName](const SystemConfig &c) {
-            return std::string(getName(c));
-        };
-        d.set = setFromName;
-        add(std::move(d));
-    };
-
     num("system.cores", [](SystemConfig &c) -> auto & { return c.numCores; },
         1, 64, "number of simulated cores");
     {
@@ -250,68 +234,32 @@ ParamRegistry::ParamRegistry()
     num("llc.mshrs_per_core",
         [](SystemConfig &c) -> auto & { return c.llcMshrsPerCore; }, 1,
         1024, "LLC MSHR entries per core");
-    // Model-selection keys. Legacy enum names set the enum field (so
-    // pre-registry configurations render byte-identically); any other
-    // registered model name is stored as a string and resolved through
-    // the model registry at System construction.
-    enumerated(
-        "llc.repl",
-        modelChoices(ModelKind::Replacement, {"lru", "srrip", "ship"}),
-        [](const SystemConfig &c) { return c.llcReplName(); },
-        [](SystemConfig &c, const std::string &v) {
-            for (const ReplKind k :
-                 {ReplKind::Lru, ReplKind::Srrip, ReplKind::Ship}) {
-                if (v == replKindName(k)) {
-                    c.llcRepl = k;
-                    c.llcReplModel.clear();
-                    return;
-                }
-            }
-            c.llcReplModel = v;
-        },
-        "LLC replacement policy");
-    defs_.back().modelKind = static_cast<int>(ModelKind::Replacement);
-
-    enumerated(
-        "prefetcher",
-        modelChoices(ModelKind::Prefetcher,
-                     {"none", "streamer", "spp", "bingo", "mlop", "sms",
-                      "pythia"}),
-        [](const SystemConfig &c) { return c.prefetcherName(); },
-        [](SystemConfig &c, const std::string &v) {
-            for (const char *name : {"none", "streamer", "spp", "bingo",
-                                     "mlop", "sms", "pythia"}) {
-                if (v == name) {
-                    c.prefetcher = prefetcherKindFromString(v);
-                    c.prefetcherModel.clear();
-                    return;
-                }
-            }
-            c.prefetcher = PrefetcherKind::None;
-            c.prefetcherModel = v;
-        },
-        "LLC hardware prefetcher (Table 6)");
-    defs_.back().modelKind = static_cast<int>(ModelKind::Prefetcher);
-
-    enumerated(
-        "predictor",
-        modelChoices(ModelKind::Predictor,
-                     {"none", "popet", "hmp", "ttp", "ideal"}),
-        [](const SystemConfig &c) { return c.predictorName(); },
-        [](SystemConfig &c, const std::string &v) {
-            for (const char *name :
-                 {"none", "popet", "hmp", "ttp", "ideal"}) {
-                if (v == name) {
-                    c.predictor = predictorKindFromString(v);
-                    c.predictorModel.clear();
-                    return;
-                }
-            }
-            c.predictor = PredictorKind::None;
-            c.predictorModel = v;
-        },
-        "off-chip load predictor (paper §7.2)");
-    defs_.back().modelKind = static_cast<int>(ModelKind::Predictor);
+    // Model-selection keys: the value is a registered model name,
+    // stored as is. The choices list the paper's models in their
+    // documented order, then any further registered models by name.
+    auto model = [&](const char *key, ModelKind kind,
+                     std::vector<std::string> documented,
+                     std::string SystemConfig::*field, const char *doc) {
+        ParamDef d;
+        d.key = key;
+        d.type = ParamType::Enum;
+        d.doc = doc;
+        d.choices = modelChoices(kind, std::move(documented));
+        d.modelKind = static_cast<int>(kind);
+        d.get = [field](const SystemConfig &c) { return c.*field; };
+        d.set = [field](SystemConfig &c, const std::string &v) {
+            c.*field = v;
+        };
+        add(std::move(d));
+    };
+    model("llc.repl", ModelKind::Replacement, {"lru", "srrip", "ship"},
+          &SystemConfig::llcRepl, "LLC replacement policy");
+    model("prefetcher", ModelKind::Prefetcher,
+          {"none", "streamer", "spp", "bingo", "mlop", "sms", "pythia"},
+          &SystemConfig::prefetcher, "LLC hardware prefetcher (Table 6)");
+    model("predictor", ModelKind::Predictor,
+          {"none", "popet", "hmp", "ttp", "ideal"},
+          &SystemConfig::predictor, "off-chip load predictor (paper §7.2)");
 
     boolean("hermes.enabled",
             [](SystemConfig &c) -> auto & { return c.hermesIssueEnabled; },
@@ -599,24 +547,13 @@ ParamRegistry::apply(SystemConfig &cfg, const std::string &key,
                                         value + "'");
         break;
       }
-      case ParamType::Enum: {
-        bool ok = std::find(d->choices.begin(), d->choices.end(),
-                            value) != d->choices.end();
-        if (!ok && d->modelKind >= 0) {
-            // Model-selection keys consult the live registry so models
-            // registered after this snapshot remain selectable —
-            // findOrThrow supplies the nearest-name suggestion.
-            const auto kind = static_cast<ModelKind>(d->modelKind);
-            if (ModelRegistry::instance().find(kind, value) == nullptr)
-                ModelRegistry::instance().findOrThrow(kind, value);
-            ok = true;
-        }
-        if (!ok)
-            throw std::invalid_argument(key + ": '" + value +
-                                        "' is not one of " +
-                                        joinChoices(d->choices));
+      case ParamType::Enum:
+        // The model-selection keys consult the live registry rather
+        // than the choices snapshot, so models registered later remain
+        // selectable; findOrThrow supplies the nearest-name suggestion.
+        ModelRegistry::instance().findOrThrow(
+            static_cast<ModelKind>(d->modelKind), value);
         break;
-      }
     }
     d->set(cfg, value);
 }

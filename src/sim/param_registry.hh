@@ -37,7 +37,7 @@ enum class ParamType : std::uint8_t
     UInt, ///< Full-range uint64 (seeds); no further range constraint
     Size, ///< Byte count; accepts K/M/G suffixes (powers of 1024)
     Bool, ///< true/false, yes/no, on/off, 1/0
-    Enum, ///< One of a fixed set of names
+    Enum, ///< A registered model name (the model-selection keys)
 };
 
 /** Schema entry for one SystemConfig field. */
@@ -51,7 +51,7 @@ struct ParamDef
     double maxValue = 0;
     /** Geometry indexed with masks must be a power of two. */
     bool powerOfTwo = false;
-    /** Valid names (Enum). */
+    /** Registered names at construction (Enum; --list-params). */
     std::vector<std::string> choices;
     /**
      * ModelKind (as int) for the model-selection keys ("predictor",

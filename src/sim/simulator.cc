@@ -1,6 +1,5 @@
 #include "sim/simulator.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -30,7 +29,7 @@ bool
 warmupIssueActive(const SystemConfig &config)
 {
     return config.hermesIssueEnabled && config.hermesWarmupIssue &&
-           config.predictorName() != "none";
+           config.predictor != PredictorKind::None;
 }
 
 /** Read exactly @p size bytes or throw (short streams are defects). */
@@ -59,22 +58,19 @@ SimBudget::fromEnv(std::uint64_t warmup, std::uint64_t sim)
     const char *env = std::getenv("HERMES_SIM_SCALE");
     if (env == nullptr)
         return b;
-    // Strict parse: the whole string must be one finite positive
-    // number. strtod alone would silently accept trailing garbage
-    // ("2x" -> 2) and NaN/inf, and a typo would silently fall back to
-    // the defaults; warn instead so misconfigured runs are visible.
-    char *end = nullptr;
-    const double scale = std::strtod(env, &end);
-    const bool parsed = end != env && *end == '\0';
-    if (!parsed || !std::isfinite(scale) || scale <= 0) {
+    // The front ends reject a bad --scale before exporting it; a bad
+    // value set directly in the environment is ignored, with a warning
+    // so misconfigured runs are visible.
+    const auto scale = parseScale(env);
+    if (!scale) {
         std::fprintf(stderr,
                      "warning: ignoring invalid HERMES_SIM_SCALE=\"%s\""
                      " (expected a finite positive number)\n",
                      env);
         return b;
     }
-    b.warmupInstrs = static_cast<std::uint64_t>(warmup * scale);
-    b.simInstrs = static_cast<std::uint64_t>(sim * scale);
+    b.warmupInstrs = static_cast<std::uint64_t>(warmup * *scale);
+    b.simInstrs = static_cast<std::uint64_t>(sim * *scale);
     return b;
 }
 
@@ -249,39 +245,9 @@ SimSession::restore(ByteSource &source)
 }
 
 RunStats
-simulateOne(const SystemConfig &config, const TraceSpec &trace,
-            const SimBudget &budget)
-{
-    if (config.numCores != 1)
-        throw std::invalid_argument("simulateOne needs a 1-core config");
-    SimSession session(config, {trace}, budget);
-    session.build();
-    session.warmup();
-    session.measure();
-    return session.collect();
-}
-
-RunStats
-simulateMix(const SystemConfig &config,
-            const std::vector<TraceSpec> &traces, const SimBudget &budget)
-{
-    if (static_cast<int>(traces.size()) != config.numCores)
-        throw std::invalid_argument("need one trace per core");
-    SimSession session(config, traces, budget);
-    session.build();
-    session.warmup();
-    session.measure();
-    return session.collect();
-}
-
-RunStats
 simulate(const SystemConfig &config, std::vector<TraceSpec> traces,
          const SimBudget &budget)
 {
-    if (traces.empty())
-        throw std::invalid_argument("simulate needs at least one trace");
-    if (config.numCores == 1 && traces.size() == 1)
-        return simulateOne(config, traces[0], budget);
     SimSession session(config, std::move(traces), budget);
     session.build();
     session.warmup();

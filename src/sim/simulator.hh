@@ -14,8 +14,7 @@
  * sim/warmup_cache.hh for the content-addressed store and
  * docs/sessions.md for the full lifecycle and trust model).
  *
- * The historic one-call helpers (simulateOne/simulateMix/simulate)
- * remain as thin shims over SimSession, byte-identical in behaviour.
+ * simulate() runs all four phases in one call.
  */
 
 #include <cstdint>
@@ -178,24 +177,13 @@ class SimSession
     RunStats stats_;
 };
 
-/** Run a single-core simulation of @p trace. */
-RunStats simulateOne(const SystemConfig &config, const TraceSpec &trace,
-                     const SimBudget &budget);
-
 /**
- * Run a multi-core simulation; @p traces must have one entry per core
- * (a homogeneous mix repeats the same spec). Per-core workloads receive
- * distinct seed offsets so copies do not run in lockstep.
- */
-RunStats simulateMix(const SystemConfig &config,
-                     const std::vector<TraceSpec> &traces,
-                     const SimBudget &budget);
-
-/**
- * Dispatch to simulateOne/simulateMix on config.numCores. A single
- * trace on a multi-core config is replicated across all cores (the
- * homogeneous-mix convention); otherwise @p traces must have one entry
- * per core.
+ * Run one simulation through a SimSession: build, warm up, measure,
+ * collect. @p traces holds one entry per core, or one entry that a
+ * multi-core configuration replicates across its cores (the
+ * homogeneous-mix convention, distinct per-core seed offsets so copies
+ * do not run in lockstep); any other count throws
+ * std::invalid_argument.
  */
 RunStats simulate(const SystemConfig &config,
                   std::vector<TraceSpec> traces, const SimBudget &budget);

@@ -27,26 +27,6 @@ SystemConfig::baseline(int cores)
     return cfg;
 }
 
-std::string
-SystemConfig::predictorName() const
-{
-    return predictorModel.empty() ? predictorKindName(predictor)
-                                  : predictorModel;
-}
-
-std::string
-SystemConfig::prefetcherName() const
-{
-    return prefetcherModel.empty() ? prefetcherKindName(prefetcher)
-                                   : prefetcherModel;
-}
-
-std::string
-SystemConfig::llcReplName() const
-{
-    return llcReplModel.empty() ? replKindName(llcRepl) : llcReplModel;
-}
-
 std::uint64_t
 RunStats::instrsRetired() const
 {
@@ -152,24 +132,16 @@ System::System(const SystemConfig &config,
     llc_params.mshrs = config_.llcMshrsPerCore * n;
     llc_params.rqSize = 64u * n;
     llc_params.pqSize = 48u * n;
-    llc_params.repl = config_.llcRepl;
-    if (!config_.llcReplModel.empty()) {
-        // Registry-only policies reach the cache through a factory so
-        // cache/ never depends on sim/. The configuration is captured
-        // by value: the factory outlives this constructor inside
-        // CacheParams.
-        llc_params.replFactory = [cfg = config_](std::uint32_t sets,
-                                                 std::uint32_t ways) {
-            ModelContext ctx;
-            ctx.config = &cfg;
-            ctx.seed = cfg.seed;
-            ctx.sets = sets;
-            ctx.ways = ways;
-            return ModelRegistry::instance().makeReplacement(
-                cfg.llcReplModel, std::move(ctx));
-        };
+    {
+        ModelContext ctx;
+        ctx.config = &config_;
+        ctx.seed = config_.seed;
+        ctx.sets = llc_params.sets;
+        ctx.ways = llc_params.ways;
+        llc_ = std::make_unique<Cache>(
+            llc_params, ModelRegistry::instance().makeReplacement(
+                            config_.llcRepl, std::move(ctx)));
     }
-    llc_ = std::make_unique<Cache>(llc_params);
     llc_->setLower(dram_.get());
 
     {
@@ -177,7 +149,7 @@ System::System(const SystemConfig &config,
         ctx.config = &config_;
         ctx.seed = config_.seed;
         prefetcher_ = ModelRegistry::instance().makePrefetcher(
-            config_.prefetcherName(), std::move(ctx));
+            config_.prefetcher, std::move(ctx));
     }
     if (prefetcher_ != nullptr)
         llc_->setPrefetcher(prefetcher_.get());
@@ -191,7 +163,6 @@ System::System(const SystemConfig &config,
         l2p.latency = config_.l2Latency;
         l2p.mshrs = config_.l2Mshrs;
         l2p.rqSize = 48;
-        l2p.repl = ReplKind::Lru;
         l2_.push_back(std::make_unique<Cache>(l2p));
         l2_.back()->setLower(llc_.get());
         llc_->setUpper(i, l2_.back().get());
@@ -205,15 +176,13 @@ System::System(const SystemConfig &config,
         l1p.latency = config_.l1Latency;
         l1p.mshrs = config_.l1Mshrs;
         l1p.rqSize = 32;
-        l1p.repl = ReplKind::Lru;
         l1_.push_back(std::make_unique<Cache>(l1p));
         l1_.back()->setLower(l2_.back().get());
         l2_.back()->setUpper(i, l1_.back().get());
     }
 
     // Off-chip predictors + Hermes controllers (one per core), built
-    // through the model registry by resolved name (the legacy enum
-    // path funnels through the same factories).
+    // through the model registry by name.
     for (int i = 0; i < n; ++i) {
         Cache *l1 = l1_[i].get();
         Cache *l2 = l2_[i].get();
@@ -227,7 +196,7 @@ System::System(const SystemConfig &config,
                    llc->probe(line);
         };
         predictors_.push_back(ModelRegistry::instance().makePredictor(
-            config_.predictorName(), std::move(ctx)));
+            config_.predictor, std::move(ctx)));
 
         HermesParams hp;
         hp.issueEnabled = config_.hermesIssueEnabled &&

@@ -6,6 +6,10 @@
  * shared LLC (3MB/core slices modelled as one shared cache), a DDR4
  * memory controller, the configured LLC prefetcher, and per-core
  * off-chip predictors + Hermes controllers. Defaults reproduce Table 4.
+ *
+ * The LLC replacement policy, the prefetcher and the predictor are
+ * built from the model registry by the names SystemConfig holds; L1
+ * and L2 always use LRU.
  */
 
 #include <cstdint>
@@ -55,11 +59,15 @@ struct SystemConfig
     std::uint32_t llcWays = 12;
     Cycle llcLatency = 40;
     std::uint32_t llcMshrsPerCore = 64;
-    ReplKind llcRepl = ReplKind::Ship;
 
-    PrefetcherKind prefetcher = PrefetcherKind::None;
+    // The three model choices, each a model-registry name
+    // (sim/model_registry.hh; `hermes_run --list-models`). The
+    // "llc.repl", "prefetcher" and "predictor" parameters validate
+    // against the registry; System resolves whatever is set here.
+    std::string llcRepl = "ship";
+    std::string prefetcher = PrefetcherKind::None;
+    std::string predictor = PredictorKind::None;
 
-    PredictorKind predictor = PredictorKind::None;
     /** Issue Hermes requests (false = predictor-only measurement). */
     bool hermesIssueEnabled = false;
     /** Hermes-O: 6 cycles; Hermes-P: 18 cycles (Fig. 17c sweeps). */
@@ -81,16 +89,6 @@ struct SystemConfig
     std::uint64_t seed = 1;
 
     /**
-     * Registry-selected model names (sim/model_registry.hh). Empty
-     * means "use the enum field" — the "predictor", "prefetcher" and
-     * "llc.repl" parameters set these only for names outside the
-     * legacy enum sets, so pre-registry configurations render (and
-     * fingerprint) exactly as before.
-     */
-    std::string predictorModel;
-    std::string prefetcherModel;
-    std::string llcReplModel;
-    /**
      * Sparse registered-knob overrides ("pred.<model>.<knob>" ->
      * validated value string). Only explicitly-set knobs appear here;
      * unset knobs fall back to their declared defaults at model
@@ -105,12 +103,6 @@ struct SystemConfig
      * pre-existing configurations render (and fingerprint) unchanged.
      */
     std::map<std::string, std::string> corpusKnobs;
-
-    /** Resolved model names: the registry string when set, else the
-     * legacy enum's name. This is what System actually instantiates. */
-    std::string predictorName() const;
-    std::string prefetcherName() const;
-    std::string llcReplName() const;
 
     /** Baseline single/multi-core configuration per Table 4. */
     static SystemConfig baseline(int cores);

@@ -70,16 +70,15 @@ simulatePoint(const GridPoint &point, std::uint64_t seed,
     GridPoint p = point;
     if (policy == SeedPolicy::PerPoint)
         p.config.seed = seed;
-    // Grid builders emit fully-specified trace lists, so unlike the
-    // simulate() shim (which replicates a lone trace across cores) a
-    // count mismatch here is a caller bug and must propagate.
+    // Grid builders emit fully-specified trace lists, so unlike
+    // simulate() (which replicates a lone trace across cores) a count
+    // mismatch here is a caller bug and must propagate.
     if (p.traces.size() != static_cast<std::size_t>(p.config.numCores) &&
         !(p.traces.size() == 1 && p.config.numCores == 1))
         throw std::invalid_argument("need one trace per core");
-    // The session path is stats-identical to the legacy
-    // simulateOne/simulateMix shims; the cache only short-circuits the
-    // warmup window (fingerprint-keyed, so a PerPoint seed policy
-    // yields per-point identities and simply never shares).
+    // The warmup store only short-circuits the warmup window
+    // (fingerprint-keyed, so a PerPoint seed policy yields per-point
+    // identities and simply never shares).
     SimSession session(p.config, p.traces, p.budget);
     return runSession(session, warmup_cache);
 }

@@ -35,10 +35,7 @@ struct GridPoint
 {
     std::string label;
     SystemConfig config;
-    /**
-     * One trace per core (a single entry runs simulateOne; N entries
-     * run simulateMix on an N-core config).
-     */
+    /** One trace per core (exactly numCores entries). */
     std::vector<TraceSpec> traces;
     SimBudget budget;
 };

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "cache/cache.hh"
 #include "common/rng.hh"
@@ -20,8 +21,9 @@ using test::RecordingClient;
 
 struct CacheHarness
 {
-    explicit CacheHarness(CacheParams p = defaultParams())
-        : cache(p)
+    explicit CacheHarness(CacheParams p = defaultParams(),
+                          std::unique_ptr<ReplacementPolicy> repl = nullptr)
+        : cache(p, std::move(repl))
     {
         cache.setLower(&memory);
         cache.setUpper(0, &client);
@@ -98,6 +100,37 @@ TEST(Cache, MissLatencyIncludesLookupAndMemory)
     const Cycle elapsed = h.now - start;
     EXPECT_GE(elapsed, 55u);
     EXPECT_LE(elapsed, 62u);
+}
+
+/** An SRRIP subclass that counts hits: not one of the built-in
+ * classes, so the cache must reach its override virtually. */
+class CountingSrrip : public SrripPolicy
+{
+  public:
+    using SrripPolicy::SrripPolicy;
+
+    void
+    onHit(std::uint32_t set, std::uint32_t way, Addr pc,
+          AccessType type) override
+    {
+        ++hits;
+        SrripPolicy::onHit(set, way, pc, type);
+    }
+
+    int hits = 0;
+};
+
+TEST(Cache, PolicySubclassDispatchesVirtually)
+{
+    auto policy = std::make_unique<CountingSrrip>(16, 4);
+    const CountingSrrip &counting = *policy;
+    CacheHarness h(CacheHarness::defaultParams(), std::move(policy));
+    h.cache.addRead(loadReq(0x1000));
+    h.run(100);
+    h.cache.addRead(loadReq(0x1000, 0x400000, 0, 2));
+    h.run(20);
+    EXPECT_EQ(h.cache.stats().loadHits, 1u);
+    EXPECT_EQ(counting.hits, 1);
 }
 
 TEST(Cache, MshrMergesSameLine)
@@ -285,7 +318,6 @@ TEST_P(CacheReferenceTest, MatchesFunctionalLruModel)
     p.latency = 1;
     p.mshrs = 4;
     p.rqSize = 4;
-    p.repl = ReplKind::Lru;
     CacheHarness h(p);
 
     // Functional model: per-set LRU list of line addresses.

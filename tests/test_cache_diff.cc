@@ -20,6 +20,7 @@
 
 #include "cache/cache.hh"
 #include "common/rng.hh"
+#include "sim/model_registry.hh"
 #include "test_helpers.hh"
 
 namespace hermes
@@ -30,6 +31,16 @@ namespace
 using test::FakeMemory;
 using test::loadReq;
 using test::RecordingClient;
+
+/** A registered policy by name, as System builds the LLC's. */
+std::unique_ptr<ReplacementPolicy>
+makePolicy(const char *name, std::uint32_t sets, std::uint32_t ways)
+{
+    ModelContext ctx;
+    ctx.sets = sets;
+    ctx.ways = ways;
+    return ModelRegistry::instance().makeReplacement(name, std::move(ctx));
+}
 
 /** The three operation classes the write/read paths distinguish. */
 enum class Op
@@ -47,9 +58,9 @@ enum class Op
 class ReferenceCache
 {
   public:
-    ReferenceCache(std::uint32_t sets, std::uint32_t ways, ReplKind kind)
-        : sets_(sets), ways_(ways),
-          repl_(makeReplacement(kind, sets, ways))
+    ReferenceCache(std::uint32_t sets, std::uint32_t ways,
+                   const char *policy)
+        : sets_(sets), ways_(ways), repl_(makePolicy(policy, sets, ways))
     {
     }
 
@@ -145,7 +156,7 @@ class ReferenceCache
 
 struct DiffHarness
 {
-    DiffHarness(std::uint32_t sets, std::uint32_t ways, ReplKind kind)
+    DiffHarness(std::uint32_t sets, std::uint32_t ways, const char *policy)
     {
         CacheParams p;
         p.sets = sets;
@@ -153,8 +164,7 @@ struct DiffHarness
         p.latency = 1;
         p.mshrs = 4;
         p.rqSize = 8;
-        p.repl = kind;
-        cache = std::make_unique<Cache>(p);
+        cache = std::make_unique<Cache>(p, makePolicy(policy, sets, ways));
         cache->setLower(&memory);
         cache->setUpper(0, &client);
         memory.setClient(cache.get());
@@ -212,18 +222,18 @@ struct DiffHarness
 };
 
 class CacheDiffTest
-    : public ::testing::TestWithParam<std::tuple<ReplKind, std::uint64_t>>
+    : public ::testing::TestWithParam<std::tuple<const char *, std::uint64_t>>
 {
 };
 
 TEST_P(CacheDiffTest, MatchesReferenceModelStreams)
 {
-    const auto [kind, seed] = GetParam();
+    const auto [policy, seed] = GetParam();
     const std::uint32_t sets = 16;
     const std::uint32_t ways = 4;
 
-    DiffHarness real(sets, ways, kind);
-    ReferenceCache ref(sets, ways, kind);
+    DiffHarness real(sets, ways, policy);
+    ReferenceCache ref(sets, ways, policy);
     Rng rng(seed);
 
     for (int i = 0; i < 1200; ++i) {
@@ -256,7 +266,7 @@ TEST_P(CacheDiffTest, MatchesReferenceModelStreams)
 
 INSTANTIATE_TEST_SUITE_P(
     Policies, CacheDiffTest,
-    ::testing::Combine(::testing::Values(ReplKind::Lru, ReplKind::Ship),
+    ::testing::Combine(::testing::Values("lru", "ship"),
                        ::testing::Values(1u, 7u, 1234u)));
 
 } // namespace

@@ -1,6 +1,7 @@
 // Unit tests for src/common: RNG determinism, saturating counters,
 // statistics helpers, the config parser, the hot-path containers
-// (Ring, AddrIndex) and the HERMES_SIM_SCALE budget parsing.
+// (Ring, AddrIndex), the HERMES_SIM_SCALE budget parsing and the
+// shared --scale/--threads parsers.
 
 #include <gtest/gtest.h>
 
@@ -389,6 +390,28 @@ TEST(ParseUint64, FullRangeAndRejection)
     EXPECT_FALSE(parseUint64("-1")); // strtoull would silently wrap
     EXPECT_FALSE(parseUint64("12x"));
     EXPECT_FALSE(parseUint64(""));
+}
+
+TEST(ParseScale, FinitePositiveWholeString)
+{
+    EXPECT_EQ(parseScale("2"), 2.0);
+    EXPECT_EQ(parseScale("0.25"), 0.25);
+    EXPECT_EQ(parseScale("1e-3"), 1e-3);
+    for (const char *bad : {"", "2x", " 2", "2 ", "0", "-1", "nan", "inf",
+                            "-inf", "1e999", "abc"})
+        EXPECT_FALSE(parseScale(bad)) << "'" << bad << "'";
+}
+
+TEST(ParseThreadCount, IntegerFromZeroToIntMax)
+{
+    EXPECT_EQ(parseThreadCount("0"), 0);
+    EXPECT_EQ(parseThreadCount("8"), 8);
+    EXPECT_EQ(parseThreadCount("2147483647"), 2147483647);
+    // 4294967297 would wrap to 1 through a plain int cast.
+    for (const char *bad : {"", "-3", "-1", "2147483648", "4294967297",
+                            "99999999999999999999", "abc", "4x", " 4",
+                            "4 ", "1.5"})
+        EXPECT_FALSE(parseThreadCount(bad)) << "'" << bad << "'";
 }
 
 TEST(ParseSizeBytes, SuffixesAndRejection)

@@ -75,10 +75,7 @@ goldenCases()
 RunStats
 runCase(const GoldenCase &c)
 {
-    if (c.point.traces.size() == 1 && c.point.config.numCores == 1)
-        return simulateOne(c.point.config, c.point.traces[0],
-                           c.point.budget);
-    return simulateMix(c.point.config, c.point.traces, c.point.budget);
+    return simulate(c.point.config, c.point.traces, c.point.budget);
 }
 
 TEST(Determinism, RepeatedRunsProduceIdenticalStats)

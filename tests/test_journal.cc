@@ -1,7 +1,8 @@
 // Tests for the journaled sweep store and the shard/resume/merge
-// orchestration layer: byte-identical shard unions, resume after a
-// simulated mid-sweep kill, crash-truncated tails, corruption
-// rejection and scenario-space validation.
+// orchestration layer: byte-identical shard unions, thread-count
+// invariance of canonical journals, resume after a simulated mid-sweep
+// kill, crash-truncated tails, corruption rejection and scenario-space
+// validation.
 
 #include <gtest/gtest.h>
 
@@ -72,6 +73,40 @@ spit(const std::string &path, const std::string &text)
 {
     std::ofstream out(path, std::ios::binary);
     out << text;
+}
+
+TEST(Journal, CanonicalFormIsThreadCountInvariant)
+{
+    // Run the same grid on 1 and 8 workers: appends land in completion
+    // order, but the canonical journals must agree byte for byte once
+    // the host-perf fields ("wall", "host"), the only values a
+    // simulation does not determine, are zeroed.
+    const auto grid = smallGrid();
+    const auto canonical = [&grid](int threads) {
+        const std::string path =
+            tempPath("threads" + std::to_string(threads) + ".jsonl");
+        std::remove(path.c_str());
+        {
+            sweep::JournalWriter w(path);
+            sweep::OrchestrateOptions oopts;
+            oopts.journal = &w;
+            sweep::SweepOptions eopts;
+            eopts.threads = threads;
+            EXPECT_TRUE(sweep::runJournaled(eopts, grid, oopts).complete());
+        }
+        auto segments = sweep::mergeSegments({sweep::readJournal(path)});
+        std::remove(path.c_str());
+        for (sweep::JournalSegment &seg : segments) {
+            for (sweep::JournalRecord &rec : seg.records) {
+                rec.result.wallSeconds = 0;
+                rec.result.stats.hostPerf = HostPerf{};
+            }
+        }
+        return sweep::journalText(segments);
+    };
+    const std::string one = canonical(1);
+    EXPECT_NE(one.find("\"wall\":0"), std::string::npos);
+    EXPECT_EQ(one, canonical(8));
 }
 
 TEST(ShardSpec, ParseValid)

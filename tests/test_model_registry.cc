@@ -3,9 +3,8 @@
 // ill-formed names, factory/kind mismatches), nearest-name suggestions
 // for unknown models and knob keys, knob validation and
 // fromConfig/toConfig round trips, runtime registration visibility
-// through the selection parameters, and the golden guarantee that
-// selecting a legacy model through the registry string path produces
-// byte-identical RunStats fingerprints to the enum path.
+// through the selection parameters, the rejection of names that are
+// not registered, and deterministic runs of the new contenders.
 
 #include <gtest/gtest.h>
 
@@ -14,10 +13,12 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/config.hh"
-#include "golden_util.hh"
 #include "predictor/offchip_pred.hh"
+#include "prefetch/prefetcher.hh"
 #include "sim/model_registry.hh"
 #include "sim/param_registry.hh"
 #include "sim/report.hh"
@@ -29,9 +30,6 @@ namespace hermes
 {
 namespace
 {
-
-using golden::goldenBudget;
-using golden::loadGoldens;
 
 ModelDef
 minimalPredictorDef(const std::string &name)
@@ -158,7 +156,7 @@ TEST(ModelRegistry, KnobsRoundTripThroughConfig)
     EXPECT_EQ(out.get("pred.hashperc.table_bits", std::string()), "12");
     // And back: a config rebuilt from the rendering is identical.
     const SystemConfig again = SystemConfig::fromConfig(out);
-    EXPECT_EQ(again.predictorName(), "hashperc");
+    EXPECT_EQ(again.predictor, "hashperc");
     EXPECT_EQ(again.modelKnobs, cfg.modelKnobs);
 
     // Untouched knobs never render: pre-registry configurations keep
@@ -189,8 +187,79 @@ TEST(ModelRegistry, RuntimeRegistrationIsSelectable)
     if (!ModelRegistry::instance().find(ModelKind::Predictor, name))
         ModelRegistry::instance().add(minimalPredictorDef(name));
     const SystemConfig cfg = configWith({"predictor=runtime_test_pred"});
-    EXPECT_EQ(cfg.predictorName(), name);
+    EXPECT_EQ(cfg.predictor, name);
     EXPECT_EQ(cfg.toConfig().get("predictor", std::string()), name);
+}
+
+TEST(ModelSelection, OnlyRegisteredNamesSelect)
+{
+    // One row per selection parameter: every name constant the code
+    // selects by must be registered and must apply verbatim; the same
+    // non-names must be rejected by all three keys, each with a
+    // nearest-name suggestion, leaving the field untouched.
+    struct Row
+    {
+        const char *key;
+        ModelKind kind;
+        std::string SystemConfig::*field;
+        std::vector<const char *> names;
+        /** A rejected value and the name it must suggest. */
+        std::pair<const char *, const char *> nearest;
+    };
+    const Row rows[] = {
+        {"predictor",
+         ModelKind::Predictor,
+         &SystemConfig::predictor,
+         {PredictorKind::None, PredictorKind::Popet, PredictorKind::Hmp,
+          PredictorKind::Ttp, PredictorKind::Ideal},
+         {"Popet", "popet"}},
+        {"prefetcher",
+         ModelKind::Prefetcher,
+         &SystemConfig::prefetcher,
+         {PrefetcherKind::None, PrefetcherKind::Streamer,
+          PrefetcherKind::Spp, PrefetcherKind::Bingo, PrefetcherKind::Mlop,
+          PrefetcherKind::Sms, PrefetcherKind::Pythia},
+         {"Pythia", "pythia"}},
+        {"llc.repl",
+         ModelKind::Replacement,
+         &SystemConfig::llcRepl,
+         {"lru", "srrip", "ship"},
+         {"plru", "lru"}},
+    };
+    const ParamRegistry &params = ParamRegistry::instance();
+    for (const Row &row : rows) {
+        // The baseline's choice is one of the names.
+        const SystemConfig base = SystemConfig::baseline(1);
+        EXPECT_NE(ModelRegistry::instance().find(row.kind, base.*row.field),
+                  nullptr)
+            << row.key;
+        for (const char *name : row.names) {
+            EXPECT_NE(ModelRegistry::instance().find(row.kind, name),
+                      nullptr)
+                << row.key << "=" << name;
+            SystemConfig cfg = base;
+            params.apply(cfg, row.key, name);
+            EXPECT_EQ(cfg.*row.field, name);
+            EXPECT_EQ(cfg.toConfig().get(row.key, std::string()), name);
+        }
+        for (const char *bad : {"", "Popet", "Pythia", "stride", "plru"}) {
+            SystemConfig cfg = base;
+            try {
+                params.apply(cfg, row.key, bad);
+                ADD_FAILURE() << row.key << "='" << bad << "' accepted";
+            } catch (const std::invalid_argument &e) {
+                const std::string msg = e.what();
+                const std::string hint =
+                    std::string("did you mean '") +
+                    (bad == std::string(row.nearest.first)
+                         ? std::string(row.nearest.second) + "'"
+                         : "");
+                EXPECT_NE(msg.find(hint), std::string::npos)
+                    << row.key << "='" << bad << "': " << msg;
+            }
+            EXPECT_EQ(cfg.*row.field, base.*row.field) << row.key;
+        }
+    }
 }
 
 TEST(ModelRegistry, ListsContainTheNewContenders)
@@ -208,27 +277,6 @@ TEST(ModelRegistry, ListsContainTheNewContenders)
     EXPECT_NE(ref.find("pref.ipcp.degree"), std::string::npos);
 }
 
-TEST(ModelRegistryGolden, RegistryStringPathMatchesEnumPath)
-{
-    // The golden "one.hermes.mcf" scenario (enum-selected Pythia +
-    // POPET + Hermes), forced through the registry string path: the
-    // enums stay None and the model names drive construction. The
-    // RunStats fingerprint must be byte-identical to the pinned
-    // golden, proving the registry shims change nothing.
-    const auto golden = loadGoldens();
-    ASSERT_TRUE(golden.count("one.hermes.mcf"));
-    SystemConfig cfg = SystemConfig::baseline(1);
-    cfg.prefetcher = PrefetcherKind::None;
-    cfg.prefetcherModel = "pythia";
-    cfg.predictor = PredictorKind::None;
-    cfg.predictorModel = "popet";
-    cfg.hermesIssueEnabled = true;
-    const RunStats stats = simulateOne(
-        cfg, findTrace("spec06.mcf_like.0"), goldenBudget());
-    EXPECT_EQ(statsFingerprint(stats), golden.at("one.hermes.mcf"))
-        << "registry-constructed POPET diverged from the enum path";
-}
-
 TEST(ModelRegistryGolden, NewContendersRunDeterministically)
 {
     SimBudget b;
@@ -238,8 +286,8 @@ TEST(ModelRegistryGolden, NewContendersRunDeterministically)
 
     const SystemConfig pred_cfg = configWith(
         {"predictor=hashperc", "hermes.enabled=true"});
-    const RunStats p1 = simulateOne(pred_cfg, trace, b);
-    const RunStats p2 = simulateOne(pred_cfg, trace, b);
+    const RunStats p1 = simulate(pred_cfg, {trace}, b);
+    const RunStats p2 = simulate(pred_cfg, {trace}, b);
     EXPECT_EQ(statsFingerprint(p1), statsFingerprint(p2));
     EXPECT_GT(p1.predTotal().total(), 0u);
     EXPECT_GT(p1.hermesRequestsScheduled, 0u);
@@ -247,8 +295,8 @@ TEST(ModelRegistryGolden, NewContendersRunDeterministically)
     // A streaming trace: ipcp needs stable per-PC strides to trigger.
     const TraceSpec stream = findTrace("parsec.streamcluster_like.0");
     const SystemConfig pf_cfg = configWith({"prefetcher=ipcp"});
-    const RunStats f1 = simulateOne(pf_cfg, stream, b);
-    const RunStats f2 = simulateOne(pf_cfg, stream, b);
+    const RunStats f1 = simulate(pf_cfg, {stream}, b);
+    const RunStats f2 = simulate(pf_cfg, {stream}, b);
     EXPECT_EQ(statsFingerprint(f1), statsFingerprint(f2));
     EXPECT_GT(f1.llc.prefetchIssued, 0u);
 }

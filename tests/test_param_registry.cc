@@ -166,7 +166,7 @@ TEST(ParamRegistry, OverridesReachNestedParams)
     EXPECT_EQ(cfg.ttp.tagBits, 12u);
     EXPECT_EQ(cfg.dram.channels, 2u);
     EXPECT_EQ(cfg.core.robSize, 256u);
-    EXPECT_EQ(cfg.llcRepl, ReplKind::Lru);
+    EXPECT_EQ(cfg.llcRepl, "lru");
 }
 
 TEST(SweepAxis, ParsesKeyAndValues)
@@ -236,8 +236,8 @@ TEST(ParamRegistryGolden, StringBuiltBaselineMatchesGoldenFingerprint)
     const auto golden = loadGoldens();
     ASSERT_TRUE(golden.count("one.base.mcf"));
     const RunStats stats =
-        simulateOne(SystemConfig::fromConfig(Config{}),
-                    findTrace("spec06.mcf_like.0"), goldenBudget());
+        simulate(SystemConfig::fromConfig(Config{}),
+                 {findTrace("spec06.mcf_like.0")}, goldenBudget());
     EXPECT_EQ(statsFingerprint(stats), golden.at("one.base.mcf"))
         << "string-built baseline diverged from the library-API golden";
 }
@@ -251,8 +251,8 @@ TEST(ParamRegistryGolden, StringOverridesMatchStructMutation)
     const SystemConfig cfg = configWith(
         SystemConfig::baseline(1),
         {"prefetcher=pythia", "predictor=popet", "hermes.enabled=true"});
-    const RunStats stats = simulateOne(
-        cfg, findTrace("spec06.mcf_like.0"), goldenBudget());
+    const RunStats stats = simulate(
+        cfg, {findTrace("spec06.mcf_like.0")}, goldenBudget());
     EXPECT_EQ(statsFingerprint(stats), golden.at("one.hermes.mcf"));
 }
 

@@ -5,7 +5,6 @@
 #include <gtest/gtest.h>
 
 #include <set>
-#include <stdexcept>
 
 #include "common/rng.hh"
 #include "predictor/hmp.hh"
@@ -162,15 +161,6 @@ TEST(Ideal, FollowsProbe)
     EXPECT_EQ(ideal.storageBits(), 0u);
 }
 
-TEST(Registry, NamesRoundTrip)
-{
-    for (auto kind : {PredictorKind::None, PredictorKind::Popet,
-                      PredictorKind::Hmp, PredictorKind::Ttp,
-                      PredictorKind::Ideal})
-        EXPECT_EQ(predictorKindFromString(predictorKindName(kind)), kind);
-    EXPECT_THROW(predictorKindFromString("magic"), std::invalid_argument);
-}
-
 /** Property: TTP tracked-set behaviour is conservative under random
  * fill/evict streams (never tracks more than capacity). */
 class TtpRandomTest : public ::testing::TestWithParam<unsigned>
@@ -203,27 +193,6 @@ TEST_P(TtpRandomTest, NeverExceedsCapacity)
 
 INSTANTIATE_TEST_SUITE_P(Ways, TtpRandomTest,
                          ::testing::Values(2u, 4u, 8u, 11u));
-
-TEST(PredictorKindStrings, RoundTripsEveryKind)
-{
-    for (const PredictorKind kind :
-         {PredictorKind::None, PredictorKind::Popet, PredictorKind::Hmp,
-          PredictorKind::Ttp, PredictorKind::Ideal}) {
-        const char *name = predictorKindName(kind);
-        EXPECT_STRNE(name, "?");
-        EXPECT_EQ(predictorKindFromString(name), kind) << name;
-    }
-}
-
-TEST(PredictorKindStrings, UnknownNameThrows)
-{
-    EXPECT_THROW(predictorKindFromString("perceptron"),
-                 std::invalid_argument);
-    EXPECT_THROW(predictorKindFromString(""), std::invalid_argument);
-    // Parsing is exact: no case folding or whitespace trimming.
-    EXPECT_THROW(predictorKindFromString("Popet"),
-                 std::invalid_argument);
-}
 
 } // namespace
 } // namespace hermes

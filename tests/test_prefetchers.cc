@@ -3,8 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.hh"
 #include "prefetch/bingo.hh"
@@ -14,11 +16,19 @@
 #include "prefetch/sms.hh"
 #include "prefetch/spp.hh"
 #include "prefetch/streamer.hh"
+#include "sim/model_registry.hh"
 
 namespace hermes
 {
 namespace
 {
+
+/** A registered prefetcher by name, as System builds it. */
+std::unique_ptr<Prefetcher>
+makeByName(const std::string &name)
+{
+    return ModelRegistry::instance().makePrefetcher(name, ModelContext{});
+}
 
 /** Feed a unit-stride stream and count covered next-lines. */
 double
@@ -275,24 +285,24 @@ TEST(Pythia, PrefetchesStayInPage)
 
 TEST(Registry, FactoryAndNames)
 {
-    EXPECT_EQ(makePrefetcher(PrefetcherKind::None), nullptr);
-    for (auto kind : {PrefetcherKind::Streamer, PrefetcherKind::Spp,
-                      PrefetcherKind::Bingo, PrefetcherKind::Mlop,
-                      PrefetcherKind::Sms, PrefetcherKind::Pythia}) {
-        auto pf = makePrefetcher(kind);
+    EXPECT_EQ(makeByName(PrefetcherKind::None), nullptr);
+    for (const char *name :
+         {PrefetcherKind::Streamer, PrefetcherKind::Spp,
+          PrefetcherKind::Bingo, PrefetcherKind::Mlop, PrefetcherKind::Sms,
+          PrefetcherKind::Pythia}) {
+        auto pf = makeByName(name);
         ASSERT_NE(pf, nullptr);
-        EXPECT_EQ(prefetcherKindFromString(pf->name()), kind);
+        EXPECT_STREQ(pf->name(), name);
         EXPECT_GT(pf->storageBits(), 0u);
     }
-    EXPECT_THROW(prefetcherKindFromString("oracle"),
-                 std::invalid_argument);
+    EXPECT_THROW(makeByName("oracle"), std::invalid_argument);
 }
 
 TEST(Storage, RelativeBudgetsMatchTable6Order)
 {
     // Paper Table 6 ordering: MLOP < SMS < Pythia < SPP < Bingo.
-    const auto bits = [](PrefetcherKind k) {
-        return makePrefetcher(k)->storageBits();
+    const auto bits = [](const char *name) {
+        return makeByName(name)->storageBits();
     };
     EXPECT_LT(bits(PrefetcherKind::Mlop), bits(PrefetcherKind::Sms));
     EXPECT_LT(bits(PrefetcherKind::Sms), bits(PrefetcherKind::Pythia));
@@ -302,13 +312,13 @@ TEST(Storage, RelativeBudgetsMatchTable6Order)
 
 /** Property: every prefetcher returns bounded, sane candidates. */
 class PrefetcherFuzzTest
-    : public ::testing::TestWithParam<PrefetcherKind>
+    : public ::testing::TestWithParam<const char *>
 {
 };
 
 TEST_P(PrefetcherFuzzTest, CandidatesBoundedUnderRandomTraffic)
 {
-    auto pf = makePrefetcher(GetParam());
+    auto pf = makeByName(GetParam());
     ASSERT_NE(pf, nullptr);
     Rng rng(42);
     for (int i = 0; i < 20000; ++i) {
@@ -335,31 +345,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(PrefetcherKind::Streamer, PrefetcherKind::Spp,
                       PrefetcherKind::Bingo, PrefetcherKind::Mlop,
                       PrefetcherKind::Sms, PrefetcherKind::Pythia),
-    [](const auto &info) {
-        return std::string(prefetcherKindName(info.param));
-    });
-
-TEST(PrefetcherKindStrings, RoundTripsEveryKind)
-{
-    for (const PrefetcherKind kind :
-         {PrefetcherKind::None, PrefetcherKind::Streamer,
-          PrefetcherKind::Spp, PrefetcherKind::Bingo,
-          PrefetcherKind::Mlop, PrefetcherKind::Sms,
-          PrefetcherKind::Pythia}) {
-        const char *name = prefetcherKindName(kind);
-        EXPECT_STRNE(name, "?");
-        EXPECT_EQ(prefetcherKindFromString(name), kind) << name;
-    }
-}
-
-TEST(PrefetcherKindStrings, UnknownNameThrows)
-{
-    EXPECT_THROW(prefetcherKindFromString("stride"),
-                 std::invalid_argument);
-    EXPECT_THROW(prefetcherKindFromString(""), std::invalid_argument);
-    EXPECT_THROW(prefetcherKindFromString("Pythia"),
-                 std::invalid_argument);
-}
+    [](const auto &info) { return std::string(info.param); });
 
 } // namespace
 } // namespace hermes

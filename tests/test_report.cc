@@ -23,7 +23,7 @@ sampleRun()
     SimBudget b;
     b.warmupInstrs = 10'000;
     b.simInstrs = 30'000;
-    return simulateOne(cfg, findTrace("spec06.mcf_like.0"), b);
+    return simulate(cfg, {findTrace("spec06.mcf_like.0")}, b);
 }
 
 TEST(Report, ContainsAllSections)

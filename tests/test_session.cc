@@ -176,11 +176,11 @@ TEST(Session, SnapshotRestoreMeasureMatchesStraightRun)
     }
 }
 
-TEST(Session, ShimsAndSessionAgreeWithGoldenFile)
+TEST(Session, SimulateAndSessionAgreeWithGoldenFile)
 {
-    // The legacy helpers are shims over SimSession; both paths (and a
-    // restored session) must reproduce the pinned golden fingerprint
-    // for the case test_determinism.cc also runs.
+    // simulate() is a straight SimSession run; it, a hand-driven
+    // session and a restored session must all reproduce the pinned
+    // golden fingerprint for the case test_determinism.cc also runs.
     const auto golden = loadGoldens();
     ASSERT_FALSE(golden.empty());
     const auto it = golden.find("one.hermes.mcf");
@@ -190,8 +190,7 @@ TEST(Session, ShimsAndSessionAgreeWithGoldenFile)
     ASSERT_EQ(c.key, "one.hermes.mcf");
 
     EXPECT_EQ(straightRunFingerprint(c), it->second);
-    EXPECT_EQ(statsFingerprint(
-                  simulateOne(c.config, c.traces[0], goldenBudget())),
+    EXPECT_EQ(statsFingerprint(simulate(c.config, c.traces, goldenBudget())),
               it->second);
 
     SimSession restored(c.config, c.traces, goldenBudget());

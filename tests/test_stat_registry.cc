@@ -218,13 +218,13 @@ TEST(StatRegistry, FingerprintMatchesLegacyOnSimulatedRuns)
     cfg.predictor = PredictorKind::Popet;
     cfg.hermesIssueEnabled = true;
     const RunStats one =
-        simulateOne(cfg, findTrace("spec06.mcf_like.0"), tinyBudget());
+        simulate(cfg, {findTrace("spec06.mcf_like.0")}, tinyBudget());
     EXPECT_EQ(statsFingerprint(one), legacyFingerprint(one));
 
     SystemConfig multi = SystemConfig::baseline(2);
     multi.predictor = PredictorKind::Popet;
     multi.hermesIssueEnabled = true;
-    const RunStats mix = simulateMix(
+    const RunStats mix = simulate(
         multi,
         {findTrace("spec06.mcf_like.0"), findTrace("ligra.bfs_like.0")},
         tinyBudget());
@@ -259,7 +259,7 @@ TEST(StatRegistry, CsvAndJsonRowsMatchLegacyAcrossQuickSuite)
     cfg.predictor = PredictorKind::Popet;
     cfg.hermesIssueEnabled = true;
     for (const TraceSpec &t : quickSuite()) {
-        const RunStats s = simulateOne(cfg, t, tinyBudget());
+        const RunStats s = simulate(cfg, {t}, tinyBudget());
         EXPECT_EQ(formatCsvRow(t.name(), s),
                   legacyCsvRow(t.name(), s))
             << t.name();
@@ -415,7 +415,7 @@ TEST(StatRegistry, SelectedColumnsRenderTheSameValuesAsDefaults)
     SystemConfig cfg = SystemConfig::baseline(1);
     cfg.prefetcher = PrefetcherKind::Pythia;
     const RunStats s =
-        simulateOne(cfg, findTrace("ligra.bfs_like.0"), tinyBudget());
+        simulate(cfg, {findTrace("ligra.bfs_like.0")}, tinyBudget());
     // A selection naming the default columns' keys produces the same
     // values (only the header names differ: keys vs legacy aliases).
     const auto sel = selectStatColumns("cycles,core.instrs,core.ipc");

@@ -220,7 +220,8 @@ TEST(Sweep, MultiCoreMixPointRuns)
 
 TEST(Sweep, PointExceptionPropagatesToCaller)
 {
-    // 2-core config with a single trace: simulateMix rejects it.
+    // 2-core config with a single trace: a grid point must list one
+    // trace per core.
     SystemConfig cfg = SystemConfig::baseline(2);
     sweep::GridPoint bad{"bad", cfg, {quickSuite()[0]}, tinyBudget()};
     sweep::SweepOptions opts;

@@ -26,7 +26,7 @@ TEST(System, BaselineRunsAndProducesSaneStats)
 {
     const auto spec = findTrace("spec06.lbm_like.0");
     const RunStats r =
-        simulateOne(SystemConfig::baseline(1), spec, smallBudget());
+        simulate(SystemConfig::baseline(1), {spec}, smallBudget());
     EXPECT_GE(r.core[0].instrsRetired, 80'000u);
     EXPECT_GT(r.ipc(0), 0.05);
     EXPECT_LT(r.ipc(0), 6.1);
@@ -46,8 +46,8 @@ TEST(System, DeterministicAcrossRuns)
     cfg.prefetcher = PrefetcherKind::Pythia;
     cfg.predictor = PredictorKind::Popet;
     cfg.hermesIssueEnabled = true;
-    const RunStats a = simulateOne(cfg, spec, smallBudget());
-    const RunStats b = simulateOne(cfg, spec, smallBudget());
+    const RunStats a = simulate(cfg, {spec}, smallBudget());
+    const RunStats b = simulate(cfg, {spec}, smallBudget());
     EXPECT_EQ(a.simCycles, b.simCycles);
     EXPECT_EQ(a.core[0].instrsRetired, b.core[0].instrsRetired);
     EXPECT_EQ(a.dram.totalReads(), b.dram.totalReads());
@@ -59,7 +59,7 @@ TEST(System, PredictionCountsMatchCompletedLoads)
     const auto spec = findTrace("cvp.server_db_like.0");
     SystemConfig cfg = SystemConfig::baseline(1);
     cfg.predictor = PredictorKind::Popet;
-    const RunStats r = simulateOne(cfg, spec, smallBudget());
+    const RunStats r = simulate(cfg, {spec}, smallBudget());
     const PredictorStats p = r.predTotal();
     // Every retired load was predicted and trained exactly once
     // (modulo loads in flight at the measurement boundary).
@@ -76,7 +76,7 @@ TEST(System, HermesCoherenceDropNeverFills)
     SystemConfig cfg = SystemConfig::baseline(1);
     cfg.predictor = PredictorKind::Popet;
     cfg.hermesIssueEnabled = true;
-    const RunStats r = simulateOne(cfg, spec, smallBudget());
+    const RunStats r = simulate(cfg, {spec}, smallBudget());
     EXPECT_GT(r.dram.hermesDropped, 0u); // mispredictions exist
     // Every LLC fill corresponds to an LLC-initiated fetch, not a
     // Hermes line: fills <= demand misses + prefetch issues (+ slack
@@ -90,12 +90,12 @@ TEST(System, HermesServesLoadsAndHelpsOnIrregular)
     const auto spec = findTrace("spec06.mcf_like.0");
     SystemConfig base = SystemConfig::baseline(1);
     base.prefetcher = PrefetcherKind::Pythia;
-    const RunStats rb = simulateOne(base, spec, smallBudget());
+    const RunStats rb = simulate(base, {spec}, smallBudget());
 
     SystemConfig hermes_cfg = base;
     hermes_cfg.predictor = PredictorKind::Popet;
     hermes_cfg.hermesIssueEnabled = true;
-    const RunStats rh = simulateOne(hermes_cfg, spec, smallBudget());
+    const RunStats rh = simulate(hermes_cfg, {spec}, smallBudget());
 
     EXPECT_GT(rh.hermesLoadsServed, 0u);
     EXPECT_GT(rh.ipc(0), rb.ipc(0) * 1.08); // mcf-like: clear win
@@ -108,7 +108,7 @@ TEST(System, IdealPredictorIsNearPerfect)
     cfg.prefetcher = PrefetcherKind::Pythia;
     cfg.predictor = PredictorKind::Ideal;
     cfg.hermesIssueEnabled = true;
-    const RunStats r = simulateOne(cfg, spec, smallBudget());
+    const RunStats r = simulate(cfg, {spec}, smallBudget());
     const PredictorStats p = r.predTotal();
     EXPECT_GT(p.accuracy(), 0.9);
     EXPECT_GT(p.coverage(), 0.97);
@@ -117,11 +117,11 @@ TEST(System, IdealPredictorIsNearPerfect)
 TEST(System, PopetBeatsHmpOnAccuracyAndCoverage)
 {
     const auto spec = findTrace("ligra.bfs_like.0");
-    auto run_pred = [&](PredictorKind pk) {
+    auto run_pred = [&](const char *pk) {
         SystemConfig cfg = SystemConfig::baseline(1);
         cfg.prefetcher = PrefetcherKind::Pythia;
         cfg.predictor = pk;
-        return simulateOne(cfg, spec, smallBudget()).predTotal();
+        return simulate(cfg, {spec}, smallBudget()).predTotal();
     };
     const PredictorStats popet = run_pred(PredictorKind::Popet);
     const PredictorStats hmp = run_pred(PredictorKind::Hmp);
@@ -142,12 +142,12 @@ TEST(System, TtpHasHighestCoverage)
     cfg.prefetcher = PrefetcherKind::Pythia;
     cfg.predictor = PredictorKind::Ttp;
     const PredictorStats p =
-        simulateOne(cfg, spec, smallBudget()).predTotal();
+        simulate(cfg, {spec}, smallBudget()).predTotal();
     EXPECT_GT(p.coverage(), 0.85);
     SystemConfig pcfg = cfg;
     pcfg.predictor = PredictorKind::Popet;
     const PredictorStats q =
-        simulateOne(pcfg, spec, smallBudget()).predTotal();
+        simulate(pcfg, {spec}, smallBudget()).predTotal();
     EXPECT_GE(p.coverage() + 0.02, q.coverage());
 }
 
@@ -155,10 +155,10 @@ TEST(System, PrefetcherReducesOffChipLoads)
 {
     const auto spec = findTrace("parsec.streamcluster_like.0");
     SystemConfig nopf = SystemConfig::baseline(1);
-    const RunStats r0 = simulateOne(nopf, spec, smallBudget());
+    const RunStats r0 = simulate(nopf, {spec}, smallBudget());
     SystemConfig pf = nopf;
     pf.prefetcher = PrefetcherKind::Spp;
-    const RunStats r1 = simulateOne(pf, spec, smallBudget());
+    const RunStats r1 = simulate(pf, {spec}, smallBudget());
     EXPECT_LT(r1.llc.demandMisses(), r0.llc.demandMisses());
     EXPECT_GT(r1.ipc(0), r0.ipc(0));
 }
@@ -171,7 +171,7 @@ TEST(System, EightCoreRunsAllCores)
     SimBudget b;
     b.warmupInstrs = 5'000;
     b.simInstrs = 20'000;
-    const RunStats r = simulateMix(cfg, mix, b);
+    const RunStats r = simulate(cfg, mix, b);
     ASSERT_EQ(r.core.size(), 8u);
     for (int c = 0; c < 8; ++c) {
         EXPECT_GE(r.core[c].instrsRetired, 20'000u) << "core " << c;
@@ -190,7 +190,7 @@ TEST(System, EightCoreHermesPredictorsPerCore)
     SimBudget b;
     b.warmupInstrs = 5'000;
     b.simInstrs = 15'000;
-    const RunStats r = simulateMix(cfg, mix, b);
+    const RunStats r = simulate(cfg, mix, b);
     for (int c = 0; c < 4; ++c)
         EXPECT_GT(r.predictor[c].total(), 0u) << "core " << c;
 }
@@ -202,7 +202,7 @@ TEST(System, BandwidthSweepIsMonotoneInThroughput)
     for (unsigned mtps : {400u, 3200u, 12800u}) {
         SystemConfig cfg = SystemConfig::baseline(1);
         cfg.dram.mtps = mtps;
-        const RunStats r = simulateOne(cfg, spec, smallBudget());
+        const RunStats r = simulate(cfg, {spec}, smallBudget());
         EXPECT_GE(r.ipc(0), prev_ipc * 0.93) << mtps;
         prev_ipc = r.ipc(0);
     }
@@ -214,8 +214,8 @@ TEST(System, LargerLlcReducesMisses)
     SystemConfig small = SystemConfig::baseline(1);
     SystemConfig big = small;
     big.llcBytesPerCore = 24ull << 20;
-    const RunStats r_small = simulateOne(small, spec, smallBudget());
-    const RunStats r_big = simulateOne(big, spec, smallBudget());
+    const RunStats r_small = simulate(small, {spec}, smallBudget());
+    const RunStats r_big = simulate(big, {spec}, smallBudget());
     EXPECT_LE(r_big.llc.demandMisses(), r_small.llc.demandMisses());
 }
 
@@ -223,10 +223,10 @@ TEST(System, PowerModelTracksActivity)
 {
     const auto spec = findTrace("spec06.lbm_like.0");
     SystemConfig nopf = SystemConfig::baseline(1);
-    const RunStats r0 = simulateOne(nopf, spec, smallBudget());
+    const RunStats r0 = simulate(nopf, {spec}, smallBudget());
     SystemConfig pf = nopf;
     pf.prefetcher = PrefetcherKind::Pythia;
-    const RunStats r1 = simulateOne(pf, spec, smallBudget());
+    const RunStats r1 = simulate(pf, {spec}, smallBudget());
     const PowerBreakdown p0 = computePower(r0);
     const PowerBreakdown p1 = computePower(r1);
     EXPECT_GT(p0.total(), 0.0);
@@ -243,16 +243,17 @@ TEST(System, HermesIssueLatencyMonotonicity)
     fast.hermesIssueLatency = 0;
     SystemConfig slow = fast;
     slow.hermesIssueLatency = 24;
-    const RunStats rf = simulateOne(fast, spec, smallBudget());
-    const RunStats rs = simulateOne(slow, spec, smallBudget());
+    const RunStats rf = simulate(fast, {spec}, smallBudget());
+    const RunStats rs = simulate(slow, {spec}, smallBudget());
     EXPECT_GE(rf.ipc(0), rs.ipc(0) * 0.99);
 }
 
 TEST(System, ThrowsOnBadWorkloadCount)
 {
-    SystemConfig cfg = SystemConfig::baseline(2);
-    std::vector<TraceSpec> one(1, findTrace("spec06.lbm_like.0"));
-    EXPECT_THROW(simulateMix(cfg, one, smallBudget()),
+    // One trace replicates across the cores; two on three cores cannot.
+    SystemConfig cfg = SystemConfig::baseline(3);
+    std::vector<TraceSpec> two(2, findTrace("spec06.lbm_like.0"));
+    EXPECT_THROW(simulate(cfg, two, smallBudget()),
                  std::invalid_argument);
 }
 
@@ -271,7 +272,7 @@ TEST_P(SystemTraceTest, FullStackInvariants)
     SimBudget b;
     b.warmupInstrs = 15'000;
     b.simInstrs = 40'000;
-    const RunStats r = simulateOne(cfg, spec, b);
+    const RunStats r = simulate(cfg, {spec}, b);
 
     EXPECT_GE(r.core[0].instrsRetired, 40'000u);
     EXPECT_GT(r.ipc(0), 0.02);

@@ -215,8 +215,8 @@ TEST_F(TraceReaderTest, ChampSimGzipReplayMatchesSyntheticFingerprint)
     file_spec.params.category = spec.category();
 
     const SystemConfig cfg = SystemConfig::baseline(1);
-    const RunStats direct = simulateOne(cfg, spec, budget);
-    const RunStats replayed = simulateOne(cfg, file_spec, budget);
+    const RunStats direct = simulate(cfg, {spec}, budget);
+    const RunStats replayed = simulate(cfg, {file_spec}, budget);
     EXPECT_EQ(fingerprintHex(statsFingerprint(direct)),
               fingerprintHex(statsFingerprint(replayed)));
 }
