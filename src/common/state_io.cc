@@ -1,5 +1,7 @@
 #include "common/state_io.hh"
 
+#include <algorithm>
+
 #include "trace/trace_io.hh"
 
 namespace hermes
@@ -8,13 +10,32 @@ namespace hermes
 void
 StateWriter::bytes(const void *data, std::size_t size)
 {
-    hash_.addBytes(data, size);
-    sink_.write(data, size);
+    const auto *in = static_cast<const std::uint8_t *>(data);
+    while (size > 0) {
+        if (used_ == kStateStagingBytes)
+            flush();
+        const std::size_t n = std::min(size, kStateStagingBytes - used_);
+        std::memcpy(buf_ + used_, in, n);
+        used_ += n;
+        in += n;
+        size -= n;
+    }
+}
+
+void
+StateWriter::flush()
+{
+    if (used_ == 0)
+        return;
+    hash_.addBytes(buf_, used_);
+    sink_.write(buf_, used_);
+    used_ = 0;
 }
 
 void
 StateWriter::sealChecksum()
 {
+    flush();
     const std::uint64_t sum = hash_.value();
     std::uint8_t buf[8];
     for (int i = 0; i < 8; ++i)
@@ -23,25 +44,42 @@ StateWriter::sealChecksum()
 }
 
 void
-StateReader::rawBytes(void *data, std::size_t size)
+StateReader::retire()
 {
-    auto *p = static_cast<unsigned char *>(data);
-    std::size_t got = 0;
-    while (got < size) {
-        const std::size_t n = source_.read(p + got, size - got);
+    hash_.addBytes(buf_, pos_);
+    std::memmove(buf_, buf_ + pos_, end_ - pos_);
+    end_ -= pos_;
+    pos_ = 0;
+}
+
+void
+StateReader::refill(std::size_t want)
+{
+    retire();
+    while (end_ < want) {
+        const std::size_t n =
+            source_.read(buf_ + end_, kStateStagingBytes - end_);
         if (n == 0)
             throw StateError("truncated stream (wanted " +
-                             std::to_string(size) + " bytes, got " +
-                             std::to_string(got) + ")");
-        got += n;
+                             std::to_string(want) + " bytes, got " +
+                             std::to_string(end_) + ")");
+        end_ += n;
     }
 }
 
 void
 StateReader::bytes(void *data, std::size_t size)
 {
-    rawBytes(data, size);
-    hash_.addBytes(data, size);
+    auto *out = static_cast<std::uint8_t *>(data);
+    while (size > 0) {
+        if (pos_ == end_)
+            refill(1);
+        const std::size_t n = std::min(size, end_ - pos_);
+        std::memcpy(out, buf_ + pos_, n);
+        pos_ += n;
+        out += n;
+        size -= n;
+    }
 }
 
 std::string
@@ -66,16 +104,14 @@ StateReader::section(const char *tag)
 void
 StateReader::verifyChecksum()
 {
+    // Retire first so the payload hash is complete; the checksum word
+    // read next stays consumed-but-unhashed.
+    retire();
     const std::uint64_t expect = hash_.value();
-    std::uint8_t buf[8];
-    rawBytes(buf, 8);
-    std::uint64_t stored = 0;
-    for (int i = 0; i < 8; ++i)
-        stored |= std::uint64_t{buf[i]} << (8 * i);
-    if (stored != expect)
+    if (u64() != expect)
         throw StateError("payload checksum mismatch");
     unsigned char extra = 0;
-    if (source_.read(&extra, 1) != 0)
+    if (pos_ != end_ || source_.read(&extra, 1) != 0)
         throw StateError("trailing bytes after checksum");
 }
 

@@ -9,12 +9,22 @@
  * time, never whole structs — so a checkpoint is identical across
  * compilers, padding rules and host endianness.
  *
+ * Staging: fields are encoded into (and decoded from) one fixed
+ * kStateStagingBytes member buffer, never one ByteSink/ByteSource call
+ * per field. The writer hands its sink whole chunks; the reader refills
+ * from its source in chunks and treats only a 0-byte read as the end
+ * of the stream. Memory stays bounded whatever the checkpoint's size:
+ * neither side ever holds a whole stream. Staging is invisible in the
+ * bytes: the stream is exactly the concatenation of its fields.
+ *
  * Robustness: every payload byte feeds a running FNV-1a checksum on
- * both sides; section tags ("CORE", "LLC0", ...) frame each
- * component so a truncated or drifted stream fails with a message
- * naming the section, not garbage state. All reader defects throw
- * StateError; SimSession::restore() turns any defect into a clean
- * "re-warm from scratch" miss.
+ * both sides, one chunk at a time (the writer as a chunk leaves, the
+ * reader as consumed bytes leave the buffer, so the stored checksum
+ * word stays outside the hash); section tags ("CORE", "LLC0", ...)
+ * frame each component so a truncated or drifted stream fails with a
+ * message naming the section, not garbage state. All reader defects
+ * throw StateError; SimSession::restore() turns any defect into a
+ * clean "re-warm from scratch" miss.
  */
 
 #include <cstddef>
@@ -31,6 +41,9 @@ namespace hermes
 class ByteSink;
 class ByteSource;
 
+/** Size of the writer's and the reader's staging buffer. */
+inline constexpr std::size_t kStateStagingBytes = 16 * 1024;
+
 /** Any checkpoint decode defect: truncation, bad tag, bad checksum. */
 class StateError : public std::runtime_error
 {
@@ -41,40 +54,24 @@ class StateError : public std::runtime_error
     }
 };
 
-/** Serializes checkpoint fields into a ByteSink, checksumming along. */
+/**
+ * Serializes checkpoint fields into a ByteSink, checksumming along.
+ * Bytes reach the sink only in whole staged chunks, and the destructor
+ * never flushes: a stream is complete only after sealChecksum().
+ */
 class StateWriter
 {
   public:
     explicit StateWriter(ByteSink &sink) : sink_(sink) {}
 
-    void u8(std::uint8_t v) { bytes(&v, 1); }
+    StateWriter(const StateWriter &) = delete;
+    StateWriter &operator=(const StateWriter &) = delete;
+
+    void u8(std::uint8_t v) { *room(1) = v; }
     void b(bool v) { u8(v ? 1 : 0); }
-
-    void
-    u16(std::uint16_t v)
-    {
-        std::uint8_t buf[2] = {static_cast<std::uint8_t>(v & 0xFF),
-                               static_cast<std::uint8_t>(v >> 8)};
-        bytes(buf, 2);
-    }
-
-    void
-    u32(std::uint32_t v)
-    {
-        std::uint8_t buf[4];
-        for (int i = 0; i < 4; ++i)
-            buf[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
-        bytes(buf, 4);
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        std::uint8_t buf[8];
-        for (int i = 0; i < 8; ++i)
-            buf[i] = static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF);
-        bytes(buf, 8);
-    }
+    void u16(std::uint16_t v) { put(v, 2); }
+    void u32(std::uint32_t v) { put(v, 4); }
+    void u64(std::uint64_t v) { put(v, 8); }
 
     void i8(std::int8_t v) { u8(static_cast<std::uint8_t>(v)); }
     void i16(std::int16_t v) { u16(static_cast<std::uint16_t>(v)); }
@@ -102,8 +99,7 @@ class StateWriter
     str(const std::string &s)
     {
         u64(s.size());
-        if (!s.empty())
-            bytes(s.data(), s.size());
+        bytes(s.data(), s.size());
     }
 
     /** Frame the next component; the reader must match the same tag. */
@@ -113,20 +109,42 @@ class StateWriter
         str(tag);
     }
 
-    /** Checksum of everything written so far. */
-    std::uint64_t checksum() const { return hash_.value(); }
-
     /**
-     * Append the running checksum (not fed back into the hash). Call
-     * exactly once, after the last field.
+     * Flush the staged bytes, then append the checksum of everything
+     * written (not fed back into the hash). Call exactly once, after
+     * the last field.
      */
     void sealChecksum();
 
   private:
+    /** Stage the low @p width bytes of @p v, little-endian. */
+    void
+    put(std::uint64_t v, std::size_t width)
+    {
+        std::uint8_t *p = room(width);
+        for (std::size_t i = 0; i < width; ++i)
+            p[i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+
+    /** Reserve @p n (<= 8) staged bytes, flushing first if full. */
+    std::uint8_t *
+    room(std::size_t n)
+    {
+        if (kStateStagingBytes - used_ < n)
+            flush();
+        std::uint8_t *p = buf_ + used_;
+        used_ += n;
+        return p;
+    }
+
     void bytes(const void *data, std::size_t size);
+    /** Hash the staged chunk and hand it to the sink. */
+    void flush();
 
     ByteSink &sink_;
     Fnv64 hash_;
+    std::size_t used_ = 0;
+    std::uint8_t buf_[kStateStagingBytes] = {};
 };
 
 /** The mirror-image reader; any defect throws StateError. */
@@ -135,13 +153,10 @@ class StateReader
   public:
     explicit StateReader(ByteSource &source) : source_(source) {}
 
-    std::uint8_t
-    u8()
-    {
-        std::uint8_t v = 0;
-        bytes(&v, 1);
-        return v;
-    }
+    StateReader(const StateReader &) = delete;
+    StateReader &operator=(const StateReader &) = delete;
+
+    std::uint8_t u8() { return *take(1); }
 
     bool
     b()
@@ -152,36 +167,9 @@ class StateReader
         return v != 0;
     }
 
-    std::uint16_t
-    u16()
-    {
-        std::uint8_t buf[2];
-        bytes(buf, 2);
-        return static_cast<std::uint16_t>(buf[0] |
-                                          (std::uint16_t{buf[1]} << 8));
-    }
-
-    std::uint32_t
-    u32()
-    {
-        std::uint8_t buf[4];
-        bytes(buf, 4);
-        std::uint32_t v = 0;
-        for (int i = 0; i < 4; ++i)
-            v |= std::uint32_t{buf[i]} << (8 * i);
-        return v;
-    }
-
-    std::uint64_t
-    u64()
-    {
-        std::uint8_t buf[8];
-        bytes(buf, 8);
-        std::uint64_t v = 0;
-        for (int i = 0; i < 8; ++i)
-            v |= std::uint64_t{buf[i]} << (8 * i);
-        return v;
-    }
+    std::uint16_t u16() { return static_cast<std::uint16_t>(get(2)); }
+    std::uint32_t u32() { return static_cast<std::uint32_t>(get(4)); }
+    std::uint64_t u64() { return get(8); }
 
     std::int8_t i8() { return static_cast<std::int8_t>(u8()); }
     std::int16_t i16() { return static_cast<std::int16_t>(u16()); }
@@ -222,23 +210,51 @@ class StateReader
         return static_cast<std::size_t>(n);
     }
 
-    std::uint64_t checksum() const { return hash_.value(); }
-
     /**
      * Read the trailing checksum word (not hashed) and require it to
-     * match the payload hash; then require end-of-stream.
+     * match the payload hash; then require end-of-stream: a byte left
+     * in the buffer or one more from the source is trailing garbage.
      */
     void verifyChecksum();
 
   private:
+    /** Decode @p width little-endian bytes. */
+    std::uint64_t
+    get(std::size_t width)
+    {
+        const std::uint8_t *p = take(width);
+        std::uint64_t v = 0;
+        for (std::size_t i = 0; i < width; ++i)
+            v |= std::uint64_t{p[i]} << (8 * i);
+        return v;
+    }
+
+    /** Consume @p n (<= 8) buffered bytes, refilling first if short. */
+    const std::uint8_t *
+    take(std::size_t n)
+    {
+        if (end_ - pos_ < n)
+            refill(n);
+        const std::uint8_t *p = buf_ + pos_;
+        pos_ += n;
+        return p;
+    }
+
     void bytes(void *data, std::size_t size);
-    /** Raw read, no checksumming (the checksum word itself). */
-    void rawBytes(void *data, std::size_t size);
+    /** Retire consumed bytes, then read until @p want are buffered. */
+    void refill(std::size_t want);
+    /** Hash the consumed bytes and drop them from the buffer. */
+    void retire();
 
     static constexpr std::size_t kMaxString = 1u << 20;
 
     ByteSource &source_;
     Fnv64 hash_;
+    // buf_[0, pos_) is consumed but not yet hashed; buf_[pos_, end_)
+    // is read ahead.
+    std::size_t pos_ = 0;
+    std::size_t end_ = 0;
+    std::uint8_t buf_[kStateStagingBytes] = {};
 };
 
 } // namespace hermes

@@ -217,7 +217,6 @@ bool
 SimSession::restore(ByteSource &source)
 {
     requirePhase(Phase::Built, "restore");
-    bool ok = false;
     try {
         char magic[8] = {};
         readExact(source, magic, sizeof(magic));
@@ -230,18 +229,20 @@ SimSession::restore(ByteSource &source)
             throw StateError("warmup fingerprint mismatch");
         system_->loadState(r);
         r.verifyChecksum();
-        ok = true;
+        phase_ = Phase::Warmed;
+        return true;
     } catch (const std::exception &) {
-        // A failed loadState may have half-written component state;
-        // rebuild from the trace specs so warmup() starts pristine.
-        ok = false;
+        // Any defect is a miss; the rebuild below handles it.
     }
-    if (!ok) {
-        construct();
-        return false;
-    }
-    phase_ = Phase::Warmed;
-    return true;
+    // A failed loadState may have half-written component state: drop
+    // that System and rebuild from the trace specs so warmup() starts
+    // pristine. If the rebuild throws (a trace file vanished), the
+    // exception propagates and the session stays created, so no phase
+    // method can run on a half-loaded machine.
+    system_.reset();
+    phase_ = Phase::Created;
+    build();
+    return false;
 }
 
 RunStats

@@ -143,8 +143,12 @@ class SimSession
      * defect — bad magic, version or fingerprint mismatch, truncation,
      * checksum failure — after rebuilding the session's pristine state
      * (a failed restore may have half-written component state, so the
-     * System is reconstructed; the session stays in the built phase
-     * and warmup() remains valid).
+     * System is dropped and reconstructed; the session stays in the
+     * built phase and warmup() remains valid). If that rebuild throws
+     * (say a trace file vanished since build()), the exception
+     * propagates and the session is left in the created phase with no
+     * System: warmup() then throws std::logic_error, and build() may
+     * be retried.
      */
     bool restore(ByteSource &source);
 

@@ -7,30 +7,47 @@
 //     hot-path regression would;
 //  2. corrupt, truncated, wrong-version, wrong-magic and
 //     wrong-identity checkpoints are rejected (restore returns false)
-//     and the session re-simulates to the correct result;
+//     and the session re-simulates to the correct result, through
+//     sources that return the whole stream or 1 or 7 bytes per read,
+//     and a seeded set of raw-stream mutants (truncations at page
+//     edges, flips, insertions) never escapes an exception; a rebuild
+//     that fails after a rejected restore leaves the session created,
+//     never half-loaded;
 //  3. warmupFingerprint() keys on warmup-affecting state only:
 //     measure-only parameters (hermes.issue_latency, simInstrs) leave
 //     it unchanged, warmup-affecting ones (predictor, warmup window)
 //     change it;
 //  4. the WarmupCache round-trips warmed state through disk, unlinks
 //     bad entries and evicts past its budget (the spec parser and the
-//     checkpoint mutation sweep live in test_content_store.cc).
+//     checkpoint mutation sweep live in test_content_store.cc);
+//  5. file: traces checkpoint too (a cursor past a loop wrap, a rotated
+//     clone), and the stream format itself is pinned.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include <sys/stat.h>
+
+#include "common/fnv.hh"
+#include "common/state_io.hh"
 #include "golden_util.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
 #include "sim/warmup_cache.hh"
+#include "trace/resolve.hh"
 #include "trace/suite.hh"
+#include "trace/trace_file.hh"
 #include "trace/trace_io.hh"
 
 namespace hermes
@@ -59,18 +76,23 @@ class VectorSink : public ByteSink
     std::string path_ = "<memory>";
 };
 
-/** In-memory ByteSource over a byte vector. */
+/**
+ * In-memory ByteSource over a byte vector. A nonzero @p max_read caps
+ * every read() at that many bytes, as a pipe or socket may.
+ */
 class VectorSource : public ByteSource
 {
   public:
-    explicit VectorSource(std::vector<char> bytes)
-        : bytes_(std::move(bytes))
+    explicit VectorSource(std::vector<char> bytes, std::size_t max_read = 0)
+        : bytes_(std::move(bytes)), maxRead_(max_read)
     {
     }
 
     std::size_t read(void *data, std::size_t size) override
     {
-        const std::size_t n = std::min(size, bytes_.size() - pos_);
+        std::size_t n = std::min(size, bytes_.size() - pos_);
+        if (maxRead_ != 0)
+            n = std::min(n, maxRead_);
         std::memcpy(data, bytes_.data() + pos_, n);
         pos_ += n;
         return n;
@@ -85,9 +107,21 @@ class VectorSource : public ByteSource
 
   private:
     std::vector<char> bytes_;
+    std::size_t maxRead_;
     std::size_t pos_ = 0;
     std::string path_ = "<memory>";
 };
+
+/** Read caps every restore is tried with: whole buffer, 1 and 7 bytes. */
+constexpr std::size_t kMaxReads[] = {0, 1, 7};
+
+std::string
+readsName(std::size_t max_read)
+{
+    return max_read == 0 ? std::string("whole-buffer reads")
+                         : "reads of at most " + std::to_string(max_read) +
+                               " bytes";
+}
 
 struct SessionCase
 {
@@ -155,6 +189,27 @@ snapshotBytes(const SessionCase &c)
     return sink.bytes;
 }
 
+/**
+ * Restore @p bytes into a fresh session of @p c through every read cap
+ * and require each to measure to @p want.
+ */
+void
+expectRestoresTo(const SessionCase &c, const std::vector<char> &bytes,
+                 std::uint64_t want)
+{
+    for (const std::size_t max_read : kMaxReads) {
+        SCOPED_TRACE(c.key + ", " + readsName(max_read));
+        SimSession restored(c.config, c.traces, goldenBudget());
+        restored.build();
+        ASSERT_TRUE(restored.checkpointable());
+        VectorSource src(bytes, max_read);
+        ASSERT_TRUE(restored.restore(src));
+        restored.measure();
+        EXPECT_EQ(statsFingerprint(restored.collect()), want)
+            << "restore-from-checkpoint diverged from a straight run";
+    }
+}
+
 TEST(Session, SnapshotRestoreMeasureMatchesStraightRun)
 {
     for (const SessionCase &c : sessionCases()) {
@@ -163,16 +218,7 @@ TEST(Session, SnapshotRestoreMeasureMatchesStraightRun)
 
         const std::vector<char> bytes = snapshotBytes(c);
         ASSERT_GT(bytes.size(), 20u) << c.key;
-
-        SimSession restored(c.config, c.traces, goldenBudget());
-        restored.build();
-        ASSERT_TRUE(restored.checkpointable()) << c.key;
-        VectorSource src(bytes);
-        ASSERT_TRUE(restored.restore(src)) << c.key;
-        restored.measure();
-        EXPECT_EQ(statsFingerprint(restored.collect()), straight)
-            << c.key << ": restore-from-checkpoint diverged from a "
-            << "straight run";
+        expectRestoresTo(c, bytes, straight);
     }
 }
 
@@ -221,28 +267,34 @@ TEST(Session, PhaseOrderEnforced)
                  std::invalid_argument);
 }
 
-/** Restore must fail cleanly and the fallback warmup must be exact. */
+/**
+ * Restore must fail cleanly through every read cap, and the fallback
+ * warmup must reproduce @p straight exactly.
+ */
 void
-expectRejectedThenResimulates(const SessionCase &c,
-                              std::vector<char> bytes,
+expectRejectedThenResimulates(const SessionCase &c, std::uint64_t straight,
+                              const std::vector<char> &bytes,
                               const char *what)
 {
-    const std::uint64_t straight = straightRunFingerprint(c);
-    SimSession s(c.config, c.traces, goldenBudget());
-    s.build();
-    VectorSource src(std::move(bytes));
-    EXPECT_FALSE(s.restore(src)) << what << " accepted";
-    // The failed restore left the session built; the normal path must
-    // still produce the exact straight-run result.
-    s.warmup();
-    s.measure();
-    EXPECT_EQ(statsFingerprint(s.collect()), straight)
-        << what << ": re-simulation after rejected restore diverged";
+    for (const std::size_t max_read : kMaxReads) {
+        SCOPED_TRACE(std::string(what) + ", " + readsName(max_read));
+        SimSession s(c.config, c.traces, goldenBudget());
+        s.build();
+        VectorSource src(bytes, max_read);
+        EXPECT_FALSE(s.restore(src)) << "accepted";
+        // The failed restore left the session built; the normal path
+        // must still produce the exact straight-run result.
+        s.warmup();
+        s.measure();
+        EXPECT_EQ(statsFingerprint(s.collect()), straight)
+            << "re-simulation after rejected restore diverged";
+    }
 }
 
 TEST(Session, BadCheckpointsRejectedAndResimulated)
 {
     const SessionCase c = sessionCases()[0];
+    const std::uint64_t straight = straightRunFingerprint(c);
     const std::vector<char> good = snapshotBytes(c);
     ASSERT_GT(good.size(), 32u);
 
@@ -250,34 +302,125 @@ TEST(Session, BadCheckpointsRejectedAndResimulated)
         // Flipping a byte in the component payload trips the checksum.
         std::vector<char> corrupt = good;
         corrupt[good.size() / 2] ^= 0x5a;
-        expectRejectedThenResimulates(c, corrupt, "corrupt payload");
+        expectRejectedThenResimulates(c, straight, corrupt,
+                                      "corrupt payload");
     }
     {
         std::vector<char> truncated(good.begin(),
                                     good.begin() + good.size() / 2);
-        expectRejectedThenResimulates(c, truncated, "truncated stream");
+        expectRejectedThenResimulates(c, straight, truncated,
+                                      "truncated stream");
     }
     {
         std::vector<char> trailing = good;
         trailing.push_back('x');
-        expectRejectedThenResimulates(c, trailing, "trailing garbage");
+        expectRejectedThenResimulates(c, straight, trailing,
+                                      "trailing garbage");
     }
     {
         // Byte 0 of the magic ("HRMCKPT1" leads every stream).
         std::vector<char> magic = good;
         magic[0] ^= 0x01;
-        expectRejectedThenResimulates(c, magic, "bad magic");
+        expectRejectedThenResimulates(c, straight, magic, "bad magic");
     }
     {
         // The u32 format version immediately follows the 8-byte magic.
         std::vector<char> version = good;
         version[8] ^= 0x01;
-        expectRejectedThenResimulates(c, version, "version mismatch");
+        expectRejectedThenResimulates(c, straight, version,
+                                      "version mismatch");
     }
     {
         EXPECT_TRUE(std::string(SimSession::kCheckpointMagic) ==
                     std::string(good.data(), 8));
     }
+}
+
+TEST(Session, RawStreamMutantsRejectedAtEveryReadSize)
+{
+    const auto golden = loadGoldens();
+    const auto it = golden.find("one.hermes.mcf");
+    ASSERT_NE(it, golden.end());
+    const SessionCase c = sessionCases()[0];
+    ASSERT_EQ(c.key, "one.hermes.mcf");
+    const std::vector<char> good = snapshotBytes(c);
+    constexpr std::size_t kPage = 4096;
+    ASSERT_GT(good.size(), 8 * kPage);
+
+    // Fixed seed, fixed budget. Truncations land on both sides of page
+    // edges (4096 * k - 1, 4096 * k, 4096 * k + 1): the first page, one
+    // staging buffer, the last whole page and three sampled ones.
+    std::mt19937_64 rng(0xc4ec5eed);
+    const auto at = [&rng](std::size_t n) {
+        return static_cast<std::size_t>(rng() % n);
+    };
+    std::vector<std::pair<std::string, std::vector<char>>> mutants;
+    const std::size_t pages = good.size() / kPage;
+    std::vector<std::size_t> ks = {1, kStateStagingBytes / kPage, pages};
+    for (int i = 0; i < 3; ++i)
+        ks.push_back(1 + at(pages));
+    for (const std::size_t k : ks) {
+        for (const std::size_t len : {k * kPage - 1, k * kPage,
+                                      k * kPage + 1}) {
+            if (len < good.size())
+                mutants.emplace_back(
+                    "truncated to " + std::to_string(len),
+                    std::vector<char>(good.begin(), good.begin() + len));
+        }
+    }
+    for (int i = 0; i < 8; ++i) {
+        std::vector<char> m = good;
+        const std::size_t pos = at(m.size());
+        m[pos] ^= static_cast<char>(1u << at(8));
+        mutants.emplace_back("bit flip at " + std::to_string(pos), m);
+    }
+    {
+        std::vector<char> m = good;
+        const std::size_t pos = at(m.size() + 1);
+        m.insert(m.begin() + pos, static_cast<char>(rng()));
+        mutants.emplace_back("byte inserted at " + std::to_string(pos), m);
+    }
+    {
+        std::vector<char> m = good;
+        m.push_back('\0');
+        mutants.emplace_back("one trailing byte", m);
+    }
+    {
+        std::vector<char> m = good;
+        m[m.size() - 1 - at(8)] ^= static_cast<char>(1u << at(8));
+        mutants.emplace_back("flipped checksum word", m);
+    }
+
+    for (const std::size_t max_read : kMaxReads) {
+        SCOPED_TRACE(readsName(max_read));
+        // One session takes every mutant in turn: each rejection
+        // rebuilds it, so it must stay restorable throughout.
+        SimSession s(c.config, c.traces, goldenBudget());
+        s.build();
+        for (const auto &[what, bytes] : mutants) {
+            VectorSource src(bytes, max_read);
+            bool restored = true;
+            EXPECT_NO_THROW(restored = s.restore(src)) << what;
+            ASSERT_FALSE(restored) << what << " accepted";
+        }
+        VectorSource src(good, max_read);
+        ASSERT_TRUE(s.restore(src));
+        s.measure();
+        EXPECT_EQ(statsFingerprint(s.collect()), it->second);
+    }
+}
+
+TEST(Session, CheckpointFormatIsPinned)
+{
+    // one.hermes.mcf's warmed state at the golden budget, byte for
+    // byte. Changing either value changes the checkpoint stream: bump
+    // SimSession::kCheckpointVersion with it, so stores filled by older
+    // builds miss instead of misrestoring.
+    const std::vector<char> bytes = snapshotBytes(sessionCases()[0]);
+    EXPECT_EQ(bytes.size(), 1'249'301u);
+    Fnv64 f;
+    f.addBytes(bytes.data(), bytes.size());
+    EXPECT_EQ(f.value(), 0xff01b766191e5b98ull);
 }
 
 TEST(Session, WrongIdentityCheckpointRejected)
@@ -431,6 +574,178 @@ TEST(WarmupCacheTest, EvictsPastEntryBudget)
     EXPECT_EQ(cache.stats().stores, 2u);
     EXPECT_EQ(cache.stats().evicted, 1u);
     EXPECT_EQ(cache.entryCount(), 1u);
+}
+
+/**
+ * Capture @p records of spec06.mcf_like.0 into a gzip HRMTRACE at
+ * @p path and resolve it as a file: trace.
+ */
+TraceSpec
+writeMcfTrace(const std::string &path, std::uint64_t records)
+{
+    const TraceSpec mcf = findTrace("spec06.mcf_like.0");
+    auto source = mcf.make();
+    writeTraceFile(path, *source, records, mcf.name(), mcf.category());
+    return resolveTrace("file:" + path);
+}
+
+/** A trace file shorter than the warmup window: its cursor wraps. */
+constexpr std::uint64_t kShortTraceRecords = 3'001;
+
+std::string
+traceFilePath(const std::string &name)
+{
+    return ::testing::TempDir() + "hermes_session_" + name + ".hrm.gz";
+}
+
+TEST(Session, FileTraceCheckpointRestoresPastLoopWrap)
+{
+    ASSERT_GT(goldenBudget().warmupInstrs, kShortTraceRecords);
+    const std::string path = traceFilePath("wrap");
+    SessionCase c = sessionCases()[0];
+    c.key = "file.one";
+    c.traces = {writeMcfTrace(path, kShortTraceRecords)};
+
+    expectRestoresTo(c, snapshotBytes(c), straightRunFingerprint(c));
+    std::remove(path.c_str());
+}
+
+TEST(Session, FileTraceCheckpointRestoresRotatedClone)
+{
+    const std::string path = traceFilePath("clone");
+    SessionCase c = sessionCases()[3]; // Pythia + POPET + Hermes-O, 2 cores
+    ASSERT_EQ(c.config.numCores, 2);
+    c.key = "file.two";
+    // One file on two cores: core 1 replays a rotated clone.
+    c.traces = {writeMcfTrace(path, kShortTraceRecords)};
+
+    const std::uint64_t straight = straightRunFingerprint(c);
+    expectRestoresTo(c, snapshotBytes(c), straight);
+
+    // The on-disk store path the sweep takes: warm once, then restore.
+    WarmupCache cache({tempDir("file_clone")});
+    SimSession cold(c.config, c.traces, goldenBudget());
+    EXPECT_EQ(statsFingerprint(runSession(cold, &cache)), straight);
+    SimSession warm(c.config, c.traces, goldenBudget());
+    EXPECT_EQ(statsFingerprint(runSession(warm, &cache)), straight);
+    EXPECT_EQ(cache.stats().hits, 1u);
+    EXPECT_EQ(cache.stats().rejected, 0u);
+    std::remove(path.c_str());
+}
+
+/**
+ * The one.hermes.mcf configuration over a file: trace at @p path, and
+ * a checkpoint of it whose payload is corrupt, so a restore half-loads
+ * the machine before the defect shows.
+ */
+SessionCase
+fileCaseWithCorruptCheckpoint(const std::string &path,
+                              std::vector<char> &corrupt)
+{
+    SessionCase c = sessionCases()[0];
+    c.key = "file.corrupt";
+    c.traces = {writeMcfTrace(path, kShortTraceRecords)};
+    corrupt = snapshotBytes(c);
+    corrupt[corrupt.size() / 2] ^= 0x5a;
+    return c;
+}
+
+TEST(Session, FailedRebuildAfterRejectedRestoreLeavesSessionCreated)
+{
+    const std::string path = traceFilePath("vanishing");
+    std::vector<char> corrupt;
+    const SessionCase c = fileCaseWithCorruptCheckpoint(path, corrupt);
+    const std::uint64_t straight = straightRunFingerprint(c);
+
+    SimSession s(c.config, c.traces, goldenBudget());
+    s.build();
+    ASSERT_EQ(std::remove(path.c_str()), 0);
+    // The defect shows only after loadState has written part of the
+    // machine; the rebuild then cannot reopen the trace.
+    VectorSource src(corrupt);
+    EXPECT_THROW(s.restore(src), std::runtime_error);
+    // The half-loaded machine is gone and nothing may run.
+    EXPECT_THROW(s.warmup(), std::logic_error);
+    EXPECT_THROW(s.system(), std::logic_error);
+
+    // With the trace back, the same session builds and runs exactly.
+    writeMcfTrace(path, kShortTraceRecords);
+    s.build();
+    s.warmup();
+    s.measure();
+    EXPECT_EQ(statsFingerprint(s.collect()), straight);
+    std::remove(path.c_str());
+}
+
+/**
+ * True once some descriptor of this process is open on @p file. It
+ * looks through /proc/self/fd by path, never touching another thread's
+ * descriptors, so the thread sanitizer sees no fd race.
+ */
+bool
+waitUntilOpen(const struct stat &file)
+{
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(60);
+    while (std::chrono::steady_clock::now() < deadline) {
+        for (int fd = 0; fd < 1024; ++fd) {
+            const std::string link = "/proc/self/fd/" + std::to_string(fd);
+            struct stat st = {};
+            if (::stat(link.c_str(), &st) == 0 &&
+                st.st_dev == file.st_dev && st.st_ino == file.st_ino)
+                return true;
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
+}
+
+TEST(WarmupCacheTest, RunSessionThrowsWhenRebuildFailsAfterRejectedEntry)
+{
+    struct stat proc = {};
+    if (::stat("/proc/self/fd", &proc) != 0)
+        GTEST_SKIP() << "needs /proc/self/fd to see the trace opened";
+    const std::string path = traceFilePath("vanishing_store");
+    std::vector<char> corrupt;
+    const SessionCase c = fileCaseWithCorruptCheckpoint(path, corrupt);
+    const std::string dir = tempDir("vanishing_store");
+    WarmupCache cache({dir});
+    const std::uint64_t fp =
+        SimSession(c.config, c.traces, goldenBudget()).warmupFingerprint();
+    {
+        std::ofstream out(dir + "/" + WarmupCache::entryName(fp),
+                          std::ios::binary | std::ios::trunc);
+        out.write(corrupt.data(),
+                  static_cast<std::streamsize>(corrupt.size()));
+    }
+    struct stat trace = {};
+    ASSERT_EQ(::stat(path.c_str(), &trace), 0);
+
+    // Holding the identity's lock stops runSession between build() and
+    // the restore; the trace is removed once build() has opened it.
+    std::unique_lock<std::mutex> held = cache.lockFingerprint(fp);
+    bool returned = false;
+    bool logicError = false;
+    std::thread worker([&] {
+        SimSession s(c.config, c.traces, goldenBudget());
+        try {
+            runSession(s, &cache);
+            returned = true;
+        } catch (const std::logic_error &) {
+            logicError = true;
+        } catch (const std::exception &) {
+        }
+    });
+    EXPECT_TRUE(waitUntilOpen(trace));
+    EXPECT_EQ(std::remove(path.c_str()), 0);
+    held.unlock();
+    worker.join();
+
+    // The entry is rejected and the rebuild fails, so no stats come
+    // back: the session is left created and warmup() throws.
+    EXPECT_FALSE(returned);
+    EXPECT_TRUE(logicError);
+    EXPECT_EQ(cache.stats().rejected, 1u);
 }
 
 } // namespace
