@@ -16,38 +16,15 @@
  *    whole bench directory finishes in minutes on a laptop);
  *  - HERMES_THREADS: worker threads (default: all hardware threads).
  *
- * CLI flags (initCli; they win over the environment):
- *  --threads N (0 = all hardware threads), --suite quick|full,
- *  --scale F, --csv FILE, --json FILE, --stats LIST (registry column
- *  selection for the dumps, e.g. "core.ipc,llc.mpki,dram.*"),
- *  --progress, --no-progress, --mips, --profile (per-component
- *  host-time breakdown per grid; exports HERMES_PROFILE), --list
- *  (print available predictors, prefetchers, suites and registry
- *  parameters, then exit).
- *
- * Fleet orchestration (see src/sweep/journal.hh): every grid a driver
- * fans out is journaled, shardable and resumable with the same flags
- * hermes_sweep uses —
- *  --journal FILE  append each completed point as crash-safe JSONL
- *                  (one journal segment per runGrid/runSuite call);
- *  --shard i/N     simulate only slice i of each grid's deterministic
- *                  N-way partition (figure tables are then partial);
- *  --resume FILE   skip points FILE already records (repeatable;
- *                  shard journals of the same driver union together,
- *                  so a complete union reprints full figures without
- *                  re-simulating anything);
- *  --cache SPEC    shared content-addressed result store
- *                  "DIR[,max_bytes=SIZE][,max_entries=N]" (env
- *                  HERMES_RESULT_CACHE; --no-cache ignores the env):
- *                  points the store already holds load instead of
- *                  simulating, and every completion is stored back, so
- *                  overlapping figure grids and re-runs share work;
- *  --warmup-cache SPEC
- *                  shared warmup checkpoint store (same SPEC syntax;
- *                  env HERMES_WARMUP_CACHE, --no-warmup-cache ignores
- *                  it): grid points with the same warmup identity
- *                  restore the warmed state instead of re-warming
- *                  (sim/warmup_cache.hh).
+ * CLI flags (initCli; they win over the environment) are the rows
+ * sweep::kFigureFrontEnd declares in the shared flag table
+ * (src/sweep/front_end.hh); `<driver> --help` lists them. Every grid
+ * a driver fans out runs through sweep::runJournaled, so --journal,
+ * --shard, --resume and the --cache/--warmup-cache stores work as in
+ * hermes_sweep, with one journal segment per runGrid/runSuite call
+ * (src/sweep/journal.hh): shard journals of one driver union
+ * together, and a complete union reprints full figures without
+ * simulating anything.
  */
 
 #include <cstdint>
@@ -58,6 +35,7 @@
 #include "sim/power.hh"
 #include "sim/simulator.hh"
 #include "sim/system.hh"
+#include "sweep/front_end.hh"
 #include "sweep/sweep.hh"
 #include "trace/suite.hh"
 
@@ -65,63 +43,15 @@ namespace hermes::bench
 {
 
 /** Options shared by every figure/table driver, set by initCli(). */
-struct CliOptions
-{
-    /** Sweep worker threads; 0 = all hardware threads. */
-    int threads = 0;
-    /** "quick" or "full"; empty defers to HERMES_BENCH_SUITE. */
-    std::string suiteName;
-    /** Progress meter on stderr (default: only when a terminal). */
-    bool progress = false;
-    /**
-     * Report simulator throughput: prints a simulated-MIPS summary per
-     * grid after each fan-out and appends sim_mips/host_seconds
-     * columns to the --csv/--json dumps.
-     */
-    bool mips = false;
-    /**
-     * Per-component host-time attribution: exports HERMES_PROFILE so
-     * every simulated System accumulates per-stage seconds (see
-     * src/sim/perf.hh and docs/performance.md) and prints an aggregate
-     * breakdown after each grid. Host-side only — never affects
-     * simulated results or fingerprints.
-     */
-    bool profile = false;
-    /** Write every simulated grid point as CSV/JSON on exit. */
-    std::string csvPath;
-    std::string jsonPath;
-    /**
-     * Registry column selection for the dumps ("" = the default
-     * aggregate columns, plus host-perf columns under --mips). See
-     * sim/stat_registry.hh for the key syntax.
-     */
-    std::string statsSpec;
-    /** This process's slice of every grid (default: all of it). */
-    sweep::ShardSpec shard;
-    /** Journal completed points here ("" = no journaling). */
-    std::string journalPath;
-    /** Journals whose recorded points are skipped, not re-simulated. */
-    std::vector<std::string> resumePaths;
-    /**
-     * Result store spec "DIR[,max_bytes=SIZE][,max_entries=N]"; ""
-     * means no store (unless HERMES_RESULT_CACHE names one and
-     * --no-cache was not given). See sweep/result_cache.hh.
-     */
-    std::string cacheSpec;
-    /**
-     * Warmup checkpoint store spec (same syntax); "" means none
-     * (unless HERMES_WARMUP_CACHE names one and --no-warmup-cache was
-     * not given). See sim/warmup_cache.hh.
-     */
-    std::string warmupCacheSpec;
-};
+using CliOptions = sweep::CliOptions;
 
 /**
- * Parse the shared bench flags (call first in every driver's main).
- * Unknown flags abort with a usage message; --scale re-exports
- * HERMES_SIM_SCALE so budget() picks it up.
+ * Parse the driver flags @p fe declares (call first in every driver's
+ * main); usage errors exit 2 with the generated usage text. Then read
+ * the --resume journals and open the stores (exit 1 on failure).
  */
-void initCli(int argc, char **argv);
+void initCli(int argc, char **argv,
+             const sweep::FrontEnd &fe = sweep::kFigureFrontEnd);
 
 /** The options parsed by initCli() (defaults if never called). */
 const CliOptions &cli();
@@ -129,30 +59,23 @@ const CliOptions &cli();
 /** The trace list selected by --suite / HERMES_BENCH_SUITE. */
 std::vector<TraceSpec> suite();
 
-/** Engine honouring --threads and --progress; used by runSuite(). */
-sweep::SweepEngine engine();
-
 /**
- * Run a labelled grid through engine() and record every point for the
- * --csv/--json exit dump. Building block for custom fan-outs.
+ * Run a labelled grid and record every point for the --csv/--json exit
+ * dump. Building block for custom fan-outs.
  *
- * Under --journal/--shard/--resume this is the orchestrated path: each
- * call opens the next journal segment, resumed points are reused, and
- * only this shard's missing points simulate. Slots not owned by this
- * process come back with empty stats — gridComplete() says whether the
- * last grid was fully covered (drivers' derived tables are only
- * meaningful when it was, and the harness prints a note when not).
+ * Each call opens the next journal segment under --journal, reuses
+ * resumed points and simulates only this shard's missing ones. Slots
+ * not owned by this process come back with empty stats, and the
+ * harness prints a note that the figure output is partial.
  */
 std::vector<sweep::PointResult>
 runGrid(const std::vector<sweep::GridPoint> &grid);
 
-/** True when every point of the last runGrid() call holds real stats. */
-bool gridComplete();
-
 /** Simulation budget honouring HERMES_SIM_SCALE; the defaults are the
  * shared per-point sweep windows (SimBudget::sweepDefaults). */
-SimBudget budget(std::uint64_t warmup = SimBudget::sweepDefaults().warmupInstrs,
-                 std::uint64_t sim = SimBudget::sweepDefaults().simInstrs);
+SimBudget budget(
+    std::uint64_t warmup = SimBudget::sweepDefaults().warmupInstrs,
+    std::uint64_t sim = SimBudget::sweepDefaults().simInstrs);
 
 /**
  * Named baseline configurations (single core unless stated). Models
@@ -186,10 +109,9 @@ std::vector<TraceResult> runSuite(const SystemConfig &cfg,
  * Run a multi-core config over a list of workload mixes (one trace per
  * core each), fanned over the engine; results in mix order.
  */
-std::vector<RunStats> runMixes(const SystemConfig &cfg,
-                               const std::vector<std::vector<TraceSpec>> &mixes,
-                               const SimBudget &b,
-                               const std::string &label_prefix);
+std::vector<RunStats> runMixes(
+    const SystemConfig &cfg, const std::vector<std::vector<TraceSpec>> &mixes,
+    const SimBudget &b, const std::string &label_prefix);
 
 /** Geomean over per-trace ratios vs a baseline run of the same suite. */
 double geomeanSpeedup(const std::vector<TraceResult> &test,

@@ -6,24 +6,23 @@
  * and reports simulated MIPS per trace plus the aggregate.
  *
  * Usage:
- *   perf_gate [--out FILE] [--min-mips X] [shared harness flags]
+ *   perf_gate [--out FILE] [--min-mips X] [figure driver flags]
  *
  *  --out FILE     write the gate result as JSON (also printed)
- *  --min-mips X   exit non-zero if the aggregate falls below X
+ *  --min-mips X   exit 1 if the aggregate falls below X MIPS (a finite
+ *                 number >= 0; anything else is a usage error)
  *
- * Shared harness flags (--threads/--suite/--scale/...) are forwarded
- * to initCli; measurement defaults to --threads 1 so the number is a
- * single-thread figure comparable across commits. CI uploads the JSON
- * artifact so the throughput trend is visible per commit.
+ * The other flags are the figure drivers' (sweep::kPerfGateFrontEnd
+ * in src/sweep/front_end.hh). Measurement runs on one thread unless
+ * --threads says otherwise, so the number is a single-thread figure
+ * comparable across commits. CI uploads the JSON artifact so the
+ * throughput trend is visible per commit.
  */
 // figmap: (perf) | single-thread simulated-MIPS throughput gate
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
-#include <vector>
 
 #include "harness/harness.hh"
 
@@ -33,32 +32,9 @@ using namespace hermes::bench;
 int
 main(int argc, char **argv)
 {
-    std::string out_path;
-    double min_mips = 0;
-
-    // Strip gate-specific flags; forward the rest to the harness.
-    std::vector<char *> fwd;
-    fwd.push_back(argv[0]);
-    bool threads_given = false;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--out" && i + 1 < argc) {
-            out_path = argv[++i];
-        } else if (arg == "--min-mips" && i + 1 < argc) {
-            min_mips = std::atof(argv[++i]);
-        } else {
-            if (arg == "--threads")
-                threads_given = true;
-            fwd.push_back(argv[i]);
-        }
-    }
-    static char threads_flag[] = "--threads";
-    static char threads_one[] = "1";
-    if (!threads_given) {
-        fwd.push_back(threads_flag);
-        fwd.push_back(threads_one);
-    }
-    initCli(static_cast<int>(fwd.size()), fwd.data());
+    initCli(argc, argv, sweep::kPerfGateFrontEnd);
+    const std::string &out_path = cli().outPath;
+    const double min_mips = cli().minMips;
 
     const SystemConfig cfg =
         withHermes(cfgBaseline(), PredictorKind::Popet);
