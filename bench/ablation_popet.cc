@@ -9,8 +9,12 @@
 // figmap: DESIGN.md ablations | POPET buffer/weights/thresholds knobs
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "harness/harness.hh"
+#include "predictor/popet.hh"
+#include "sim/param_registry.hh"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -25,12 +29,13 @@ struct Outcome
     double speedup;
 };
 
+/** Hermes-O with POPET tuned by @p popet ("popet.<knob>=value"). */
 Outcome
-evaluate(const PopetParams &params, const SimBudget &b,
+evaluate(const std::vector<std::string> &popet, const SimBudget &b,
          const std::vector<TraceResult> &nopf)
 {
-    SystemConfig cfg = withHermes(cfgBaseline(), PredictorKind::Popet, 6);
-    cfg.popet = params;
+    const SystemConfig cfg = configWith(
+        withHermes(cfgBaseline(), PredictorKind::Popet, 6), popet);
     const auto rs = runSuite(cfg, b);
     PredictorStats all;
     for (const auto &r : rs) {
@@ -56,9 +61,9 @@ main(int argc, char **argv)
         Table t({"page buffer entries", "accuracy", "coverage",
                  "speedup"});
         for (unsigned entries : {16u, 32u, 64u, 128u, 256u}) {
-            PopetParams p;
-            p.pageBufferEntries = entries;
-            const Outcome o = evaluate(p, b, nopf);
+            const Outcome o = evaluate(
+                {"popet.page_buffer_entries=" + std::to_string(entries)}, b,
+                nopf);
             t.addRow({std::to_string(entries), Table::pct(o.accuracy),
                       Table::pct(o.coverage), Table::fmt(o.speedup)});
         }
@@ -68,17 +73,22 @@ main(int argc, char **argv)
     {
         Table t({"weight bits", "accuracy", "coverage", "speedup"});
         for (unsigned bits : {3u, 4u, 5u, 6u, 8u}) {
-            PopetParams p;
-            p.weightBits = bits;
             // Keep thresholds proportional to the weight range so the
             // operating point stays comparable.
             const double scale = static_cast<double>((1 << (bits - 1))) /
                                  16.0;
-            p.activationThreshold =
-                static_cast<int>(-18 * scale);
-            p.trainingThresholdNeg = static_cast<int>(-35 * scale);
-            p.trainingThresholdPos = static_cast<int>(40 * scale);
-            const Outcome o = evaluate(p, b, nopf);
+            auto scaled = [scale](int threshold) {
+                return std::to_string(static_cast<int>(threshold * scale));
+            };
+            const PopetParams paper;
+            const Outcome o = evaluate(
+                {"popet.weight_bits=" + std::to_string(bits),
+                 "popet.act_threshold=" + scaled(paper.activationThreshold),
+                 "popet.train_threshold_neg=" +
+                     scaled(paper.trainingThresholdNeg),
+                 "popet.train_threshold_pos=" +
+                     scaled(paper.trainingThresholdPos)},
+                b, nopf);
             t.addRow({std::to_string(bits), Table::pct(o.accuracy),
                       Table::pct(o.coverage), Table::fmt(o.speedup)});
         }
@@ -93,10 +103,10 @@ main(int argc, char **argv)
         } pairs[] = {{-80, 75}, {-50, 55}, {-35, 40}, {-20, 25},
                      {-10, 12}};
         for (const auto &pr : pairs) {
-            PopetParams p;
-            p.trainingThresholdNeg = pr.tn;
-            p.trainingThresholdPos = pr.tp;
-            const Outcome o = evaluate(p, b, nopf);
+            const Outcome o = evaluate(
+                {"popet.train_threshold_neg=" + std::to_string(pr.tn),
+                 "popet.train_threshold_pos=" + std::to_string(pr.tp)},
+                b, nopf);
             t.addRow({std::to_string(pr.tn) + "/" + std::to_string(pr.tp),
                       Table::pct(o.accuracy), Table::pct(o.coverage),
                       Table::fmt(o.speedup)});
@@ -108,9 +118,10 @@ main(int argc, char **argv)
         Table t({"train on mispredict", "accuracy", "coverage",
                  "speedup"});
         for (bool train : {false, true}) {
-            PopetParams p;
-            p.trainOnMispredict = train;
-            const Outcome o = evaluate(p, b, nopf);
+            const Outcome o = evaluate(
+                {std::string("popet.train_on_mispredict=") +
+                 (train ? "true" : "false")},
+                b, nopf);
             t.addRow({train ? "yes" : "no", Table::pct(o.accuracy),
                       Table::pct(o.coverage), Table::fmt(o.speedup)});
         }

@@ -13,6 +13,8 @@
 #include <string>
 
 #include "harness/harness.hh"
+#include "predictor/popet.hh"
+#include "sim/param_registry.hh"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -25,7 +27,7 @@ runMask(unsigned mask, const SimBudget &b)
 {
     SystemConfig cfg = withPredictorOnly(cfgBaseline(),
                                          PredictorKind::Popet);
-    cfg.popet.featureMask = mask;
+    applyOverride(cfg, "popet.feature_mask=" + std::to_string(mask));
     PredictorStats all;
     for (const auto &r : runSuite(cfg, b)) {
         const PredictorStats p = r.stats.predTotal();

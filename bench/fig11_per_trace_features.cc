@@ -10,8 +10,11 @@
 // figmap: Fig. 11 | popet.feature_mask: per-trace single-feature runs
 
 #include <cstdio>
+#include <string>
 
 #include "harness/harness.hh"
+#include "predictor/popet.hh"
+#include "sim/param_registry.hh"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -32,7 +35,8 @@ main(int argc, char **argv)
     for (unsigned f = 0; f < kPopetFeatureCount; ++f) {
         SystemConfig cfg = withPredictorOnly(cfgBaseline(),
                                              PredictorKind::Popet);
-        cfg.popet.featureMask = 1u << f;
+        applyOverride(cfg,
+                      "popet.feature_mask=" + std::to_string(1u << f));
         for (const auto &r : runSuite(cfg, b)) {
             if (f == 0)
                 names.push_back(r.trace);

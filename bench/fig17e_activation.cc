@@ -10,8 +10,10 @@
 // figmap: Fig. 17e | popet.act_threshold -38..2
 
 #include <cstdio>
+#include <string>
 
 #include "harness/harness.hh"
+#include "sim/param_registry.hh"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -27,7 +29,7 @@ main(int argc, char **argv)
     for (int tau = -38; tau <= 2; tau += 4) {
         SystemConfig cfg = withHermes(cfgBaseline(), PredictorKind::Popet,
                                       6);
-        cfg.popet.activationThreshold = tau;
+        applyOverride(cfg, "popet.act_threshold=" + std::to_string(tau));
         const auto rs = runSuite(cfg, b);
         PredictorStats all;
         for (const auto &r : rs) {

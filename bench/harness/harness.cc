@@ -128,16 +128,20 @@ cli()
     return g_cli;
 }
 
+std::string
+suiteName()
+{
+    if (!g_cli.suiteName.empty())
+        return g_cli.suiteName;
+    const char *env = std::getenv("HERMES_BENCH_SUITE");
+    return env != nullptr ? env : "quick";
+}
+
 std::vector<TraceSpec>
 suite()
 {
-    std::string name = g_cli.suiteName;
-    if (name.empty()) {
-        const char *env = std::getenv("HERMES_BENCH_SUITE");
-        name = env != nullptr ? env : "quick";
-    }
     try {
-        return resolveSuite(name);
+        return resolveSuite(suiteName());
     } catch (const std::exception &e) {
         // Only reachable via HERMES_BENCH_SUITE; --suite validated in
         // initCli().

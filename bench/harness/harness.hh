@@ -56,7 +56,11 @@ void initCli(int argc, char **argv,
 /** The options parsed by initCli() (defaults if never called). */
 const CliOptions &cli();
 
-/** The trace list selected by --suite / HERMES_BENCH_SUITE. */
+/** The suite --suite, else HERMES_BENCH_SUITE, selects ("quick" if
+ * neither), as spelled: a suite name or a comma list of trace specs. */
+std::string suiteName();
+
+/** The trace list suiteName() names. */
 std::vector<TraceSpec> suite();
 
 /**

@@ -25,6 +25,7 @@
 #include <string>
 
 #include "harness/harness.hh"
+#include "sim/report.hh"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -45,7 +46,8 @@ main(int argc, char **argv)
     double seconds = 0;
     HostProfile prof;
     std::string points_json;
-    std::printf("== perf_gate: quickSuite hot-path throughput ==\n");
+    std::printf("== perf_gate: suite %s hot-path throughput ==\n",
+                suiteName().c_str());
     for (const auto &r : results) {
         const HostPerf &hp = r.stats.hostPerf;
         std::printf("%-32s %8.2f MIPS (%lu instrs, %.3f s)\n",
@@ -96,7 +98,7 @@ main(int argc, char **argv)
 
     char head[256];
     std::snprintf(head, sizeof(head),
-                  "{\n  \"suite\": \"quick\",\n  \"threads\": %d,\n"
+                  "  \"threads\": %d,\n"
                   "  \"total_instrs\": %lu,\n  \"run_seconds\": %.6f,\n"
                   "  \"mips\": %.3f,\n  \"points\": [",
                   cli().threads, static_cast<unsigned long>(instrs),
@@ -119,8 +121,9 @@ main(int argc, char **argv)
         static_cast<unsigned long>(prof.skippedCycles),
         prof.dramSeconds, prof.llcSeconds, prof.l2Seconds,
         prof.l1Seconds, prof.coreSeconds, prof.horizonSeconds);
-    const std::string json =
-        std::string(head) + points_json + "\n  ]" + prof_json + "\n}\n";
+    const std::string json = "{\n  \"suite\": \"" +
+                             jsonEscape(suiteName()) + "\",\n" + head +
+                             points_json + "\n  ]" + prof_json + "\n}\n";
     if (!out_path.empty()) {
         std::ofstream out(out_path);
         out << json;

@@ -6,8 +6,8 @@
  * enum, no SystemConfig field, no System wiring. The scenario below
  * selects it purely through strings (`predictor = example_bias`) and
  * tunes it through the automatically exposed
- * `pred.example_bias.*` parameter keys, exactly as `hermes_run`
- * overrides would. The walkthrough lives in docs/extending-models.md.
+ * `example_bias.*` parameter keys, exactly as `hermes_run` overrides
+ * would. The walkthrough lives in docs/extending-models.md.
  *
  * The model itself is deliberately simple: a PC-indexed table of
  * saturating counters that learns, per load PC, how often that PC's
@@ -141,8 +141,8 @@ main(int argc, char **argv)
     Config scenario;
     scenario.parse("predictor = example_bias\n"
                    "hermes.enabled = true\n"
-                   "pred.example_bias.table_bits = 13\n"
-                   "pred.example_bias.threshold = 3\n");
+                   "example_bias.table_bits = 13\n"
+                   "example_bias.threshold = 3\n");
     const SystemConfig cfg = SystemConfig::fromConfig(scenario);
 
     SimBudget budget;
@@ -163,7 +163,7 @@ main(int argc, char **argv)
     // like any other parameter, so journaled sweeps and fingerprints
     // see them.
     const bool knob_kept =
-        cfg.toConfig().contains("pred.example_bias.table_bits");
+        cfg.toConfig().contains("example_bias.table_bits");
     std::printf("knobs survive toConfig() round-trip: %s\n",
                 knob_kept ? "yes" : "NO");
     return knob_kept ? 0 : 1;

@@ -80,14 +80,12 @@ buildGrid(CliOptions &opt)
         e.label = "mix" + std::to_string(mixes++) + "." + joined;
         workloads.push_back(std::move(e));
     }
+    // parseCli() rejects --suite together with --trace/--mix.
     if (workloads.empty()) {
         const std::string name =
             opt.suiteName.empty() ? "quick" : opt.suiteName;
         for (const TraceSpec &t : resolveSuite(name))
             workloads.push_back({t.name(), {t}});
-    } else if (!opt.suiteName.empty()) {
-        throw std::invalid_argument(
-            "--suite cannot be combined with --trace/--mix");
     }
 
     // A mix with M traces implies an M-core system unless pinned.

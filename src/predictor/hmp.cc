@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "sim/model_registry.hh"
-#include "sim/system.hh"
 
 namespace hermes
 {
@@ -158,21 +157,49 @@ namespace
 ModelDef
 hmpModelDef()
 {
+    const HmpParams p;
     ModelDef d;
     d.name = "hmp";
     d.kind = ModelKind::Predictor;
     d.doc = "hybrid local/gshare/gskew hit-miss predictor (Yoaz et "
             "al., the paper's HMP baseline, §7.2)";
-    d.legacyKeys = {"hmp.local_histories",
-                    "hmp.local_history_bits",
-                    "hmp.local_counters",
-                    "hmp.gshare_counters",
-                    "hmp.global_history_bits",
-                    "hmp.gskew_counters",
-                    "hmp.counter_bits"};
+    d.knobs = {
+        {"local_histories", ModelKnob::Type::Int,
+         std::to_string(p.localHistories), 1, 1 << 20, true,
+         "HMP per-PC history registers"},
+        {"local_history_bits", ModelKnob::Type::Int,
+         std::to_string(p.localHistoryBits), 1, 16, false,
+         "HMP local history length (bits)"},
+        {"local_counters", ModelKnob::Type::Int,
+         std::to_string(p.localCounters), 1, 1 << 24, true,
+         "HMP local pattern table counters"},
+        {"gshare_counters", ModelKnob::Type::Int,
+         std::to_string(p.gshareCounters), 1, 1 << 24, true,
+         "HMP gshare table counters"},
+        {"global_history_bits", ModelKnob::Type::Int,
+         std::to_string(p.globalHistoryBits), 1, 31, false,
+         "HMP global history length (bits)"},
+        {"gskew_counters", ModelKnob::Type::Int,
+         std::to_string(p.gskewCounters), 1, 1 << 24, true,
+         "HMP gskew counters per skewed bank"},
+        {"counter_bits", ModelKnob::Type::Int,
+         std::to_string(p.counterBits), 1, 8, false,
+         "HMP saturating counter width (bits)"},
+    };
     d.counters = predictorCounterKeys();
     d.makePredictor = [](const ModelContext &ctx) {
-        return std::make_unique<Hmp>(ctx.config->hmp);
+        auto u32 = [&ctx](const char *knob) {
+            return static_cast<std::uint32_t>(ctx.knobInt(knob));
+        };
+        HmpParams params;
+        params.localHistories = u32("local_histories");
+        params.localHistoryBits = u32("local_history_bits");
+        params.localCounters = u32("local_counters");
+        params.gshareCounters = u32("gshare_counters");
+        params.globalHistoryBits = u32("global_history_bits");
+        params.gskewCounters = u32("gskew_counters");
+        params.counterBits = u32("counter_bits");
+        return std::make_unique<Hmp>(params);
     };
     return d;
 }

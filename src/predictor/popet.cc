@@ -9,7 +9,6 @@
 #include <stdexcept>
 
 #include "sim/model_registry.hh"
-#include "sim/system.hh"
 
 namespace hermes
 {
@@ -404,21 +403,51 @@ namespace
 ModelDef
 popetModelDef()
 {
+    const PopetParams p;
     ModelDef d;
     d.name = "popet";
     d.kind = ModelKind::Predictor;
     d.doc = "multi-feature hashed-perceptron off-chip predictor "
             "(the paper's POPET, §6.1)";
-    d.legacyKeys = {"popet.act_threshold",
-                    "popet.train_threshold_neg",
-                    "popet.train_threshold_pos",
-                    "popet.train_on_mispredict",
-                    "popet.weight_bits",
-                    "popet.feature_mask",
-                    "popet.page_buffer_entries"};
+    d.knobs = {
+        {"act_threshold", ModelKnob::Type::Int,
+         std::to_string(p.activationThreshold), -1024, 1024, false,
+         "POPET activation threshold tau_act (Fig. 17e)"},
+        {"train_threshold_neg", ModelKnob::Type::Int,
+         std::to_string(p.trainingThresholdNeg), -1024, 1024, false,
+         "POPET negative training threshold T_N"},
+        {"train_threshold_pos", ModelKnob::Type::Int,
+         std::to_string(p.trainingThresholdPos), -1024, 1024, false,
+         "POPET positive training threshold T_P"},
+        {"train_on_mispredict", ModelKnob::Type::Bool,
+         p.trainOnMispredict ? "true" : "false", 0, 0, false,
+         "also train on mispredictions outside [T_N, T_P]"},
+        {"weight_bits", ModelKnob::Type::Int, std::to_string(p.weightBits),
+         2, 8, false, "POPET perceptron weight width (bits)"},
+        {"feature_mask", ModelKnob::Type::Int,
+         std::to_string(p.featureMask), 1, 31, false,
+         "bitmask of enabled POPET features (Fig. 10/11 ablations)"},
+        {"page_buffer_entries", ModelKnob::Type::Int,
+         std::to_string(p.pageBufferEntries), 1, 65536, false,
+         "POPET first-access page buffer entries"},
+    };
     d.counters = predictorCounterKeys();
     d.makePredictor = [](const ModelContext &ctx) {
-        return std::make_unique<Popet>(ctx.config->popet);
+        PopetParams params;
+        params.activationThreshold =
+            static_cast<int>(ctx.knobInt("act_threshold"));
+        params.trainingThresholdNeg =
+            static_cast<int>(ctx.knobInt("train_threshold_neg"));
+        params.trainingThresholdPos =
+            static_cast<int>(ctx.knobInt("train_threshold_pos"));
+        params.trainOnMispredict = ctx.knobBool("train_on_mispredict");
+        params.weightBits =
+            static_cast<unsigned>(ctx.knobInt("weight_bits"));
+        params.featureMask =
+            static_cast<unsigned>(ctx.knobInt("feature_mask"));
+        params.pageBufferEntries =
+            static_cast<unsigned>(ctx.knobInt("page_buffer_entries"));
+        return std::make_unique<Popet>(params);
     };
     return d;
 }

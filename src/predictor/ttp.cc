@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "sim/model_registry.hh"
-#include "sim/system.hh"
 
 namespace hermes
 {
@@ -131,15 +130,27 @@ namespace
 ModelDef
 ttpModelDef()
 {
+    const TtpParams p;
     ModelDef d;
     d.name = "ttp";
     d.kind = ModelKind::Predictor;
     d.doc = "address tag-tracking off-chip predictor (the paper's TTP "
             "comparison point, §4)";
-    d.legacyKeys = {"ttp.sets", "ttp.ways", "ttp.tag_bits"};
+    d.knobs = {
+        {"sets", ModelKnob::Type::Int, std::to_string(p.sets), 1, 1 << 24,
+         true, "TTP tag-table sets"},
+        {"ways", ModelKnob::Type::Int, std::to_string(p.ways), 1, 64,
+         false, "TTP tag-table associativity"},
+        {"tag_bits", ModelKnob::Type::Int, std::to_string(p.tagBits), 1,
+         16, false, "TTP partial tag width (bits)"},
+    };
     d.counters = predictorCounterKeys();
     d.makePredictor = [](const ModelContext &ctx) {
-        return std::make_unique<Ttp>(ctx.config->ttp);
+        TtpParams params;
+        params.sets = static_cast<std::uint32_t>(ctx.knobInt("sets"));
+        params.ways = static_cast<std::uint32_t>(ctx.knobInt("ways"));
+        params.tagBits = static_cast<unsigned>(ctx.knobInt("tag_bits"));
+        return std::make_unique<Ttp>(params);
     };
     return d;
 }

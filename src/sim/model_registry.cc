@@ -1,15 +1,59 @@
 #include "sim/model_registry.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
+#include "cache/replacement.hh"
 #include "common/config.hh"
-#include "sim/param_registry.hh"
-#include "sim/system.hh"
+#include "predictor/offchip_pred.hh"
+#include "prefetch/prefetcher.hh"
 
 namespace hermes
 {
+
+namespace
+{
+
+/** A bound as --list-models and range errors print it ("%g"). */
+std::string
+boundStr(double v)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof(buf), "%g", v);
+    return buf;
+}
+
+/** Names are dotted-key segments: lowercase alnum and underscores. */
+bool
+validName(const std::string &name)
+{
+    if (name.empty())
+        return false;
+    for (const char c : name)
+        if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
+              c == '_'))
+            return false;
+    return true;
+}
+
+const std::string &
+knobRaw(const ModelContext &ctx, const std::string &name)
+{
+    if (ctx.model == nullptr || ctx.knobs == nullptr)
+        throw std::logic_error("ModelContext used outside the registry");
+    for (const ModelKnob &k : ctx.model->knobs) {
+        if (k.name != name)
+            continue;
+        const auto it = ctx.knobs->find(ctx.model->knobKey(k));
+        return it != ctx.knobs->end() ? it->second : k.defaultValue;
+    }
+    throw std::logic_error("model '" + ctx.model->name +
+                           "' reads undeclared knob '" + name + "'");
+}
+
+} // namespace
 
 const char *
 modelKindLabel(ModelKind kind)
@@ -21,20 +65,6 @@ modelKindLabel(ModelKind kind)
         return "prefetcher";
       case ModelKind::Replacement:
         return "replacement";
-    }
-    return "?";
-}
-
-const char *
-modelKnobPrefix(ModelKind kind)
-{
-    switch (kind) {
-      case ModelKind::Predictor:
-        return "pred";
-      case ModelKind::Prefetcher:
-        return "pref";
-      case ModelKind::Replacement:
-        return "repl";
     }
     return "?";
 }
@@ -54,71 +84,69 @@ ModelKnob::typeName() const
 }
 
 std::string
+ModelKnob::canonical(const std::string &key, const std::string &value) const
+{
+    auto reject = [&key](const std::string &why) {
+        return std::invalid_argument(key + ": " + why);
+    };
+    auto rangeCheck = [&](double v) {
+        if (v < minValue || v > maxValue)
+            throw reject("value " + value + " out of range [" +
+                         boundStr(minValue) + ", " + boundStr(maxValue) +
+                         "]");
+    };
+    switch (type) {
+      case Type::Int: {
+        const auto v = parseInt64(value);
+        if (!v)
+            throw reject("expected an integer, got '" + value + "'");
+        rangeCheck(static_cast<double>(*v));
+        if (powerOfTwo && (*v <= 0 || (*v & (*v - 1)) != 0))
+            throw reject("value " + value + " must be a power of two");
+        return std::to_string(*v);
+      }
+      case Type::Bool: {
+        const auto v = parseBoolWord(value);
+        if (!v)
+            throw reject("expected a boolean, got '" + value + "'");
+        return *v ? "true" : "false";
+      }
+      case Type::Double: {
+        const auto v = parseFiniteDouble(value);
+        if (!v)
+            throw reject("expected a number, got '" + value + "'");
+        rangeCheck(*v);
+        // The shortest spelling that parses back to the same double.
+        char buf[64];
+        return std::string(buf,
+                           std::to_chars(buf, buf + sizeof(buf), *v).ptr);
+      }
+    }
+    throw std::logic_error("unknown knob type");
+}
+
+std::string
 ModelDef::knobKey(const ModelKnob &knob) const
 {
-    return std::string(modelKnobPrefix(kind)) + "." + name + "." +
-           knob.name;
+    return name + "." + knob.name;
 }
-
-namespace
-{
-
-/** Names are dotted-key segments: lowercase alnum and underscores. */
-bool
-validName(const std::string &name)
-{
-    if (name.empty())
-        return false;
-    for (const char c : name)
-        if (!((c >= 'a' && c <= 'z') || (c >= '0' && c <= '9') ||
-              c == '_'))
-            return false;
-    return true;
-}
-
-const std::string &
-knobRaw(const ModelContext &ctx, const std::string &name,
-        const ModelKnob *&knob_out)
-{
-    if (ctx.model == nullptr || ctx.config == nullptr)
-        throw std::logic_error("ModelContext used outside the registry");
-    for (const ModelKnob &k : ctx.model->knobs) {
-        if (k.name != name)
-            continue;
-        knob_out = &k;
-        const auto it =
-            ctx.config->modelKnobs.find(ctx.model->knobKey(k));
-        return it != ctx.config->modelKnobs.end() ? it->second
-                                                  : k.defaultValue;
-    }
-    throw std::logic_error("model '" + ctx.model->name +
-                           "' reads undeclared knob '" + name + "'");
-}
-
-} // namespace
 
 std::int64_t
 ModelContext::knobInt(const std::string &name) const
 {
-    const ModelKnob *k = nullptr;
-    const std::string &raw = knobRaw(*this, name, k);
-    return *parseInt64(raw);
+    return *parseInt64(knobRaw(*this, name));
 }
 
 bool
 ModelContext::knobBool(const std::string &name) const
 {
-    const ModelKnob *k = nullptr;
-    const std::string &raw = knobRaw(*this, name, k);
-    return *parseBoolWord(raw);
+    return *parseBoolWord(knobRaw(*this, name));
 }
 
 double
 ModelContext::knobDouble(const std::string &name) const
 {
-    const ModelKnob *k = nullptr;
-    const std::string &raw = knobRaw(*this, name, k);
-    return *parseFiniteDouble(raw);
+    return *parseFiniteDouble(knobRaw(*this, name));
 }
 
 ModelRegistry &
@@ -152,7 +180,10 @@ ModelRegistry::add(ModelDef def)
         throw std::invalid_argument(
             std::string(modelKindLabel(def.kind)) + " '" + def.name +
             "' is already registered");
-    for (const ModelKnob &k : def.knobs) {
+    // Validate every knob before registering anything, so a rejected
+    // model leaves the registry as it was.
+    std::vector<std::string> keys;
+    for (ModelKnob &k : def.knobs) {
         if (!validName(k.name))
             throw std::invalid_argument(
                 "model '" + def.name + "': knob name '" + k.name +
@@ -161,44 +192,26 @@ ModelRegistry::add(ModelDef def)
             throw std::invalid_argument("model '" + def.name +
                                         "': knob '" + k.name +
                                         "' needs a doc string");
+        keys.push_back(def.knobKey(k));
+        if (knobIndex_.count(keys.back()) != 0 ||
+            std::count(keys.begin(), keys.end(), keys.back()) > 1)
+            throw std::invalid_argument("duplicate knob key '" +
+                                        keys.back() + "'");
         // The declared default must survive its own validation.
-        bool ok = false;
-        switch (k.type) {
-          case ModelKnob::Type::Int: {
-            const auto v = parseInt64(k.defaultValue);
-            ok = v && static_cast<double>(*v) >= k.minValue &&
-                 static_cast<double>(*v) <= k.maxValue &&
-                 (!k.powerOfTwo ||
-                  (*v > 0 && (*v & (*v - 1)) == 0));
-            break;
-          }
-          case ModelKnob::Type::Bool:
-            ok = parseBoolWord(k.defaultValue).has_value();
-            break;
-          case ModelKnob::Type::Double: {
-            const auto v = parseFiniteDouble(k.defaultValue);
-            ok = v && *v >= k.minValue && *v <= k.maxValue;
-            break;
-          }
-        }
-        if (!ok)
+        try {
+            k.defaultValue = k.canonical(keys.back(), k.defaultValue);
+        } catch (const std::invalid_argument &e) {
             throw std::invalid_argument(
                 "model '" + def.name + "': knob '" + k.name +
-                "' default '" + k.defaultValue +
-                "' fails its own validation");
+                "' default fails its own validation (" + e.what() + ")");
+        }
     }
 
     const std::size_t idx = defs_.size();
     defs_.push_back(std::move(def));
     index_[key] = idx;
-    for (std::size_t ki = 0; ki < defs_[idx].knobs.size(); ++ki) {
-        const std::string full =
-            defs_[idx].knobKey(defs_[idx].knobs[ki]);
-        if (knobIndex_.count(full) != 0)
-            throw std::invalid_argument("duplicate knob key '" + full +
-                                        "'");
-        knobIndex_[full] = {idx, ki};
-    }
+    for (std::size_t ki = 0; ki < keys.size(); ++ki)
+        knobIndex_[keys[ki]] = {idx, ki};
 }
 
 std::vector<const ModelDef *>
@@ -311,11 +324,6 @@ ModelRegistry::describe() const
     {
         std::string key, type, dflt, range, doc;
     };
-    auto boundStr = [](double v) {
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%g", v);
-        return std::string(buf);
-    };
 
     std::string out;
     for (const ModelKind kind :
@@ -328,40 +336,6 @@ ModelRegistry::describe() const
                    " — " + d->doc + "\n";
 
             std::vector<KnobRow> rows;
-            // Legacy typed-struct parameters first (they predate the
-            // registry and keep their original keys), then the
-            // auto-exposed knobs.
-            for (const std::string &key : d->legacyKeys) {
-                const ParamDef *p = ParamRegistry::instance().find(key);
-                if (p == nullptr)
-                    continue;
-                KnobRow r;
-                r.key = key;
-                r.type = p->typeName();
-                r.dflt = p->defaultValue();
-                switch (p->type) {
-                  case ParamType::Int:
-                  case ParamType::Size:
-                    r.range = "[" + boundStr(p->minValue) + ", " +
-                              boundStr(p->maxValue) + "]" +
-                              (p->powerOfTwo ? " pow2" : "");
-                    break;
-                  case ParamType::UInt:
-                    r.range = "[0, 2^64)";
-                    break;
-                  case ParamType::Bool:
-                    r.range = "true|false";
-                    break;
-                  case ParamType::Enum: {
-                    for (const std::string &c : p->choices)
-                        r.range +=
-                            (r.range.empty() ? "" : "|") + c;
-                    break;
-                  }
-                }
-                r.doc = p->doc;
-                rows.push_back(std::move(r));
-            }
             for (const ModelKnob &k : d->knobs) {
                 KnobRow r;
                 r.key = d->knobKey(k);

@@ -7,14 +7,14 @@
  * by name from its own translation unit (a namespace-scope
  * ModelRegistrar), declaring a one-line doc, its tunable knobs and the
  * statistics-registry counters it feeds. Registration auto-exposes the
- * knobs as "pred.<name>.*" / "pref.<name>.*" / "repl.<name>.*"
- * parameter-registry keys (stored sparsely in SystemConfig::modelKnobs,
- * so configurations that never touch them render — and fingerprint —
- * exactly as before the registry existed), and the model becomes
- * selectable by name through the "predictor", "prefetcher" and
- * "llc.repl" parameters. The registry is the only way models are
- * selected: SystemConfig holds one name per choice and System builds
- * each model from it here.
+ * knobs as "<model>.<knob>" parameter-registry keys ("popet.act_threshold",
+ * "hashperc.table_bits"), stored sparsely in SystemConfig::modelKnobs:
+ * a knob renders, and fingerprints, only while it is off its declared
+ * default. The model becomes selectable by name through the
+ * "predictor", "prefetcher" and "llc.repl" parameters. The registry is
+ * the only way models are selected and tuned: SystemConfig holds one
+ * name per choice plus the knob map, and System builds each model from
+ * them here.
  *
  * A new model is therefore ONE new .cc file: the class, a registrar,
  * nothing else. No enum edits, no SystemConfig fields, no System
@@ -35,7 +35,6 @@
 namespace hermes
 {
 
-struct SystemConfig;
 class OffChipPredictor;
 class Prefetcher;
 class ReplacementPolicy;
@@ -51,14 +50,12 @@ enum class ModelKind : std::uint8_t
 /** Printable kind name ("predictor", "prefetcher", "replacement"). */
 const char *modelKindLabel(ModelKind kind);
 
-/** Knob key prefix per kind ("pred", "pref", "repl"). */
-const char *modelKnobPrefix(ModelKind kind);
-
 /**
  * One tunable knob of a registered model, auto-exposed as the
- * parameter-registry key "<prefix>.<model>.<name>". Values are stored
- * as validated strings in SystemConfig::modelKnobs and read back by
- * the model's factory through ModelContext::knob*().
+ * parameter-registry key "<model>.<name>". Values are stored in
+ * canonical form in SystemConfig::modelKnobs (absent while at the
+ * default) and read back by the model's factory through
+ * ModelContext::knob*().
  */
 struct ModelKnob
 {
@@ -79,20 +76,30 @@ struct ModelKnob
     std::string doc;
 
     const char *typeName() const;
+
+    /**
+     * Validate @p value against this declaration and return it in
+     * canonical form: the parsed value rendered again ("0x1f" -> "31",
+     * "yes" -> "true"), so every spelling of one value is one string.
+     * Throws std::invalid_argument, naming @p key, on a parse failure,
+     * an out-of-range value or a non-power-of-two.
+     */
+    std::string canonical(const std::string &key,
+                          const std::string &value) const;
 };
 
 struct ModelDef;
 
 /**
- * Everything a model factory may need: the full system configuration,
- * per-core / per-cache construction context, and typed access to the
- * model's own knob values (sparse overrides over declared defaults).
+ * Everything a model factory may need: per-core / per-cache
+ * construction context and typed access to the model's own knob values
+ * (sparse overrides over declared defaults). It deliberately carries
+ * no SystemConfig: a model is tuned only through its declared knobs.
  */
 struct ModelContext
 {
-    /** Full system configuration (legacy typed param structs live here,
-     * as does the sparse modelKnobs map). */
-    const SystemConfig *config = nullptr;
+    /** Sparse knob overrides (SystemConfig::modelKnobs). */
+    const std::map<std::string, std::string> *knobs = nullptr;
     /** Master seed (seeded prefetchers, e.g. Pythia). */
     std::uint64_t seed = 1;
     /** Core this predictor instance serves. */
@@ -119,15 +126,8 @@ struct ModelDef
     ModelKind kind = ModelKind::Predictor;
     /** One-line description (the --list-models doc column). */
     std::string doc;
-    /** Knobs auto-exposed as "<prefix>.<name>.*" parameter keys. */
+    /** Knobs auto-exposed as "<name>.<knob>" parameter keys. */
     std::vector<ModelKnob> knobs;
-    /**
-     * Pre-registry parameter keys this model reads from its typed
-     * SystemConfig struct ("popet.act_threshold", ...). Listed in the
-     * generated reference next to the auto-exposed knobs; new models
-     * should declare knobs instead.
-     */
-    std::vector<std::string> legacyKeys;
     /** Statistics-registry keys this model feeds ("pred.tp", ...). */
     std::vector<std::string> counters;
 
@@ -163,7 +163,9 @@ class ModelRegistry
     /**
      * Register a model. Throws std::invalid_argument on a duplicate
      * (kind, name), an empty/ill-formed name, a missing or
-     * kind-mismatched factory, or an invalid knob declaration.
+     * kind-mismatched factory, an invalid knob declaration or a knob
+     * key another model already declares. Stores each knob default in
+     * canonical form.
      */
     void add(ModelDef def);
 
@@ -182,7 +184,7 @@ class ModelRegistry
     const ModelDef &findOrThrow(ModelKind kind,
                                 const std::string &name) const;
 
-    /** Resolve a dotted parameter key ("pred.<model>.<knob>") to a
+    /** Resolve a dotted parameter key ("<model>.<knob>") to a
      * declared knob; nulls if the key is not a registered knob. */
     struct KnobRef
     {

@@ -278,68 +278,6 @@ ParamRegistry::ParamRegistry()
             "issue-side sweeps share one warmup checkpoint)");
     defs_.back().sparseRender = true;
 
-    num("popet.act_threshold",
-        [](SystemConfig &c) -> auto & {
-            return c.popet.activationThreshold;
-        },
-        -1024, 1024, "POPET activation threshold tau_act (Fig. 17e)");
-    num("popet.train_threshold_neg",
-        [](SystemConfig &c) -> auto & {
-            return c.popet.trainingThresholdNeg;
-        },
-        -1024, 1024, "POPET negative training threshold T_N");
-    num("popet.train_threshold_pos",
-        [](SystemConfig &c) -> auto & {
-            return c.popet.trainingThresholdPos;
-        },
-        -1024, 1024, "POPET positive training threshold T_P");
-    boolean("popet.train_on_mispredict",
-            [](SystemConfig &c) -> auto & {
-                return c.popet.trainOnMispredict;
-            },
-            "also train on mispredictions outside [T_N, T_P]");
-    num("popet.weight_bits",
-        [](SystemConfig &c) -> auto & { return c.popet.weightBits; }, 2,
-        8, "POPET perceptron weight width (bits)");
-    num("popet.feature_mask",
-        [](SystemConfig &c) -> auto & { return c.popet.featureMask; }, 1,
-        31, "bitmask of enabled POPET features (Fig. 10/11 ablations)");
-    num("popet.page_buffer_entries",
-        [](SystemConfig &c) -> auto & {
-            return c.popet.pageBufferEntries;
-        },
-        1, 65536, "POPET first-access page buffer entries");
-
-    num("hmp.local_histories",
-        [](SystemConfig &c) -> auto & { return c.hmp.localHistories; }, 1,
-        1 << 20, "HMP per-PC history registers", true);
-    num("hmp.local_history_bits",
-        [](SystemConfig &c) -> auto & { return c.hmp.localHistoryBits; },
-        1, 16, "HMP local history length (bits)");
-    num("hmp.local_counters",
-        [](SystemConfig &c) -> auto & { return c.hmp.localCounters; }, 1,
-        1 << 24, "HMP local pattern table counters", true);
-    num("hmp.gshare_counters",
-        [](SystemConfig &c) -> auto & { return c.hmp.gshareCounters; }, 1,
-        1 << 24, "HMP gshare table counters", true);
-    num("hmp.global_history_bits",
-        [](SystemConfig &c) -> auto & { return c.hmp.globalHistoryBits; },
-        1, 31, "HMP global history length (bits)");
-    num("hmp.gskew_counters",
-        [](SystemConfig &c) -> auto & { return c.hmp.gskewCounters; }, 1,
-        1 << 24, "HMP gskew counters per skewed bank", true);
-    num("hmp.counter_bits",
-        [](SystemConfig &c) -> auto & { return c.hmp.counterBits; }, 1, 8,
-        "HMP saturating counter width (bits)");
-
-    num("ttp.sets", [](SystemConfig &c) -> auto & { return c.ttp.sets; },
-        1, 1 << 24, "TTP tag-table sets", true);
-    num("ttp.ways", [](SystemConfig &c) -> auto & { return c.ttp.ways; },
-        1, 64, "TTP tag-table associativity");
-    num("ttp.tag_bits",
-        [](SystemConfig &c) -> auto & { return c.ttp.tagBits; }, 1, 16,
-        "TTP partial tag width (bits)");
-
     num("dram.channels",
         [](SystemConfig &c) -> auto & { return c.dram.channels; }, 1, 64,
         "DRAM channels");
@@ -422,59 +360,6 @@ ParamRegistry::findOrThrow(const std::string &key) const
     return *d;
 }
 
-namespace
-{
-
-/** Validate a registered-knob value against its declaration. */
-void
-applyModelKnob(SystemConfig &cfg, const std::string &key,
-               const std::string &value, const ModelKnob &knob)
-{
-    auto rangeCheck = [&](double v) {
-        if (v < knob.minValue || v > knob.maxValue) {
-            char lo[32], hi[32];
-            std::snprintf(lo, sizeof(lo), "%g", knob.minValue);
-            std::snprintf(hi, sizeof(hi), "%g", knob.maxValue);
-            throw std::invalid_argument(key + ": value " + value +
-                                        " out of range [" + lo + ", " +
-                                        hi + "]");
-        }
-    };
-    switch (knob.type) {
-      case ModelKnob::Type::Int: {
-        const auto v = parseInt64(value);
-        if (!v)
-            throw std::invalid_argument(key + ": expected an integer, "
-                                              "got '" +
-                                        value + "'");
-        rangeCheck(static_cast<double>(*v));
-        if (knob.powerOfTwo && (*v <= 0 || (*v & (*v - 1)) != 0))
-            throw std::invalid_argument(key + ": value " + value +
-                                        " must be a power of two");
-        break;
-      }
-      case ModelKnob::Type::Bool: {
-        if (!parseBoolWord(value))
-            throw std::invalid_argument(key + ": expected a boolean, "
-                                              "got '" +
-                                        value + "'");
-        break;
-      }
-      case ModelKnob::Type::Double: {
-        const auto v = parseFiniteDouble(value);
-        if (!v)
-            throw std::invalid_argument(key + ": expected a number, "
-                                              "got '" +
-                                        value + "'");
-        rangeCheck(*v);
-        break;
-      }
-    }
-    cfg.modelKnobs[key] = value;
-}
-
-} // namespace
-
 void
 ParamRegistry::apply(SystemConfig &cfg, const std::string &key,
                      const std::string &value) const
@@ -482,11 +367,17 @@ ParamRegistry::apply(SystemConfig &cfg, const std::string &key,
     const ParamDef *d = find(key);
     if (d == nullptr) {
         // Not a core parameter: maybe a registered model knob
-        // ("pred.<model>.<knob>") or a corpus-generator knob
+        // ("<model>.<knob>") or a corpus-generator knob
         // ("corpus.<gen>.<knob>") — both sparse maps, so untouched
-        // configurations render (and fingerprint) unchanged.
+        // configurations render (and fingerprint) unchanged. A model
+        // knob is kept in canonical form and only while off its
+        // default, so every spelling of one value is one identity.
         if (const auto kref = ModelRegistry::instance().findKnob(key)) {
-            applyModelKnob(cfg, key, value, *kref.knob);
+            const std::string v = kref.knob->canonical(key, value);
+            if (v == kref.knob->defaultValue)
+                cfg.modelKnobs.erase(key);
+            else
+                cfg.modelKnobs[key] = v;
             return;
         }
         if (key.rfind("corpus.", 0) == 0) {
@@ -651,9 +542,8 @@ SystemConfig::toConfig() const
             continue;
         out.set(d.key, value);
     }
-    // Explicitly-set model knobs only (std::map iterates sorted, so
-    // the rendering — and the sweep fingerprint — is deterministic);
-    // untouched configurations render exactly as before the registry.
+    // Off-default model knobs only (std::map iterates sorted, so the
+    // rendering — and the sweep fingerprint — is deterministic).
     for (const auto &[key, value] : modelKnobs)
         out.set(key, value);
     for (const auto &[key, value] : corpusKnobs)
@@ -684,6 +574,9 @@ describeScenarioSpace()
     out += describeCorpus();
     out += "parameters (key  type  default  range  warmup  doc):\n";
     out += ParamRegistry::instance().describe();
+    out += "models (kind name, then knob key  type  default  range  "
+           "doc):\n";
+    out += ModelRegistry::instance().describe();
     return out;
 }
 

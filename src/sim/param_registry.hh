@@ -3,10 +3,14 @@
 /**
  * @file
  * Schema'd parameter registry: every field of SystemConfig and its
- * nested parameter structs (CoreParams, cache geometry, PopetParams,
- * HmpParams, TtpParams, DramParams, Hermes knobs) is bound to a dotted
- * string key ("llc.ways", "popet.act_threshold", "dram.channels", ...)
- * with a type, a default, a valid range and a doc string.
+ * nested parameter structs (CoreParams, cache geometry, DramParams,
+ * Hermes knobs) is bound to a dotted string key ("llc.ways",
+ * "dram.channels", ...) with a type, a default, a valid range and a
+ * doc string. The models' own parameters ("popet.act_threshold",
+ * "hashperc.table_bits", ...) are not rows here: each model declares
+ * them as knobs in the model registry (sim/model_registry.hh), and
+ * apply() accepts those keys too, storing them in
+ * SystemConfig::modelKnobs.
  *
  * This is what makes every experiment expressible as strings: the
  * hermes_run CLI, .ini scenario files and the string-driven sweep axes
@@ -135,7 +139,8 @@ class ParamRegistry
 /**
  * The full discovery listing shared by `hermes_run --list` and the
  * bench harness: predictors, prefetchers, replacement policies, trace
- * suites and the parameter table.
+ * suites, the parameter table and the model reference with every knob
+ * key, so every key apply() accepts is listed.
  */
 std::string describeScenarioSpace();
 

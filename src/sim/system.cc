@@ -134,7 +134,7 @@ System::System(const SystemConfig &config,
     llc_params.pqSize = 48u * n;
     {
         ModelContext ctx;
-        ctx.config = &config_;
+        ctx.knobs = &config_.modelKnobs;
         ctx.seed = config_.seed;
         ctx.sets = llc_params.sets;
         ctx.ways = llc_params.ways;
@@ -146,7 +146,7 @@ System::System(const SystemConfig &config,
 
     {
         ModelContext ctx;
-        ctx.config = &config_;
+        ctx.knobs = &config_.modelKnobs;
         ctx.seed = config_.seed;
         prefetcher_ = ModelRegistry::instance().makePrefetcher(
             config_.prefetcher, std::move(ctx));
@@ -188,7 +188,7 @@ System::System(const SystemConfig &config,
         Cache *l2 = l2_[i].get();
         Cache *llc = llc_.get();
         ModelContext ctx;
-        ctx.config = &config_;
+        ctx.knobs = &config_.modelKnobs;
         ctx.seed = config_.seed;
         ctx.coreId = i;
         ctx.residentProbe = [l1, l2, llc](Addr line) {

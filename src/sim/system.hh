@@ -8,8 +8,9 @@
  * off-chip predictors + Hermes controllers. Defaults reproduce Table 4.
  *
  * The LLC replacement policy, the prefetcher and the predictor are
- * built from the model registry by the names SystemConfig holds; L1
- * and L2 always use LRU.
+ * built from the model registry by the names SystemConfig holds, each
+ * tuned by its registered knobs (SystemConfig::modelKnobs); L1 and L2
+ * always use LRU. SystemConfig itself holds no model's parameters.
  */
 
 #include <cstdint>
@@ -23,10 +24,7 @@
 #include "dram/dram.hh"
 #include "hermes/hermes.hh"
 #include "sim/perf.hh"
-#include "predictor/hmp.hh"
 #include "predictor/offchip_pred.hh"
-#include "predictor/popet.hh"
-#include "predictor/ttp.hh"
 #include "prefetch/prefetcher.hh"
 #include "trace/workload.hh"
 
@@ -80,19 +78,17 @@ struct SystemConfig
      * its points. The predictor still trains during warmup either way.
      */
     bool hermesWarmupIssue = true;
-    PopetParams popet;
-    HmpParams hmp;
-    TtpParams ttp;
 
     DramParams dram;
 
     std::uint64_t seed = 1;
 
     /**
-     * Sparse registered-knob overrides ("pred.<model>.<knob>" ->
-     * validated value string). Only explicitly-set knobs appear here;
-     * unset knobs fall back to their declared defaults at model
-     * construction.
+     * Sparse model-knob overrides ("<model>.<knob>" -> canonical value
+     * string, e.g. "popet.feature_mask" -> "1"). Only knobs off their
+     * declared default appear here (ParamRegistry::apply erases a knob
+     * set back to its default); the rest fall back to their declared
+     * defaults at model construction.
      */
     std::map<std::string, std::string> modelKnobs;
     /**

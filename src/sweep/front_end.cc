@@ -388,6 +388,8 @@ parseCli(const FrontEnd &fe, int argc, const char *const *argv)
     } catch (const std::invalid_argument &e) {
         throw UsageError(e.what());
     }
+    if (!opt.suiteName.empty() && !opt.workloads.empty())
+        throw UsageError("--suite cannot be combined with --trace/--mix");
     if (opt.merge && opt.resumePaths.empty())
         throw UsageError(
             "--merge needs the shard journals as --resume FILE arguments");

@@ -260,6 +260,8 @@ TEST_F(FrontEndTest, MalformedCommandLinesAreUsageErrors)
         {"--mix", "a,,b"},
         {"--stats", "no.such.stat"},
         {"--suite", "no_such_suite"},
+        {"--suite", "quick", "--trace", "spec06.mcf_like.0"},
+        {"--suite", "quick", "--mix", "spec06.mcf_like.0,ligra.bfs_like.0"},
         {"--merge"},
         {"--merge", "--resume", "r.jsonl", "--shard", "1/2"},
     };

@@ -2,15 +2,18 @@
 
 /**
  * @file
- * Shared fakes for unit-testing memory-system components in isolation:
- * a scriptable backing memory (fixed-latency MemDevice) and a recording
- * client that captures returned responses.
+ * Shared fakes for unit-testing components in isolation: a scriptable
+ * backing memory (fixed-latency MemDevice), a recording client that
+ * captures returned responses, and an in-memory ByteSink for
+ * checkpoint bytes.
  */
 
 #include <deque>
+#include <string>
 #include <vector>
 
 #include "cache/mem_iface.hh"
+#include "trace/trace_io.hh"
 
 namespace hermes::test
 {
@@ -88,6 +91,24 @@ class FakeMemory : public MemDevice
     Cycle now_ = 0;
     MemClient *client_ = nullptr;
     std::deque<std::pair<MemRequest, Cycle>> pending_;
+};
+
+/** In-memory ByteSink so checkpoint bytes can be inspected/mutated. */
+class VectorSink : public ByteSink
+{
+  public:
+    void write(const void *data, std::size_t size) override
+    {
+        const auto *p = static_cast<const char *>(data);
+        bytes.insert(bytes.end(), p, p + size);
+    }
+    void finish() override {}
+    const std::string &path() const override { return path_; }
+
+    std::vector<char> bytes;
+
+  private:
+    std::string path_ = "<memory>";
 };
 
 /** Make a load request to a byte address. */

@@ -2,13 +2,16 @@
 // (sim/model_registry.hh): registration validation (duplicates,
 // ill-formed names, factory/kind mismatches), nearest-name suggestions
 // for unknown models and knob keys, knob validation and
-// fromConfig/toConfig round trips, runtime registration visibility
-// through the selection parameters, the rejection of names that are
-// not registered, and deterministic runs of the new contenders.
+// fromConfig/toConfig round trips, that every knob reaches its model
+// and that every spelling of a value is one identity, runtime
+// registration visibility through the selection parameters, the
+// rejection of names that are not registered, and deterministic runs
+// of the new contenders.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <initializer_list>
 #include <memory>
 #include <stdexcept>
@@ -17,13 +20,20 @@
 #include <vector>
 
 #include "common/config.hh"
+#include "common/rng.hh"
+#include "common/state_io.hh"
+#include "predictor/hmp.hh"
 #include "predictor/offchip_pred.hh"
+#include "predictor/popet.hh"
+#include "predictor/ttp.hh"
 #include "prefetch/prefetcher.hh"
 #include "sim/model_registry.hh"
 #include "sim/param_registry.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
 #include "sim/system.hh"
+#include "sweep/journal.hh"
+#include "test_helpers.hh"
 #include "trace/suite.hh"
 
 namespace hermes
@@ -121,53 +131,285 @@ TEST(ModelRegistry, UnknownModelGetsNearestSuggestion)
 
 TEST(ModelRegistry, UnknownKnobKeyGetsNearestSuggestion)
 {
-    try {
-        configWith({"pred.hashperc.table_bit=12"});
-        FAIL() << "unknown knob key did not throw";
-    } catch (const std::invalid_argument &e) {
-        EXPECT_NE(
-            std::string(e.what()).find("pred.hashperc.table_bits"),
-            std::string::npos)
-            << e.what();
+    // A typo, and the kind-prefixed spelling knob keys no longer take.
+    for (const char *kv :
+         {"hashperc.table_bit=12", "pred.hashperc.table_bits=12"}) {
+        try {
+            configWith({kv});
+            ADD_FAILURE() << kv << " did not throw";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "did you mean 'hashperc.table_bits'"),
+                      std::string::npos)
+                << e.what();
+        }
     }
 }
 
 TEST(ModelRegistry, KnobValuesAreValidated)
 {
     // Range check.
-    EXPECT_THROW(configWith({"pred.hashperc.table_bits=40"}),
+    EXPECT_THROW(configWith({"hashperc.table_bits=40"}),
+                 std::invalid_argument);
+    EXPECT_THROW(configWith({"popet.weight_bits=9"}),
                  std::invalid_argument);
     // Power-of-two check on mask-indexed geometry.
-    EXPECT_THROW(configWith({"pref.ipcp.entries=1000"}),
+    EXPECT_THROW(configWith({"ipcp.entries=1000"}), std::invalid_argument);
+    EXPECT_THROW(configWith({"hmp.gshare_counters=1000"}),
                  std::invalid_argument);
     // Type check.
-    EXPECT_THROW(configWith({"pred.hashperc.hashes=many"}),
+    EXPECT_THROW(configWith({"hashperc.hashes=many"}),
+                 std::invalid_argument);
+    EXPECT_THROW(configWith({"popet.train_on_mispredict=maybe"}),
                  std::invalid_argument);
     // In-range values apply.
-    EXPECT_NO_THROW(configWith({"pref.ipcp.entries=2048"}));
+    EXPECT_NO_THROW(configWith({"ipcp.entries=2048"}));
 }
 
 TEST(ModelRegistry, KnobsRoundTripThroughConfig)
 {
-    const SystemConfig cfg = configWith(
-        {"predictor=hashperc", "pred.hashperc.table_bits=12"});
+    const SystemConfig cfg =
+        configWith({"predictor=hashperc", "hashperc.table_bits=12"});
     const Config out = cfg.toConfig();
     EXPECT_EQ(out.get("predictor", std::string()), "hashperc");
-    EXPECT_EQ(out.get("pred.hashperc.table_bits", std::string()), "12");
+    EXPECT_EQ(out.get("hashperc.table_bits", std::string()), "12");
     // And back: a config rebuilt from the rendering is identical.
     const SystemConfig again = SystemConfig::fromConfig(out);
     EXPECT_EQ(again.predictor, "hashperc");
     EXPECT_EQ(again.modelKnobs, cfg.modelKnobs);
 
-    // Untouched knobs never render: pre-registry configurations keep
-    // their exact key set (and therefore their golden fingerprints).
+    // Untouched knobs never render.
     const Config base = SystemConfig::baseline(1).toConfig();
-    for (const std::string &key : base.keys()) {
-        EXPECT_NE(key.rfind("pred.", 0), 0u) << key;
-        EXPECT_NE(key.rfind("pref.", 0), 0u) << key;
-        EXPECT_NE(key.rfind("repl.", 0), 0u) << key;
+    for (const std::string &key : ModelRegistry::instance().knobKeys())
+        EXPECT_FALSE(base.contains(key)) << key;
+}
+
+TEST(ModelRegistry, EveryKnobKeyAppliesIntoModelKnobs)
+{
+    const ModelRegistry &models = ModelRegistry::instance();
+    const std::vector<std::string> keys = models.knobKeys();
+    ASSERT_FALSE(keys.empty());
+    for (const std::string &key : keys) {
+        // One namespace per model: no knob shadows a core parameter or
+        // the corpus-generator keys.
+        EXPECT_EQ(ParamRegistry::instance().find(key), nullptr) << key;
+        EXPECT_NE(key.rfind("corpus.", 0), 0u) << key;
+
+        // An off-default value is stored under the key, and setting the
+        // default again erases it.
+        const ModelKnob &k = *models.findKnob(key).knob;
+        std::string value;
+        switch (k.type) {
+          case ModelKnob::Type::Bool:
+            value = k.defaultValue == "true" ? "false" : "true";
+            break;
+          case ModelKnob::Type::Int: {
+            const std::int64_t d = std::stoll(k.defaultValue);
+            const std::int64_t up = k.powerOfTwo ? d * 2 : d + 1;
+            const std::int64_t down = k.powerOfTwo ? d / 2 : d - 1;
+            value = std::to_string(up <= k.maxValue ? up : down);
+            break;
+          }
+          case ModelKnob::Type::Double:
+            value = std::to_string(k.maxValue);
+            break;
+        }
+        SystemConfig cfg = SystemConfig::baseline(1);
+        ParamRegistry::instance().apply(cfg, key, value);
+        ASSERT_EQ(cfg.modelKnobs.count(key), 1u) << key << "=" << value;
+        EXPECT_EQ(cfg.toConfig().get(key, std::string()),
+                  cfg.modelKnobs.at(key));
+        ParamRegistry::instance().apply(cfg, key, k.defaultValue);
+        EXPECT_TRUE(cfg.modelKnobs.empty()) << key;
     }
-    EXPECT_FALSE(base.contains("pred.hashperc.table_bits"));
+}
+
+/** Every identity a configuration has: rendering, point, warmup. */
+std::string
+identity(const SystemConfig &cfg)
+{
+    const std::vector<TraceSpec> traces = {findTrace("spec06.mcf_like.0")};
+    SimBudget b;
+    b.warmupInstrs = 2'000;
+    b.simInstrs = 5'000;
+    sweep::GridPoint point;
+    point.label = "p";
+    point.config = cfg;
+    point.traces = traces;
+    point.budget = b;
+    const SimSession session(cfg, traces, b);
+    std::string out;
+    const Config c = cfg.toConfig();
+    for (const std::string &key : c.keys())
+        out += key + "=" + *c.getString(key) + "\n";
+    return out + "point " + std::to_string(sweep::pointFingerprint(point)) +
+           "\nwarmup " + std::to_string(session.warmupFingerprint()) + "\n";
+}
+
+TEST(ModelRegistry, EverySpellingOfAValueIsOneIdentity)
+{
+    // Explicit defaults, in any spelling, are no override at all.
+    const std::string base = identity(configWith({"predictor=popet"}));
+    for (const char *kv :
+         {"popet.act_threshold=-18", "popet.feature_mask=0x1f",
+          "popet.train_on_mispredict=yes", "hmp.counter_bits=2",
+          "ttp.sets=0x10000", "hashperc.table_bits=11"})
+        EXPECT_EQ(identity(configWith({"predictor=popet", kv})), base)
+            << kv;
+    // Off-default values are stored canonically too.
+    const std::pair<const char *, const char *> same[] = {
+        {"popet.feature_mask=3", "popet.feature_mask=0x3"},
+        {"popet.train_on_mispredict=false",
+         "popet.train_on_mispredict=off"},
+    };
+    for (const auto &[a, b] : same) {
+        const std::string one = identity(configWith({"predictor=popet", a}));
+        EXPECT_NE(one, base) << a;
+        EXPECT_EQ(identity(configWith({"predictor=popet", b})), one) << b;
+    }
+}
+
+/** What a predictor shows after one seeded load stream. */
+struct Observed
+{
+    std::string predictions;
+    std::uint64_t storageBits = 0;
+    std::vector<char> state;
+
+    bool
+    operator==(const Observed &o) const
+    {
+        return predictions == o.predictions &&
+               storageBits == o.storageBits && state == o.state;
+    }
+};
+
+Observed
+observe(OffChipPredictor &pred)
+{
+    // A quarter of the PCs mostly go off-chip, the rest mostly hit,
+    // so every predictor learns and its parameters show.
+    Rng rng(42);
+    Observed o;
+    for (int i = 0; i < 20'000; ++i) {
+        const Addr pc = 0x400000 + 4 * rng.below(64);
+        const Addr vaddr = rng.below(Addr{1} << 16);
+        PredMeta meta;
+        o.predictions += pred.predict(pc, vaddr, meta) ? '1' : '0';
+        const bool off_chip =
+            rng.chance((pc >> 2) % 4 == 0 ? 0.9 : 0.05);
+        pred.train(pc, vaddr, meta, off_chip);
+        if (off_chip)
+            pred.onFillFromDram(lineAddr(vaddr));
+        else if (rng.chance(0.2))
+            pred.onLlcEviction(lineAddr(vaddr));
+    }
+    o.storageBits = pred.storageBits();
+    test::VectorSink sink;
+    StateWriter w(sink);
+    pred.saveState(w);
+    w.sealChecksum();
+    o.state = std::move(sink.bytes);
+    return o;
+}
+
+template <typename Model, typename Params>
+std::function<std::unique_ptr<OffChipPredictor>()>
+direct(void (*set)(Params &))
+{
+    return [set] {
+        Params p;
+        set(p);
+        return std::make_unique<Model>(p);
+    };
+}
+
+TEST(ModelRegistry, EveryKnobReachesItsModel)
+{
+    // One row per knob: the predictor built by the registry from an
+    // off-default override must behave exactly like one built
+    // directly from its typed parameters with the same field set. A
+    // row with no override pins the defaults.
+    struct Row
+    {
+        const char *model;
+        const char *kv; ///< "" = no override
+        std::function<std::unique_ptr<OffChipPredictor>()> build;
+    };
+    using P = PopetParams;
+    using H = HmpParams;
+    using T = TtpParams;
+    const Row rows[] = {
+        {"popet", "", direct<Popet, P>([](P &) {})},
+        {"popet", "popet.act_threshold=-10",
+         direct<Popet, P>([](P &p) { p.activationThreshold = -10; })},
+        {"popet", "popet.train_threshold_neg=-20",
+         direct<Popet, P>([](P &p) { p.trainingThresholdNeg = -20; })},
+        {"popet", "popet.train_threshold_pos=10",
+         direct<Popet, P>([](P &p) { p.trainingThresholdPos = 10; })},
+        {"popet", "popet.train_on_mispredict=false",
+         direct<Popet, P>([](P &p) { p.trainOnMispredict = false; })},
+        {"popet", "popet.weight_bits=4",
+         direct<Popet, P>([](P &p) { p.weightBits = 4; })},
+        {"popet", "popet.feature_mask=5",
+         direct<Popet, P>([](P &p) { p.featureMask = 5; })},
+        {"popet", "popet.page_buffer_entries=16",
+         direct<Popet, P>([](P &p) { p.pageBufferEntries = 16; })},
+        {"hmp", "", direct<Hmp, H>([](H &) {})},
+        {"hmp", "hmp.local_histories=1024",
+         direct<Hmp, H>([](H &p) { p.localHistories = 1024; })},
+        {"hmp", "hmp.local_history_bits=8",
+         direct<Hmp, H>([](H &p) { p.localHistoryBits = 8; })},
+        {"hmp", "hmp.local_counters=4096",
+         direct<Hmp, H>([](H &p) { p.localCounters = 4096; })},
+        {"hmp", "hmp.gshare_counters=4096",
+         direct<Hmp, H>([](H &p) { p.gshareCounters = 4096; })},
+        {"hmp", "hmp.global_history_bits=10",
+         direct<Hmp, H>([](H &p) { p.globalHistoryBits = 10; })},
+        {"hmp", "hmp.gskew_counters=2048",
+         direct<Hmp, H>([](H &p) { p.gskewCounters = 2048; })},
+        {"hmp", "hmp.counter_bits=3",
+         direct<Hmp, H>([](H &p) { p.counterBits = 3; })},
+        {"ttp", "", direct<Ttp, T>([](T &) {})},
+        {"ttp", "ttp.sets=1024",
+         direct<Ttp, T>([](T &p) { p.sets = 1024; })},
+        {"ttp", "ttp.ways=4", direct<Ttp, T>([](T &p) { p.ways = 4; })},
+        {"ttp", "ttp.tag_bits=8",
+         direct<Ttp, T>([](T &p) { p.tagBits = 8; })},
+    };
+    const ModelRegistry &models = ModelRegistry::instance();
+    auto viaRegistry = [&models](const char *model,
+                                 const SystemConfig &cfg) {
+        ModelContext ctx;
+        ctx.knobs = &cfg.modelKnobs;
+        auto pred = models.makePredictor(model, ctx);
+        EXPECT_NE(pred, nullptr) << model;
+        return observe(*pred);
+    };
+    const SystemConfig defaults = SystemConfig::baseline(1);
+    std::size_t knobs = 0;
+    for (const Row &row : rows) {
+        SystemConfig cfg = defaults;
+        if (*row.kv != '\0') {
+            applyOverride(cfg, row.kv);
+            ASSERT_EQ(cfg.modelKnobs.size(), 1u) << row.kv;
+            ++knobs;
+        }
+        const Observed got = viaRegistry(row.model, cfg);
+        EXPECT_TRUE(got == observe(*row.build())) << row.kv;
+        // The value must show, or the row could not catch a knob the
+        // factory drops.
+        if (*row.kv != '\0') {
+            EXPECT_FALSE(got == viaRegistry(row.model, defaults))
+                << row.kv;
+        }
+    }
+    // Every declared knob of the three models has its row.
+    std::size_t declared = 0;
+    for (const char *model : {"popet", "hmp", "ttp"})
+        declared +=
+            models.findOrThrow(ModelKind::Predictor, model).knobs.size();
+    EXPECT_EQ(knobs, declared);
 }
 
 TEST(ModelRegistry, UndeclaredKnobReadIsAModelBug)
@@ -273,8 +515,8 @@ TEST(ModelRegistry, ListsContainTheNewContenders)
     EXPECT_NE(std::find(prefs.begin(), prefs.end(), "ipcp"),
               prefs.end());
     const std::string ref = ModelRegistry::instance().describe();
-    EXPECT_NE(ref.find("pred.hashperc.table_bits"), std::string::npos);
-    EXPECT_NE(ref.find("pref.ipcp.degree"), std::string::npos);
+    EXPECT_NE(ref.find("knob hashperc.table_bits"), std::string::npos);
+    EXPECT_NE(ref.find("knob ipcp.degree"), std::string::npos);
 }
 
 TEST(ModelRegistryGolden, NewContendersRunDeterministically)

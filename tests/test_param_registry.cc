@@ -68,7 +68,7 @@ TEST(ParamRegistry, ToConfigRoundTrips)
     cfg.predictor = PredictorKind::Popet;
     cfg.hermesIssueEnabled = true;
     cfg.llcLatency = 50;
-    cfg.popet.activationThreshold = -22;
+    applyOverride(cfg, "popet.act_threshold=-22");
     cfg.llcBytesPerCore = 6ull << 20;
     EXPECT_EQ(flatten(SystemConfig::fromConfig(cfg.toConfig())),
               flatten(cfg));
@@ -161,9 +161,10 @@ TEST(ParamRegistry, OverridesReachNestedParams)
         {"popet.act_threshold=-25", "hmp.counter_bits=3",
          "ttp.tag_bits=12", "dram.channels=2", "core.rob_size=256",
          "llc.repl=lru"});
-    EXPECT_EQ(cfg.popet.activationThreshold, -25);
-    EXPECT_EQ(cfg.hmp.counterBits, 3u);
-    EXPECT_EQ(cfg.ttp.tagBits, 12u);
+    // Model parameters land in the knob map their factories read.
+    EXPECT_EQ(cfg.modelKnobs.at("popet.act_threshold"), "-25");
+    EXPECT_EQ(cfg.modelKnobs.at("hmp.counter_bits"), "3");
+    EXPECT_EQ(cfg.modelKnobs.at("ttp.tag_bits"), "12");
     EXPECT_EQ(cfg.dram.channels, 2u);
     EXPECT_EQ(cfg.core.robSize, 256u);
     EXPECT_EQ(cfg.llcRepl, "lru");
