@@ -23,6 +23,24 @@ trim(const std::string &s)
     return (b < e) ? std::string(b, e) : std::string();
 }
 
+/**
+ * True for a literal base 0 would read as octal ("010", "-07", "00"):
+ * a zero followed by anything but the 'x' of a hex prefix. Rejected
+ * rather than read as decimal, since "010" means 8 to C and 10 to a
+ * person.
+ */
+bool
+leadingZero(const std::string &s)
+{
+    std::size_t i = 0;
+    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i])))
+        ++i;
+    if (i < s.size() && (s[i] == '-' || s[i] == '+'))
+        ++i;
+    return i + 1 < s.size() && s[i] == '0' && s[i + 1] != 'x' &&
+           s[i + 1] != 'X';
+}
+
 } // namespace
 
 std::size_t
@@ -46,6 +64,8 @@ editDistance(const std::string &a, const std::string &b)
 std::optional<std::int64_t>
 parseInt64(const std::string &s)
 {
+    if (leadingZero(s))
+        return std::nullopt;
     char *end = nullptr;
     errno = 0;
     const long long v = std::strtoll(s.c_str(), &end, 0);
@@ -59,7 +79,7 @@ parseUint64(const std::string &s)
 {
     // strtoull silently wraps negatives ("-1" -> UINT64_MAX); reject
     // any minus sign up front.
-    if (s.find('-') != std::string::npos)
+    if (s.find('-') != std::string::npos || leadingZero(s))
         return std::nullopt;
     char *end = nullptr;
     errno = 0;

@@ -20,7 +20,9 @@ namespace hermes
 /**
  * Strict scalar parsers shared by Config and the parameter registry.
  * The whole string must parse: trailing garbage, overflow and (for
- * doubles) NaN/inf are rejected with std::nullopt.
+ * doubles) NaN/inf are rejected with std::nullopt. Integers are
+ * decimal or 0x hex; a leading-zero literal ("010") is rejected, not
+ * read as octal.
  */
 std::optional<std::int64_t> parseInt64(const std::string &s);
 std::optional<std::uint64_t> parseUint64(const std::string &s);

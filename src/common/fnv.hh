@@ -5,12 +5,13 @@
  * Incremental FNV-1a over 64-bit words and length-prefixed strings:
  * the one hash behind the whole golden-fingerprint family
  * (statsFingerprint, the sweep journal's point/space fingerprints,
- * sweepFingerprint, the warmup-checkpoint fingerprint and the
- * checkpoint payload checksum). Keep every fingerprint on this class
- * so the pinned goldens can never diverge between sites.
+ * sweepFingerprint and the warmup-checkpoint fingerprint). Keep every
+ * fingerprint on this class so the pinned goldens can never diverge
+ * between sites. The checkpoint payload checksum is not a fingerprint
+ * and is not FNV: it hashes megabytes per restore, so it uses the
+ * word-at-a-time Xxh64 (common/state_io.hh).
  */
 
-#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -34,15 +35,6 @@ class Fnv64
         add(static_cast<std::uint64_t>(s.size()));
         for (unsigned char c : s)
             byte(c);
-    }
-
-    /** Raw bytes, no length prefix (the checkpoint stream checksum). */
-    void
-    addBytes(const void *data, std::size_t size)
-    {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < size; ++i)
-            byte(p[i]);
     }
 
     std::uint64_t value() const { return h_; }

@@ -17,7 +17,7 @@
  * neither side ever holds a whole stream. Staging is invisible in the
  * bytes: the stream is exactly the concatenation of its fields.
  *
- * Robustness: every payload byte feeds a running FNV-1a checksum on
+ * Robustness: every payload byte feeds a running Xxh64 checksum on
  * both sides, one chunk at a time (the writer as a chunk leaves, the
  * reader as consumed bytes leave the buffer, so the stored checksum
  * word stays outside the hash); section tags ("CORE", "LLC0", ...)
@@ -33,8 +33,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "common/fnv.hh"
-
 namespace hermes
 {
 
@@ -43,6 +41,36 @@ class ByteSource;
 
 /** Size of the writer's and the reader's staging buffer. */
 inline constexpr std::size_t kStateStagingBytes = 16 * 1024;
+
+/**
+ * The checkpoint payload checksum: XXH64 with seed 0, computed
+ * incrementally. Four 64-bit lanes take 32-byte little-endian stripes
+ * through xxHash64's multiply-rotate round; a stripe split between
+ * two update() calls waits in a carry of at most 31 bytes, so the
+ * value never depends on how the bytes were chunked. value() applies
+ * the merge, tail and avalanche steps to a copy and may be called at
+ * any point. Identity fingerprints stay on Fnv64 (common/fnv.hh);
+ * this hash only guards checkpoint streams, where byte-serial FNV-1a
+ * cost over ten times as much.
+ */
+class Xxh64
+{
+  public:
+    void update(const void *data, std::size_t size);
+    std::uint64_t value() const;
+
+  private:
+    /** Fold @p n whole stripes at @p p into the lanes. */
+    void stripes(const std::uint8_t *p, std::size_t n);
+
+    // Seed 0's lanes: prime1 + prime2, prime2, 0, -prime1 (mod 2^64).
+    std::uint64_t lane_[4] = {0x60EA27EEADC0B5D6ull,
+                              0xC2B2AE3D27D4EB4Full, 0,
+                              0x61C8864E7A143579ull};
+    std::uint64_t total_ = 0;
+    std::size_t carried_ = 0;
+    std::uint8_t carry_[32] = {};
+};
 
 /** Any checkpoint decode defect: truncation, bad tag, bad checksum. */
 class StateError : public std::runtime_error
@@ -142,7 +170,7 @@ class StateWriter
     void flush();
 
     ByteSink &sink_;
-    Fnv64 hash_;
+    Xxh64 hash_;
     std::size_t used_ = 0;
     std::uint8_t buf_[kStateStagingBytes] = {};
 };
@@ -249,7 +277,7 @@ class StateReader
     static constexpr std::size_t kMaxString = 1u << 20;
 
     ByteSource &source_;
-    Fnv64 hash_;
+    Xxh64 hash_;
     // buf_[0, pos_) is consumed but not yet hashed; buf_[pos_, end_)
     // is read ahead.
     std::size_t pos_ = 0;

@@ -86,7 +86,7 @@ class SimSession
 {
   public:
     /** Checkpoint stream format version (bump on any layout change). */
-    static constexpr std::uint32_t kCheckpointVersion = 1;
+    static constexpr std::uint32_t kCheckpointVersion = 2;
     /** Leading bytes of every checkpoint stream. */
     static constexpr char kCheckpointMagic[9] = "HRMCKPT1";
 

@@ -13,7 +13,7 @@
  *
  * Entry layout (SimSession::snapshot): "HRMCKPT1" magic, format
  * version, the warmup fingerprint, every component's saveState stream
- * and a trailing FNV-1a checksum.
+ * and a trailing XXH64 checksum.
  *
  * Trust model: load() verifies magic, version, fingerprint and
  * checksum via SimSession::restore(). Directory, atomic publish,

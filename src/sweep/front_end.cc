@@ -408,6 +408,13 @@ parseCli(const FrontEnd &fe, int argc, const char *const *argv)
     if (opt.noWarmupCache && !opt.warmupCacheSpec.empty())
         throw UsageError("--warmup-cache and --no-warmup-cache are "
                          "mutually exclusive");
+    // A parameter value the registry rejects ("llc.ways=010", an axis
+    // value, an unknown key) is a bad command line too.
+    try {
+        expandGrid(SystemConfig::fromConfig(opt.overrides), opt.axisSpecs);
+    } catch (const std::invalid_argument &e) {
+        throw UsageError(e.what());
+    }
     return opt;
 }
 

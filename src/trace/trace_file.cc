@@ -96,6 +96,7 @@ FileWorkload::saveState(StateWriter &w) const
     w.str(name_);
     w.u64(instrCount_);
     w.u64(pos_);
+    reader_->saveState(w);
 }
 
 void
@@ -108,13 +109,8 @@ FileWorkload::loadState(StateReader &r)
     if (name != name_ || count != instrCount_ || target > instrCount_)
         throw StateError("checkpointed trace '" + name +
                          "' does not match workload '" + name_ + "'");
-    // Reposition by replaying through next(): the reader's compressed
-    // stream state rebuilds itself, and the loop/rewind behavior is by
-    // construction identical to a straight run's.
-    reader_->rewind();
-    pos_ = 0;
-    for (std::uint64_t i = 0; i < target; ++i)
-        static_cast<void>(next());
+    reader_->loadState(r, target);
+    pos_ = target;
 }
 
 std::size_t

@@ -86,9 +86,10 @@ class FileWorkload : public Workload
     std::size_t residentBytes() const;
 
     /**
-     * File replays checkpoint as their absolute loop position: restore
-     * rewinds the reader and re-skips, so the (stateful, compressed)
-     * reader internals never have to serialize.
+     * File replays checkpoint their loop position and the reader's
+     * decode position (TraceReader::saveState): a restore seeks to
+     * the cursor from its restart point, inflating less than one gzip
+     * member, instead of decoding the records before it.
      */
     bool checkpointable() const override { return true; }
     void saveState(StateWriter &w) const override;

@@ -1,5 +1,6 @@
 #include "trace/trace_io.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
@@ -71,16 +72,45 @@ sniffCompression(std::FILE *f, const std::string &path)
 // Sources
 // ---------------------------------------------------------------------
 
-class RawFileSource final : public ByteSource
+/**
+ * Read and drop @p size bytes, calling @p before_read ahead of every
+ * read; throws if the stream ends first.
+ */
+template <typename BeforeRead>
+void
+discard(ByteSource &source, std::uint64_t size, BeforeRead before_read)
+{
+    unsigned char scratch[4096]; // one stack page: a seek adds no buffer
+    while (size > 0) {
+        before_read();
+        const std::size_t got = source.read(
+            scratch, static_cast<std::size_t>(
+                         std::min<std::uint64_t>(size, sizeof(scratch))));
+        if (got == 0)
+            fail("seek past the end of " + source.path());
+        size -= got;
+    }
+}
+
+/** What every file-backed source shares: the file, its path and size. */
+class FileSource : public ByteSource
 {
   public:
-    RawFileSource(FilePtr f, std::string path)
+    FileSource(FilePtr f, std::string path)
         : f_(std::move(f)), path_(std::move(path))
     {
+        struct stat st;
+        if (fstat(fileno(f_.get()), &st) == 0)
+            bytes_ = static_cast<std::int64_t>(st.st_size);
     }
 
+    const std::string &path() const override { return path_; }
+    std::int64_t fileBytes() const override { return bytes_; }
+
+  protected:
+    /** fread that throws on I/O errors; 0 means end of file. */
     std::size_t
-    read(void *data, std::size_t size) override
+    readFile(void *data, std::size_t size)
     {
         const std::size_t got = std::fread(data, 1, size, f_.get());
         if (got < size && std::ferror(f_.get()))
@@ -88,37 +118,63 @@ class RawFileSource final : public ByteSource
         return got;
     }
 
+    /** Position the file at @p offset, which must lie inside it. */
     void
-    rewind() override
+    seekFile(std::uint64_t offset)
     {
-        if (std::fseek(f_.get(), 0, SEEK_SET) != 0)
-            fail("cannot rewind " + path_);
+        if (bytes_ >= 0 && offset > static_cast<std::uint64_t>(bytes_))
+            fail("restart offset " + std::to_string(offset) +
+                 " lies past the end of " + path_);
+        if (std::fseek(f_.get(), static_cast<long>(offset), SEEK_SET) !=
+            0)
+            fail("cannot seek in " + path_);
     }
 
-    const std::string &path() const override { return path_; }
-    Compression compression() const override { return Compression::None; }
-
-    std::int64_t
-    sizeHint() const override
-    {
-        struct stat st;
-        if (fstat(fileno(f_.get()), &st) != 0)
-            return -1;
-        return static_cast<std::int64_t>(st.st_size);
-    }
-
-  private:
     FilePtr f_;
     std::string path_;
+    std::int64_t bytes_ = -1;
+};
+
+class RawFileSource final : public FileSource
+{
+  public:
+    using FileSource::FileSource;
+
+    std::size_t
+    read(void *data, std::size_t size) override
+    {
+        return readFile(data, size);
+    }
+
+    void rewind() override { seekFile(0); }
+
+    RestartPoint
+    restartPoint(std::uint64_t offset) const override
+    {
+        return {offset, offset};
+    }
+
+    void
+    seek(const RestartPoint &from, std::uint64_t offset) override
+    {
+        if (from.fileOffset != offset || from.streamOffset != offset)
+            fail("no restart point at file offset " +
+                 std::to_string(from.fileOffset) + " for stream offset " +
+                 std::to_string(offset) + " in " + path_);
+        seekFile(offset);
+    }
+
+    Compression compression() const override { return Compression::None; }
+    std::int64_t sizeHint() const override { return bytes_; }
 };
 
 #if HERMES_HAVE_ZLIB
 
-class GzipSource final : public ByteSource
+class GzipSource final : public FileSource
 {
   public:
     GzipSource(FilePtr f, std::string path)
-        : f_(std::move(f)), path_(std::move(path)), in_(kIoChunk)
+        : FileSource(std::move(f), std::move(path)), in_(kIoChunk)
     {
         std::memset(&z_, 0, sizeof(z_));
         // windowBits 15+16: gzip wrapper only.
@@ -139,31 +195,18 @@ class GzipSource final : public ByteSource
         std::size_t total = 0;
         auto *out = static_cast<unsigned char *>(data);
         while (total < size && !done_) {
-            if (z_.avail_in == 0) {
-                const std::size_t got =
-                    std::fread(in_.data(), 1, in_.size(), f_.get());
-                if (got == 0 && std::ferror(f_.get()))
-                    fail("read error on " + path_);
-                input_eof_ = got == 0;
-                z_.next_in = in_.data();
-                z_.avail_in = static_cast<unsigned>(got);
-            }
+            if (z_.avail_in == 0)
+                fillInput();
             z_.next_out = out + total;
             z_.avail_out = static_cast<unsigned>(size - total);
             const int rc = inflate(&z_, Z_NO_FLUSH);
             total = size - z_.avail_out;
             if (rc == Z_STREAM_END) {
-                // Concatenated gzip members are one logical stream.
-                if (z_.avail_in > 0 || !input_eof_) {
-                    if (inflateReset(&z_) != Z_OK)
-                        fail("corrupt gzip stream in " + path_);
-                    // A clean EOF right after a member is fine; probe
-                    // for more input on the next loop iteration.
-                    if (z_.avail_in == 0 && probeEof())
-                        done_ = true;
-                } else {
-                    done_ = true;
-                }
+                nextMember(decoded_ + total);
+                // Stop at the member end, so a read's bytes always
+                // come from one member (restartPoint relies on it).
+                if (total > 0)
+                    break;
                 continue;
             }
             if (rc != Z_OK && rc != Z_BUF_ERROR)
@@ -173,58 +216,127 @@ class GzipSource final : public ByteSource
             if (rc == Z_BUF_ERROR && z_.avail_in == 0 && input_eof_)
                 fail("truncated gzip stream in " + path_);
         }
+        decoded_ += total;
         return total;
     }
 
-    void
-    rewind() override
+    void rewind() override { restart({}); }
+
+    RestartPoint
+    restartPoint(std::uint64_t offset) const override
     {
-        if (std::fseek(f_.get(), 0, SEEK_SET) != 0)
-            fail("cannot rewind " + path_);
+        for (std::size_t i = 0; i < members_; ++i) {
+            const RestartPoint &m = member_[(newest_ + kKept - i) % kKept];
+            if (m.streamOffset <= offset)
+                return m;
+        }
+        return {};
+    }
+
+    void
+    seek(const RestartPoint &from, std::uint64_t offset) override
+    {
+        if (offset < from.streamOffset)
+            fail("stream offset " + std::to_string(offset) +
+                 " precedes its restart point in " + path_);
+        restart(from);
+        discard(*this, offset - from.streamOffset, [&] {
+            // A read stops at a member end; reaching one with bytes
+            // still to skip means the offset is not in this member.
+            if (member_[newest_].streamOffset != from.streamOffset)
+                fail("stream offset " + std::to_string(offset) +
+                     " lies past the gzip member at file offset " +
+                     std::to_string(from.fileOffset) + " in " + path_);
+        });
+    }
+
+    Compression compression() const override { return Compression::Gzip; }
+    std::int64_t sizeHint() const override { return -1; }
+
+  private:
+    /** Member starts kept for restartPoint(). */
+    static constexpr std::size_t kKept = 4;
+
+    /** Begin decoding the member that starts at @p at. */
+    void
+    restart(const RestartPoint &at)
+    {
+        seekFile(at.fileOffset);
         if (inflateReset(&z_) != Z_OK)
             fail("inflateReset failed for " + path_);
         z_.avail_in = 0;
         z_.next_in = in_.data();
         done_ = input_eof_ = false;
+        filePos_ = at.fileOffset;
+        decoded_ = at.streamOffset;
+        members_ = 0;
+        remember(at);
     }
 
-    const std::string &path() const override { return path_; }
-    Compression compression() const override { return Compression::Gzip; }
-    std::int64_t sizeHint() const override { return -1; }
-
-  private:
-    /** True when the underlying file has no bytes left. */
-    bool
-    probeEof()
+    void
+    remember(const RestartPoint &at)
     {
-        const std::size_t got =
-            std::fread(in_.data(), 1, in_.size(), f_.get());
-        if (got == 0 && std::ferror(f_.get()))
-            fail("read error on " + path_);
+        newest_ = (newest_ + 1) % kKept;
+        member_[newest_] = at;
+        members_ = std::min(members_ + 1, kKept);
+    }
+
+    /** Refill the compressed-side buffer from the file. */
+    void
+    fillInput()
+    {
+        inBase_ = filePos_;
+        const std::size_t got = readFile(in_.data(), in_.size());
+        filePos_ += got;
+        input_eof_ = got == 0;
         z_.next_in = in_.data();
         z_.avail_in = static_cast<unsigned>(got);
-        input_eof_ = got == 0;
-        return got == 0;
     }
 
-    FilePtr f_;
-    std::string path_;
+    /**
+     * A member just ended at decoded offset @p stream_offset:
+     * concatenated members are one logical stream, so start the next
+     * one, or finish at a clean end of file.
+     */
+    void
+    nextMember(std::uint64_t stream_offset)
+    {
+        if (z_.avail_in == 0) {
+            fillInput();
+            if (input_eof_) {
+                done_ = true;
+                return;
+            }
+        }
+        if (inflateReset(&z_) != Z_OK)
+            fail("corrupt gzip stream in " + path_);
+        const std::uint64_t file_offset =
+            inBase_ + static_cast<std::uint64_t>(z_.next_in - in_.data());
+        remember({file_offset, stream_offset});
+    }
+
     std::vector<unsigned char> in_;
     z_stream z_{};
     bool live_ = false;
     bool done_ = false;
     bool input_eof_ = false;
+    std::uint64_t filePos_ = 0; ///< File offset of the next fread
+    std::uint64_t inBase_ = 0;  ///< File offset of in_[0]
+    std::uint64_t decoded_ = 0; ///< Stream offset of the next byte
+    RestartPoint member_[kKept];
+    std::size_t newest_ = 0;
+    std::size_t members_ = 1; ///< Valid entries of member_
 };
 
 #endif // HERMES_HAVE_ZLIB
 
 #if HERMES_HAVE_LZMA
 
-class XzSource final : public ByteSource
+class XzSource final : public FileSource
 {
   public:
     XzSource(FilePtr f, std::string path)
-        : f_(std::move(f)), path_(std::move(path)), in_(kIoChunk)
+        : FileSource(std::move(f), std::move(path)), in_(kIoChunk)
     {
         initDecoder();
     }
@@ -238,10 +350,7 @@ class XzSource final : public ByteSource
         auto *out = static_cast<std::uint8_t *>(data);
         while (total < size && !done_) {
             if (z_.avail_in == 0 && !input_eof_) {
-                const std::size_t got =
-                    std::fread(in_.data(), 1, in_.size(), f_.get());
-                if (got == 0 && std::ferror(f_.get()))
-                    fail("read error on " + path_);
+                const std::size_t got = readFile(in_.data(), in_.size());
                 input_eof_ = got == 0;
                 z_.next_in = in_.data();
                 z_.avail_in = got;
@@ -265,13 +374,11 @@ class XzSource final : public ByteSource
     void
     rewind() override
     {
-        if (std::fseek(f_.get(), 0, SEEK_SET) != 0)
-            fail("cannot rewind " + path_);
+        seekFile(0);
         lzma_end(&z_);
         initDecoder();
     }
 
-    const std::string &path() const override { return path_; }
     Compression compression() const override { return Compression::Xz; }
     std::int64_t sizeHint() const override { return -1; }
 
@@ -288,8 +395,6 @@ class XzSource final : public ByteSource
         done_ = input_eof_ = false;
     }
 
-    FilePtr f_;
-    std::string path_;
     std::vector<std::uint8_t> in_;
     lzma_stream z_ = LZMA_STREAM_INIT;
     bool done_ = false;
@@ -380,6 +485,11 @@ class RawFileSink final : public ByteSink
 
 #if HERMES_HAVE_ZLIB
 
+/**
+ * One gzip member per kGzipMemberBytes of input, each with its own
+ * header and trailer: any gzip reader sees one stream, and GzipSource
+ * can restart decoding at every member start.
+ */
 class GzipSink final : public ByteSink
 {
   public:
@@ -402,24 +512,45 @@ class GzipSink final : public ByteSink
     void
     write(const void *data, std::size_t size) override
     {
-        z_.next_in =
-            const_cast<Bytef *>(static_cast<const Bytef *>(data));
-        z_.avail_in = static_cast<unsigned>(size);
-        pump(Z_NO_FLUSH);
+        const auto *in = static_cast<const Bytef *>(data);
+        while (size > 0) {
+            // Close a full member only once more input arrives, so
+            // the file never ends in an empty member.
+            if (memberBytes_ == kGzipMemberBytes)
+                endMember();
+            const std::size_t n =
+                std::min(size, kGzipMemberBytes - memberBytes_);
+            z_.next_in = const_cast<Bytef *>(in);
+            z_.avail_in = static_cast<unsigned>(n);
+            pump(Z_NO_FLUSH);
+            memberBytes_ += n;
+            in += n;
+            size -= n;
+        }
     }
 
     void
     finish() override
     {
-        z_.next_in = nullptr;
-        z_.avail_in = 0;
-        pump(Z_FINISH);
+        endMember();
         file_.commit();
     }
 
     const std::string &path() const override { return file_.path(); }
 
   private:
+    /** Write the member's trailer and start the next member afresh. */
+    void
+    endMember()
+    {
+        z_.next_in = nullptr;
+        z_.avail_in = 0;
+        pump(Z_FINISH);
+        if (deflateReset(&z_) != Z_OK)
+            fail("deflateReset failed for " + file_.path());
+        memberBytes_ = 0;
+    }
+
     void
     pump(int flush)
     {
@@ -442,6 +573,7 @@ class GzipSink final : public ByteSink
     std::vector<unsigned char> out_;
     z_stream z_{};
     bool live_ = false;
+    std::size_t memberBytes_ = 0; ///< Input taken by the open member
 };
 
 #endif // HERMES_HAVE_ZLIB
@@ -517,6 +649,22 @@ failUnsupported(Compression c, const std::string &path)
 }
 
 } // namespace
+
+RestartPoint
+ByteSource::restartPoint(std::uint64_t) const
+{
+    return {};
+}
+
+void
+ByteSource::seek(const RestartPoint &from, std::uint64_t offset)
+{
+    if (from.fileOffset != 0 || from.streamOffset != 0)
+        fail("no restart point at file offset " +
+             std::to_string(from.fileOffset) + " in " + path());
+    rewind();
+    discard(*this, offset, [] {});
+}
 
 const char *
 compressionName(Compression c)

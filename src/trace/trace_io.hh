@@ -10,6 +10,14 @@
  * ".xz"). The codecs stream through fixed-size buffers, so a source
  * over a multi-GB compressed trace stays O(100KB) resident.
  *
+ * Seeking: the gzip sink closes a gzip member after every
+ * kGzipMemberBytes of input (the BGZF idea; the file stays one valid
+ * gzip stream), and a source can resume decoding at any member start.
+ * A position is then a RestartPoint plus a decoded offset at most one
+ * member past it, so reaching it inflates less than one member. Raw
+ * files seek exactly; xz and single-member gzip files restart at the
+ * first byte and discard up to the offset.
+ *
  * zlib and liblzma are optional build dependencies: when the build
  * lacks one, opening a stream of that compression throws a
  * std::runtime_error naming the missing library (the formats are
@@ -41,10 +49,26 @@ bool compressionSupported(Compression c);
 /** Codec implied by a file name's extension (".gz", ".xz"). */
 Compression compressionForPath(const std::string &path);
 
+/** Decoded bytes per gzip member the sink writes: 256 KiB. */
+inline constexpr std::size_t kGzipMemberBytes = 256 * 1024;
+
 /**
- * Sequential byte stream with rewind. read() fills up to @p size
- * bytes and returns the count; 0 means clean end-of-stream. Corrupt
- * or truncated compressed data throws std::runtime_error.
+ * A place a source can resume decoding without decoding anything
+ * before it: the file offset decoding restarts at (a gzip member's
+ * first byte; in a raw file, the byte itself) and the decoded-stream
+ * offset of the first byte it yields.
+ */
+struct RestartPoint
+{
+    std::uint64_t fileOffset = 0;
+    std::uint64_t streamOffset = 0;
+};
+
+/**
+ * Sequential byte stream with rewind and seek. read() fills up to
+ * @p size bytes and returns the count; 0 means clean end-of-stream. A
+ * gzip source's read() never returns bytes of two members. Corrupt or
+ * truncated compressed data throws std::runtime_error.
  */
 class ByteSource
 {
@@ -55,6 +79,31 @@ class ByteSource
 
     /** Restart the stream from the first byte. */
     virtual void rewind() = 0;
+
+    /**
+     * The restart point for decoded offset @p offset, which must not
+     * lie beyond the bytes read so far: the start of the gzip member
+     * that holds it, the offset itself in a raw file. A gzip source
+     * remembers the last four member starts it passed; an older
+     * offset, and every offset of a source without restart points
+     * (xz, the default), gets the start of the stream, {0, 0}.
+     */
+    virtual RestartPoint restartPoint(std::uint64_t offset) const;
+
+    /**
+     * Reposition so the next read() yields decoded offset @p offset,
+     * decoding from @p from, a restartPoint() of an identical stream.
+     * Throws std::runtime_error, leaving the position unspecified,
+     * when @p from is not a restart point of this stream or @p offset
+     * lies past the gzip member (or the stream) that starts there, so
+     * no seek inflates more than one member past its restart point.
+     * The default accepts only {0, 0}: it rewinds and discards
+     * @p offset bytes.
+     */
+    virtual void seek(const RestartPoint &from, std::uint64_t offset);
+
+    /** Size of the underlying file on disk; -1 when there is none. */
+    virtual std::int64_t fileBytes() const { return -1; }
 
     /** The underlying file path (for error messages). */
     virtual const std::string &path() const = 0;

@@ -4,6 +4,7 @@
 #include <cstring>
 #include <stdexcept>
 
+#include "common/state_io.hh"
 #include "trace/trace_file.hh"
 
 namespace hermes
@@ -14,6 +15,12 @@ namespace
 
 /** Record-side chunk: one refill per ~10K instructions. */
 constexpr std::size_t kReaderChunk = 256 * 1024;
+
+/**
+ * Header-side reads: opening a trace inflates only this much, not a
+ * whole chunk a restore would then seek away from.
+ */
+constexpr std::size_t kHeaderChunk = 4 * 1024;
 
 /** On-disk HRMTRACE record layout (fixed 24 bytes). */
 struct DiskRecord
@@ -118,27 +125,34 @@ TraceReader::TraceReader(std::unique_ptr<ByteSource> source,
 
 TraceReader::~TraceReader() = default;
 
-bool
-TraceReader::readRecordBytes(void *out, std::size_t size)
+inline const unsigned char *
+TraceReader::take(std::size_t size)
 {
-    auto *dst = static_cast<unsigned char *>(out);
-    std::size_t total = 0;
-    while (total < size) {
-        if (bufPos_ == bufLen_) {
-            bufLen_ = src_->read(buf_.data(), buf_.size());
-            bufPos_ = 0;
-            if (bufLen_ == 0) {
-                if (total == 0)
-                    return false;
-                throw std::runtime_error("truncated trace file: " +
-                                         src_->path());
-            }
+    if (bufLen_ - bufPos_ < size && !refill(size, buf_.size()))
+        return nullptr;
+    const unsigned char *p = buf_.data() + bufPos_;
+    bufPos_ += size;
+    return p;
+}
+
+bool
+TraceReader::refill(std::size_t need, std::size_t fill)
+{
+    const std::size_t left = bufLen_ - bufPos_;
+    std::memmove(buf_.data(), buf_.data() + bufPos_, left);
+    bufPos_ = 0;
+    bufLen_ = left;
+    while (bufLen_ < need) {
+        const std::size_t got = src_->read(
+            buf_.data() + bufLen_, std::max(fill, need) - bufLen_);
+        if (got == 0) {
+            if (bufLen_ == 0)
+                return false;
+            throw std::runtime_error("truncated trace file: " +
+                                     src_->path());
         }
-        const std::size_t take =
-            std::min(size - total, bufLen_ - bufPos_);
-        std::memcpy(dst + total, buf_.data() + bufPos_, take);
-        bufPos_ += take;
-        total += take;
+        bufLen_ += got;
+        streamPos_ += got;
     }
     return true;
 }
@@ -146,9 +160,17 @@ TraceReader::readRecordBytes(void *out, std::size_t size)
 void
 TraceReader::readHeaderBytes(void *out, std::size_t size)
 {
-    if (!readRecordBytes(out, size))
-        throw std::runtime_error("truncated trace header in " +
-                                 src_->path());
+    auto *dst = static_cast<unsigned char *>(out);
+    while (size > 0) {
+        if (bufPos_ == bufLen_ && !refill(1, kHeaderChunk))
+            throw std::runtime_error("truncated trace header in " +
+                                     src_->path());
+        const std::size_t n = std::min(size, bufLen_ - bufPos_);
+        std::memcpy(dst, buf_.data() + bufPos_, n);
+        bufPos_ += n;
+        dst += n;
+        size -= n;
+    }
 }
 
 void
@@ -215,10 +237,12 @@ TraceReader::next(TraceInstr &out)
     if (meta_.format == TraceFormat::Hrmtrace) {
         if (recordsRead_ == meta_.recordCount)
             return false;
-        DiskRecord rec{};
-        if (!readRecordBytes(&rec, sizeof(rec)))
+        const unsigned char *p = take(sizeof(DiskRecord));
+        if (p == nullptr)
             throw std::runtime_error("truncated trace file: " +
                                      src_->path());
+        DiskRecord rec;
+        std::memcpy(&rec, p, sizeof(rec));
         if (rec.kind > static_cast<std::uint8_t>(InstrKind::Branch))
             throw std::runtime_error("corrupt record in " +
                                      src_->path());
@@ -232,8 +256,8 @@ TraceReader::next(TraceInstr &out)
     }
 
     if (pendingPos_ == pendingLen_) {
-        unsigned char rec[kChampSimRecordBytes];
-        if (!readRecordBytes(rec, sizeof(rec)))
+        const unsigned char *rec = take(kChampSimRecordBytes);
+        if (rec == nullptr)
             return false;
         expandChampSimRecord(rec);
     }
@@ -322,6 +346,7 @@ TraceReader::rewind()
 {
     src_->rewind();
     bufPos_ = bufLen_ = 0;
+    streamPos_ = 0;
     recordsRead_ = 0;
     pendingPos_ = pendingLen_ = 0;
     emitted_ = 0;
@@ -336,6 +361,76 @@ TraceReader::rewind()
             left -= take;
         }
     }
+}
+
+void
+TraceReader::saveState(StateWriter &w) const
+{
+    const std::uint64_t at = cursor();
+    const RestartPoint from = src_->restartPoint(at);
+    w.i64(src_->fileBytes());
+    w.u64(from.fileOffset);
+    w.u64(from.streamOffset);
+    w.u64(at);
+    if (meta_.format != TraceFormat::ChampSim)
+        return;
+    w.u64(pendingLen_ - pendingPos_);
+    for (unsigned i = pendingPos_; i < pendingLen_; ++i) {
+        const TraceInstr &t = pending_[i];
+        w.u64(t.pc);
+        w.u64(t.vaddr);
+        w.u32(t.depDistance);
+        w.u8(static_cast<std::uint8_t>(t.kind));
+        w.b(t.branchTaken);
+    }
+    w.u64(emitted_);
+    for (const std::uint64_t writer : lastWrite_)
+        w.u64(writer);
+}
+
+void
+TraceReader::loadState(StateReader &r, std::uint64_t instrs)
+{
+    const std::int64_t file_bytes = r.i64();
+    RestartPoint from;
+    from.fileOffset = r.u64();
+    from.streamOffset = r.u64();
+    const std::uint64_t at = r.u64();
+    if (file_bytes != src_->fileBytes())
+        throw StateError("trace file " + src_->path() +
+                         " changed size since the checkpoint");
+    unsigned pending = 0;
+    if (meta_.format == TraceFormat::Hrmtrace) {
+        if (at != headerBytes_ + instrs * sizeof(DiskRecord))
+            throw StateError("trace cursor " + std::to_string(at) +
+                             " is not record " + std::to_string(instrs));
+    } else {
+        pending = static_cast<unsigned>(r.count(pending_.size()));
+        for (unsigned i = 0; i < pending; ++i) {
+            TraceInstr &t = pending_[i];
+            t.pc = r.u64();
+            t.vaddr = r.u64();
+            t.depDistance = r.u32();
+            const std::uint8_t kind = r.u8();
+            if (kind > static_cast<std::uint8_t>(InstrKind::Branch))
+                throw StateError("bad instruction kind");
+            t.kind = static_cast<InstrKind>(kind);
+            t.branchTaken = r.b();
+        }
+        emitted_ = r.u64();
+        for (std::uint64_t &writer : lastWrite_)
+            writer = r.u64();
+        if (at % kChampSimRecordBytes != 0 || emitted_ != instrs + pending)
+            throw StateError("trace cursor " + std::to_string(at) +
+                             " does not match instruction " +
+                             std::to_string(instrs));
+    }
+    src_->seek(from, at);
+    bufPos_ = bufLen_ = 0;
+    streamPos_ = at;
+    recordsRead_ = instrs;
+    pendingPos_ = 0;
+    pendingLen_ = pending;
 }
 
 std::size_t

@@ -82,7 +82,9 @@ struct TraceMeta
  * end-of-trace; corruption and truncation throw std::runtime_error
  * naming the file. rewind() restarts from the first instruction
  * (including ChampSim dependence-tracking state), so replay loops are
- * deterministic.
+ * deterministic. saveState()/loadState() checkpoint the decode
+ * position as a restart point of the byte source plus the cursor, so
+ * a restore seeks instead of decoding what precedes it.
  */
 class TraceReader
 {
@@ -98,23 +100,56 @@ class TraceReader
     /** Restart from the first instruction. */
     void rewind();
 
+    /**
+     * Write the decode position: the file's on-disk size, the
+     * source's restart point for the cursor, the cursor (the decoded
+     * offset of the next record) and, for ChampSim, the expansion
+     * queue and last-writer table.
+     */
+    void saveState(StateWriter &w) const;
+
+    /**
+     * Seek to a position saveState() wrote after @p instrs
+     * instructions of the current loop. Throws StateError, or
+     * std::runtime_error from the source, when the file's size has
+     * changed, the cursor does not match @p instrs (HRMTRACE: header
+     * + instrs x 24 bytes) or the restart point cannot reach it.
+     */
+    void loadState(StateReader &r, std::uint64_t instrs);
+
     /** Bytes of buffering this reader holds (excludes the source's
      * fixed codec buffers); stays constant however long the trace. */
     std::size_t residentBytes() const;
 
   private:
     /**
-     * Copy exactly @p size bytes of record payload. Returns false when
-     * the stream ended cleanly *before* the first byte; a partial
-     * record throws.
+     * Point at the next @p size (<= chunk) contiguous bytes and
+     * consume them, refilling first if fewer are buffered. Returns
+     * nullptr when the stream ended cleanly before the first byte; a
+     * partial record throws.
      */
-    bool readRecordBytes(void *out, std::size_t size);
+    const unsigned char *take(std::size_t size);
 
-    /** Like readRecordBytes but any shortfall is a header error. */
+    /**
+     * Move the unread bytes to the front and read until @p need are
+     * buffered, asking the source for at most @p fill buffered bytes
+     * per read (more only if @p need is larger); false at a clean end
+     * with nothing buffered.
+     */
+    bool refill(std::size_t need, std::size_t fill);
+
+    /** Copy @p size header bytes; any shortfall is a header error. */
     void readHeaderBytes(void *out, std::size_t size);
 
     void parseHrmHeader();
     void expandChampSimRecord(const unsigned char *rec);
+
+    /** Decoded offset of the next unread byte. */
+    std::uint64_t
+    cursor() const
+    {
+        return streamPos_ - (bufLen_ - bufPos_);
+    }
 
     std::unique_ptr<ByteSource> src_;
     TraceMeta meta_;
@@ -122,6 +157,7 @@ class TraceReader
     std::vector<unsigned char> buf_;
     std::size_t bufPos_ = 0;
     std::size_t bufLen_ = 0;
+    std::uint64_t streamPos_ = 0; ///< Decoded offset of buf_[bufLen_]
 
     std::uint64_t headerBytes_ = 0;  ///< HRMTRACE record-area offset
     std::uint64_t recordsRead_ = 0;  ///< HRMTRACE records consumed

@@ -235,11 +235,16 @@ TEST_F(FrontEndTest, MalformedCommandLinesAreUsageErrors)
         {"--warmup", "abc"},
         {"--warmup", "-1"},
         {"--warmup", ""},
+        {"--warmup", "010"}, // base 0 would read octal 8
         {"--instrs", "1x"},
         {"--instrs=1.5"},
+        {"--instrs", "00"},
         {"--threads", "-3"},
         {"--threads", "4294967297"},
         {"--threads", "abc"},
+        {"--threads", "04"},
+        {"--axis", "llc.ways=08,16"},
+        {"--axis", "no.such.key=1,2"},
         {"--shard", "0/0"},
         {"--shard", "5/4"},
         {"--shard", "x"},
@@ -276,8 +281,12 @@ TEST_F(FrontEndTest, MalformedCommandLinesAreUsageErrors)
             EXPECT_THROW(parse(*fe, args), UsageError) << what << line;
         }
     }
-    for (const FrontEnd *fe : {&kRunFrontEnd, &kSweepFrontEnd})
+    for (const FrontEnd *fe : {&kRunFrontEnd, &kSweepFrontEnd}) {
         EXPECT_THROW(parse(*fe, {"--csv", "-", "--json", "-"}), UsageError);
+        // A value the parameter registry rejects is a bad line too.
+        EXPECT_THROW(parse(*fe, {"llc.ways=010"}), UsageError);
+        EXPECT_THROW(parse(*fe, {"no.such.key=1"}), UsageError);
+    }
 }
 
 TEST_F(FrontEndTest, FlagsOfOtherFrontEndsAreUnknown)

@@ -8,6 +8,8 @@
  * checkpoint bytes.
  */
 
+#include <algorithm>
+#include <cstring>
 #include <deque>
 #include <string>
 #include <vector>
@@ -108,6 +110,42 @@ class VectorSink : public ByteSink
     std::vector<char> bytes;
 
   private:
+    std::string path_ = "<memory>";
+};
+
+/**
+ * In-memory ByteSource over a byte vector. A nonzero @p max_read caps
+ * every read() at that many bytes, as a pipe or socket may.
+ */
+class VectorSource : public ByteSource
+{
+  public:
+    explicit VectorSource(std::vector<char> bytes, std::size_t max_read = 0)
+        : bytes_(std::move(bytes)), maxRead_(max_read)
+    {
+    }
+
+    std::size_t read(void *data, std::size_t size) override
+    {
+        std::size_t n = std::min(size, bytes_.size() - pos_);
+        if (maxRead_ != 0)
+            n = std::min(n, maxRead_);
+        std::memcpy(data, bytes_.data() + pos_, n);
+        pos_ += n;
+        return n;
+    }
+    void rewind() override { pos_ = 0; }
+    const std::string &path() const override { return path_; }
+    Compression compression() const override { return Compression::None; }
+    std::int64_t sizeHint() const override
+    {
+        return static_cast<std::int64_t>(bytes_.size());
+    }
+
+  private:
+    std::vector<char> bytes_;
+    std::size_t maxRead_;
+    std::size_t pos_ = 0;
     std::string path_ = "<memory>";
 };
 

@@ -21,7 +21,11 @@
 //     bad entries and evicts past its budget (the spec parser and the
 //     checkpoint mutation sweep live in test_content_store.cc);
 //  5. file: traces checkpoint too (a cursor past a loop wrap, a rotated
-//     clone), and the stream format itself is pinned.
+//     clone, raw/gzip/xz HRMTRACE and gzip ChampSim, single-member gzip
+//     as older builds wrote it); a restore seeks, so it never decodes a
+//     damaged member before the cursor; a file whose size changed is a
+//     miss; the raw-stream mutants run over a gzip file checkpoint too;
+//     and the stream format itself is pinned.
 
 #include <gtest/gtest.h>
 
@@ -51,6 +55,10 @@
 #include "trace/trace_file.hh"
 #include "trace/trace_io.hh"
 
+#if HERMES_HAVE_ZLIB
+#include <zlib.h>
+#endif
+
 namespace hermes
 {
 namespace
@@ -59,42 +67,7 @@ namespace
 using golden::goldenBudget;
 using golden::loadGoldens;
 using test::VectorSink;
-
-/**
- * In-memory ByteSource over a byte vector. A nonzero @p max_read caps
- * every read() at that many bytes, as a pipe or socket may.
- */
-class VectorSource : public ByteSource
-{
-  public:
-    explicit VectorSource(std::vector<char> bytes, std::size_t max_read = 0)
-        : bytes_(std::move(bytes)), maxRead_(max_read)
-    {
-    }
-
-    std::size_t read(void *data, std::size_t size) override
-    {
-        std::size_t n = std::min(size, bytes_.size() - pos_);
-        if (maxRead_ != 0)
-            n = std::min(n, maxRead_);
-        std::memcpy(data, bytes_.data() + pos_, n);
-        pos_ += n;
-        return n;
-    }
-    void rewind() override { pos_ = 0; }
-    const std::string &path() const override { return path_; }
-    Compression compression() const override { return Compression::None; }
-    std::int64_t sizeHint() const override
-    {
-        return static_cast<std::int64_t>(bytes_.size());
-    }
-
-  private:
-    std::vector<char> bytes_;
-    std::size_t maxRead_;
-    std::size_t pos_ = 0;
-    std::string path_ = "<memory>";
-};
+using test::VectorSource;
 
 /** Read caps every restore is tried with: whole buffer, 1 and 7 bytes. */
 constexpr std::size_t kMaxReads[] = {0, 1, 7};
@@ -112,6 +85,7 @@ struct SessionCase
     std::string key;
     SystemConfig config;
     std::vector<TraceSpec> traces;
+    SimBudget budget = goldenBudget();
 };
 
 /**
@@ -154,7 +128,7 @@ sessionCases()
 std::uint64_t
 straightRunFingerprint(const SessionCase &c)
 {
-    SimSession s(c.config, c.traces, goldenBudget());
+    SimSession s(c.config, c.traces, c.budget);
     s.build();
     s.warmup();
     s.measure();
@@ -165,7 +139,7 @@ straightRunFingerprint(const SessionCase &c)
 std::vector<char>
 snapshotBytes(const SessionCase &c)
 {
-    SimSession s(c.config, c.traces, goldenBudget());
+    SimSession s(c.config, c.traces, c.budget);
     s.build();
     s.warmup();
     VectorSink sink;
@@ -183,7 +157,7 @@ expectRestoresTo(const SessionCase &c, const std::vector<char> &bytes,
 {
     for (const std::size_t max_read : kMaxReads) {
         SCOPED_TRACE(c.key + ", " + readsName(max_read));
-        SimSession restored(c.config, c.traces, goldenBudget());
+        SimSession restored(c.config, c.traces, c.budget);
         restored.build();
         ASSERT_TRUE(restored.checkpointable());
         VectorSource src(bytes, max_read);
@@ -262,7 +236,7 @@ expectRejectedThenResimulates(const SessionCase &c, std::uint64_t straight,
 {
     for (const std::size_t max_read : kMaxReads) {
         SCOPED_TRACE(std::string(what) + ", " + readsName(max_read));
-        SimSession s(c.config, c.traces, goldenBudget());
+        SimSession s(c.config, c.traces, c.budget);
         s.build();
         VectorSource src(bytes, max_read);
         EXPECT_FALSE(s.restore(src)) << "accepted";
@@ -320,13 +294,15 @@ TEST(Session, BadCheckpointsRejectedAndResimulated)
     }
 }
 
-TEST(Session, RawStreamMutantsRejectedAtEveryReadSize)
+/**
+ * Restore a fixed-seed set of raw-stream mutants of @p c's checkpoint
+ * through every read cap: each must be rejected without an exception
+ * escaping, and the intact stream must then restore and measure to
+ * @p want.
+ */
+void
+expectMutantsRejected(const SessionCase &c, std::uint64_t want)
 {
-    const auto golden = loadGoldens();
-    const auto it = golden.find("one.hermes.mcf");
-    ASSERT_NE(it, golden.end());
-    const SessionCase c = sessionCases()[0];
-    ASSERT_EQ(c.key, "one.hermes.mcf");
     const std::vector<char> good = snapshotBytes(c);
     constexpr std::size_t kPage = 4096;
     ASSERT_GT(good.size(), 8 * kPage);
@@ -379,7 +355,7 @@ TEST(Session, RawStreamMutantsRejectedAtEveryReadSize)
         SCOPED_TRACE(readsName(max_read));
         // One session takes every mutant in turn: each rejection
         // rebuilds it, so it must stay restorable throughout.
-        SimSession s(c.config, c.traces, goldenBudget());
+        SimSession s(c.config, c.traces, c.budget);
         s.build();
         for (const auto &[what, bytes] : mutants) {
             VectorSource src(bytes, max_read);
@@ -390,8 +366,18 @@ TEST(Session, RawStreamMutantsRejectedAtEveryReadSize)
         VectorSource src(good, max_read);
         ASSERT_TRUE(s.restore(src));
         s.measure();
-        EXPECT_EQ(statsFingerprint(s.collect()), it->second);
+        EXPECT_EQ(statsFingerprint(s.collect()), want);
     }
+}
+
+TEST(Session, RawStreamMutantsRejectedAtEveryReadSize)
+{
+    const auto golden = loadGoldens();
+    const auto it = golden.find("one.hermes.mcf");
+    ASSERT_NE(it, golden.end());
+    const SessionCase c = sessionCases()[0];
+    ASSERT_EQ(c.key, "one.hermes.mcf");
+    expectMutantsRejected(c, it->second);
 }
 
 TEST(Session, CheckpointFormatIsPinned)
@@ -405,9 +391,9 @@ TEST(Session, CheckpointFormatIsPinned)
     // older builds miss instead of misrestoring.
     const std::vector<char> bytes = snapshotBytes(sessionCases()[0]);
     EXPECT_EQ(bytes.size(), 1'249'301u);
-    Fnv64 f;
-    f.addBytes(bytes.data(), bytes.size());
-    EXPECT_EQ(f.value(), 0x31708c82dc075ca7ull);
+    Xxh64 h;
+    h.update(bytes.data(), bytes.size());
+    EXPECT_EQ(h.value(), 0x24158b48afb7afb4ull);
 }
 
 TEST(Session, WrongIdentityCheckpointRejected)
@@ -564,8 +550,8 @@ TEST(WarmupCacheTest, EvictsPastEntryBudget)
 }
 
 /**
- * Capture @p records of spec06.mcf_like.0 into a gzip HRMTRACE at
- * @p path and resolve it as a file: trace.
+ * Capture @p records of spec06.mcf_like.0 at @p path (format and
+ * compression follow its name) and resolve it as a file: trace.
  */
 TraceSpec
 writeMcfTrace(const std::string &path, std::uint64_t records)
@@ -580,9 +566,28 @@ writeMcfTrace(const std::string &path, std::uint64_t records)
 constexpr std::uint64_t kShortTraceRecords = 3'001;
 
 std::string
-traceFilePath(const std::string &name)
+traceFilePath(const std::string &name, const std::string &ext = ".hrm.gz")
 {
-    return ::testing::TempDir() + "hermes_session_" + name + ".hrm.gz";
+    return ::testing::TempDir() + "hermes_session_" + name + ext;
+}
+
+/**
+ * A warmup that leaves the cursor past the first 256 KiB gzip member
+ * even at 24 bytes a record, and a short measure window.
+ */
+constexpr SimBudget kLongWarmup{15'000, 5'000};
+/** Records for kLongWarmup plus the core's fetch-ahead: no wrap. */
+constexpr std::uint64_t kLongTraceRecords = 15'000 + 5'000 + 4'096;
+
+/** one.hermes.mcf's configuration over @p trace at kLongWarmup. */
+SessionCase
+longWarmupFileCase(const std::string &key, TraceSpec trace)
+{
+    SessionCase c = sessionCases()[0];
+    c.key = key;
+    c.traces = {std::move(trace)};
+    c.budget = kLongWarmup;
+    return c;
 }
 
 TEST(Session, FileTraceCheckpointRestoresPastLoopWrap)
@@ -617,6 +622,153 @@ TEST(Session, FileTraceCheckpointRestoresRotatedClone)
     EXPECT_EQ(statsFingerprint(runSession(warm, &cache)), straight);
     EXPECT_EQ(cache.stats().hits, 1u);
     EXPECT_EQ(cache.stats().rejected, 0u);
+    std::remove(path.c_str());
+}
+
+TEST(Session, FileTraceRestoresInEveryEncoding)
+{
+    // A restore seeks the trace reader instead of replaying the warmup:
+    // a raw file exactly, gzip from the member holding the cursor, xz
+    // from the first byte; ChampSim also restores its expansion state.
+    for (const char *ext :
+         {".hrm", ".hrm.gz", ".hrm.xz", ".champsimtrace.gz"}) {
+        const std::string path = traceFilePath("encoding", ext);
+        if (!compressionSupported(compressionForPath(path)))
+            continue;
+        const SessionCase c = longWarmupFileCase(
+            std::string("file") + ext, writeMcfTrace(path, kLongTraceRecords));
+        expectRestoresTo(c, snapshotBytes(c), straightRunFingerprint(c));
+        std::remove(path.c_str());
+    }
+}
+
+TEST(Session, SingleMemberGzipTraceStillRestores)
+{
+#if HERMES_HAVE_ZLIB
+    // Builds before member cutting wrote every .gz trace as one gzip
+    // member. Such a file has no restart point past its first byte, so
+    // its restore inflates from the start and still lands exactly.
+    const std::string raw_path = traceFilePath("legacy", ".hrm");
+    const std::string path = traceFilePath("legacy", ".hrm.gz");
+    writeMcfTrace(raw_path, kLongTraceRecords);
+    std::string raw;
+    {
+        std::ifstream in(raw_path, std::ios::binary);
+        raw.assign(std::istreambuf_iterator<char>(in),
+                   std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(raw.size(), 2 * kGzipMemberBytes);
+    z_stream z{};
+    ASSERT_EQ(deflateInit2(&z, Z_DEFAULT_COMPRESSION, Z_DEFLATED, 15 + 16,
+                           8, Z_DEFAULT_STRATEGY),
+              Z_OK);
+    std::string gz(deflateBound(&z, raw.size()), '\0');
+    z.next_in = reinterpret_cast<Bytef *>(raw.data());
+    z.avail_in = static_cast<uInt>(raw.size());
+    z.next_out = reinterpret_cast<Bytef *>(gz.data());
+    z.avail_out = static_cast<uInt>(gz.size());
+    ASSERT_EQ(deflate(&z, Z_FINISH), Z_STREAM_END);
+    gz.resize(z.total_out);
+    deflateEnd(&z);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::trunc);
+        out.write(gz.data(), static_cast<std::streamsize>(gz.size()));
+    }
+    {
+        auto source = openByteSource(path);
+        std::vector<char> buf(raw.size());
+        std::size_t got = 0;
+        while (std::size_t n = source->read(buf.data() + got,
+                                            buf.size() - got))
+            got += n;
+        ASSERT_EQ(got, raw.size());
+        EXPECT_EQ(source->restartPoint(got).fileOffset, 0u);
+    }
+
+    const SessionCase c =
+        longWarmupFileCase("file.legacy_gzip", resolveTrace("file:" + path));
+    expectRestoresTo(c, snapshotBytes(c), straightRunFingerprint(c));
+    std::remove(raw_path.c_str());
+    std::remove(path.c_str());
+#else
+    GTEST_SKIP() << "zlib not compiled in";
+#endif
+}
+
+TEST(Session, FileRestoreDoesNotDecodeTheWarmupPrefix)
+{
+    if (!compressionSupported(Compression::Gzip))
+        GTEST_SKIP() << "zlib not compiled in";
+    // The cursor ends the warmup in the third member; member 1 is then
+    // damaged. A run that decodes the file from the start fails, and
+    // a restore, which seeks past it, must not notice.
+    const std::string path = traceFilePath("prefix");
+    SessionCase c = longWarmupFileCase(
+        "file.prefix", writeMcfTrace(path, 25'000 + 5'000 + 4'096));
+    c.budget.warmupInstrs = 25'000;
+    const std::uint64_t straight = straightRunFingerprint(c);
+    const std::vector<char> bytes = snapshotBytes(c);
+
+    RestartPoint second, third;
+    {
+        auto source = openByteSource(path);
+        std::vector<char> buf(kGzipMemberBytes);
+        std::uint64_t decoded = 0;
+        while (decoded <= 2 * kGzipMemberBytes) {
+            const std::size_t n = source->read(buf.data(), buf.size());
+            ASSERT_GT(n, 0u);
+            decoded += n;
+        }
+        second = source->restartPoint(kGzipMemberBytes);
+        third = source->restartPoint(2 * kGzipMemberBytes);
+    }
+    ASSERT_EQ(second.streamOffset, kGzipMemberBytes);
+    ASSERT_EQ(third.streamOffset, 2 * kGzipMemberBytes);
+    ASSERT_LT(second.fileOffset, third.fileOffset);
+    {
+        std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
+        const auto at = static_cast<std::streamoff>(
+            (second.fileOffset + third.fileOffset) / 2);
+        char byte = 0;
+        f.seekg(at);
+        f.read(&byte, 1);
+        byte = static_cast<char>(byte ^ 0xFF);
+        f.seekp(at);
+        f.write(&byte, 1);
+    }
+    EXPECT_THROW(straightRunFingerprint(c), std::runtime_error);
+    expectRestoresTo(c, bytes, straight);
+    std::remove(path.c_str());
+}
+
+TEST(Session, FileCheckpointMutantsRejectedAtEveryReadSize)
+{
+    if (!compressionSupported(Compression::Gzip))
+        GTEST_SKIP() << "zlib not compiled in";
+    // The raw-stream mutants again, over a checkpoint whose WFIL
+    // section holds a gzip restart point past the first member.
+    const std::string path = traceFilePath("mutants");
+    const SessionCase c = longWarmupFileCase(
+        "file.mutants", writeMcfTrace(path, kLongTraceRecords));
+    expectMutantsRejected(c, straightRunFingerprint(c));
+    std::remove(path.c_str());
+}
+
+TEST(Session, FileCheckpointOfResizedTraceRejected)
+{
+    // Bytes appended after the last record change nothing the replay
+    // reads, but a trace file whose size changed is not the file the
+    // checkpoint was taken on: a clean miss that re-warms.
+    const std::string path = traceFilePath("resized", ".hrm");
+    const SessionCase c = longWarmupFileCase(
+        "file.resized", writeMcfTrace(path, kLongTraceRecords));
+    const std::uint64_t straight = straightRunFingerprint(c);
+    const std::vector<char> bytes = snapshotBytes(c);
+    {
+        std::ofstream out(path, std::ios::binary | std::ios::app);
+        out.write("tail", 4);
+    }
+    expectRejectedThenResimulates(c, straight, bytes, "resized trace");
     std::remove(path.c_str());
 }
 

@@ -3,8 +3,10 @@
 // acceptance property that a captured workload converted to
 // compressed ChampSim replays with a statsFingerprint byte-identical
 // to the direct synthetic run — chunk-boundary and EOF-loop behavior,
-// corruption/truncation robustness, the bounded-memory guarantee and
-// crash-safe publication.
+// checkpointed positions restored by seeking (around gzip member
+// boundaries, inside a ChampSim record's expansion, past a loop wrap)
+// and the guards on them, corruption/truncation robustness, the
+// bounded-memory guarantee and crash-safe publication.
 
 #include <gtest/gtest.h>
 
@@ -17,12 +19,14 @@
 #include <string>
 #include <vector>
 
+#include "common/state_io.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
 #include "trace/suite.hh"
 #include "trace/trace_file.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_reader.hh"
+#include "test_helpers.hh"
 
 namespace hermes
 {
@@ -241,6 +245,268 @@ TEST_F(TraceReaderTest, LoopBoundaryStraddlesChunks)
         ASSERT_EQ(t.vaddr, first[i].vaddr) << i;
         ASSERT_EQ(t.depDistance, first[i].depDistance) << i;
     }
+}
+
+bool
+sameInstr(const TraceInstr &a, const TraceInstr &b)
+{
+    return a.pc == b.pc && a.vaddr == b.vaddr &&
+           a.depDistance == b.depDistance && a.kind == b.kind &&
+           a.branchTaken == b.branchTaken;
+}
+
+/** @p w's checkpoint section, sealed with its checksum. */
+std::vector<char>
+checkpointOf(const FileWorkload &w)
+{
+    test::VectorSink sink;
+    StateWriter writer(sink);
+    w.saveState(writer);
+    writer.sealChecksum();
+    return sink.bytes;
+}
+
+/** Restore @p bytes into a fresh replay of @p path; throws on a defect. */
+std::unique_ptr<FileWorkload>
+restoredFrom(const std::string &path, const std::vector<char> &bytes,
+             std::size_t max_read = 0)
+{
+    auto w = std::make_unique<FileWorkload>(path);
+    test::VectorSource src(bytes, max_read);
+    StateReader reader(src);
+    w->loadState(reader);
+    reader.verifyChecksum();
+    return w;
+}
+
+/**
+ * Advance a replay of @p path by @p consumed instructions and
+ * checkpoint it; a fresh replay restored from that checkpoint (through
+ * whole-buffer, 1-byte and 7-byte reads) must then yield the same
+ * next @p n instructions.
+ */
+void
+expectRestoreContinues(const std::string &path, std::uint64_t consumed,
+                       std::uint64_t n)
+{
+    FileWorkload original(path);
+    for (std::uint64_t i = 0; i < consumed; ++i)
+        static_cast<void>(original.next());
+    const std::vector<char> bytes = checkpointOf(original);
+    std::vector<TraceInstr> want(n);
+    for (TraceInstr &t : want)
+        t = original.next();
+    for (const std::size_t max_read : {0u, 1u, 7u}) {
+        SCOPED_TRACE(path + " after " + std::to_string(consumed) +
+                     ", reads of " + std::to_string(max_read));
+        const auto restored = restoredFrom(path, bytes, max_read);
+        for (std::uint64_t i = 0; i < n; ++i)
+            ASSERT_TRUE(sameInstr(restored->next(), want[i])) << i;
+    }
+}
+
+TEST_F(TraceReaderTest, RestoreSeeksAroundMemberBoundaries)
+{
+    // Cursors just before, at and just after the first 256 KiB gzip
+    // member boundary, with the records aligned to it (a 40-byte
+    // header) and one straddling it (43 bytes), in every encoding;
+    // then at the loop end and past the wrap.
+    constexpr std::uint64_t kRecords = 12'000; // two members of records
+    for (const char *category : {"T", "TEST"}) {
+        for (const char *ext : {".hrm", ".hrm.gz", ".hrm.xz"}) {
+            const std::string p = path(std::string(".") + category + ext);
+            if (!compressionSupported(compressionForPath(p)))
+                continue;
+            PatternWorkload source(997);
+            ASSERT_EQ(0u, writeTraceFile(p, source, kRecords, "pattern",
+                                         category));
+            const std::uint64_t header = 32 + 7 + std::strlen(category);
+            const std::uint64_t edge = (kGzipMemberBytes - header) / 24;
+            for (std::uint64_t k = edge - 1; k <= edge + 1; ++k)
+                expectRestoreContinues(p, k, 2'000); // crosses the wrap
+            expectRestoreContinues(p, kRecords, 100);
+            expectRestoreContinues(p, kRecords + edge, 100);
+        }
+    }
+}
+
+/**
+ * Write @p records ChampSim records at @p path (compression by name):
+ * each expands to two loads and, when even, a store, and reads a
+ * register an earlier record wrote.
+ */
+void
+writeMultiOpChampSim(const std::string &path, std::uint64_t records)
+{
+    auto sink = openByteSink(path, compressionForPath(path));
+    auto put64 = [](unsigned char *at, std::uint64_t v) {
+        std::memcpy(at, &v, sizeof(v));
+    };
+    for (std::uint64_t r = 0; r < records; ++r) {
+        unsigned char rec[64] = {};
+        put64(rec + 0, 0x400000 + 4 * r);                       // ip
+        rec[10] = static_cast<unsigned char>(1 + (r * 7) % 13); // dest
+        rec[12] = static_cast<unsigned char>(1 + r % 13);       // src
+        put64(rec + 32, 0x10000 + 64 * r);                      // srcMem
+        put64(rec + 40, 0x90000 + 8 * r);
+        if (r % 2 == 0)
+            put64(rec + 16, 0x50000 + 8 * r); // destMem
+        sink->write(rec, sizeof(rec));
+    }
+    sink->finish();
+}
+
+/** Instructions of the records writeMultiOpChampSim wrote before @p r. */
+constexpr std::uint64_t
+multiOpInstrs(std::uint64_t r)
+{
+    return 2 * r + (r + 1) / 2;
+}
+
+TEST_F(TraceReaderTest, ChampSimRestoreKeepsExpansionState)
+{
+    if (!compressionSupported(Compression::Gzip))
+        GTEST_SKIP() << "zlib not compiled in";
+    // A checkpoint can fall inside a record's expansion, and the
+    // last-writer table carries dependences across the cursor.
+    const std::string p = path(".champsimtrace.gz");
+    constexpr std::uint64_t kRecords = 6'000;
+    writeMultiOpChampSim(p, kRecords);
+    // The first member holds records [0, 4096).
+    constexpr std::uint64_t kEdge = multiOpInstrs(4096);
+    for (std::uint64_t k = kEdge - 4; k <= kEdge + 4; ++k)
+        expectRestoreContinues(p, k, 3'000);
+    expectRestoreContinues(p, multiOpInstrs(kRecords) + kEdge + 1, 100);
+}
+
+/**
+ * @p bytes, a checkpoint of a trace named @p name, with the u64 field
+ * @p field after the name set to @p value (0 instruction count, 1 loop
+ * position, 2 file size, 3 and 4 restart point, 5 cursor) and the
+ * checksum resealed, so only the restore's own checks can reject it.
+ */
+std::vector<char>
+withField(std::vector<char> bytes, const std::string &name, int field,
+          std::uint64_t value)
+{
+    const std::size_t at = 8 + 4 + 8 + name.size() + 8 * field;
+    for (int i = 0; i < 8; ++i)
+        bytes[at + i] = static_cast<char>(value >> (8 * i));
+    Xxh64 sum;
+    sum.update(bytes.data(), bytes.size() - 8);
+    for (int i = 0; i < 8; ++i)
+        bytes[bytes.size() - 8 + i] = static_cast<char>(sum.value() >> (8 * i));
+    return bytes;
+}
+
+TEST_F(TraceReaderTest, CheckpointGuardsRejectBadPositions)
+{
+    if (!compressionSupported(Compression::Gzip))
+        GTEST_SKIP() << "zlib not compiled in";
+    const std::string p = path(".hrm.gz");
+    PatternWorkload source(997);
+    ASSERT_EQ(0u, writeTraceFile(p, source, 30'000, "pattern", "TEST"));
+    FileWorkload w(p);
+    for (int i = 0; i < 20'000; ++i) // the cursor is in the second member
+        static_cast<void>(w.next());
+    const std::vector<char> good = checkpointOf(w);
+
+    std::int64_t size = 0;
+    RestartPoint from;
+    std::uint64_t cursor = 0;
+    {
+        test::VectorSource src(good);
+        StateReader r(src);
+        r.section("WFIL");
+        EXPECT_EQ(r.str(), "pattern");
+        EXPECT_EQ(r.u64(), 30'000u);
+        EXPECT_EQ(r.u64(), 20'000u);
+        size = r.i64();
+        from.fileOffset = r.u64();
+        from.streamOffset = r.u64();
+        cursor = r.u64();
+    }
+    struct stat st;
+    ASSERT_EQ(::stat(p.c_str(), &st), 0);
+    EXPECT_EQ(size, st.st_size);
+    EXPECT_EQ(cursor, 43u + 20'000u * 24);
+    EXPECT_EQ(from.streamOffset, kGzipMemberBytes);
+
+    const auto set = [&good](int field, std::uint64_t value) {
+        return withField(good, "pattern", field, value);
+    };
+    EXPECT_NO_THROW(restoredFrom(p, set(5, cursor)));
+    EXPECT_THROW(restoredFrom(p, set(2, size + 1)), StateError)
+        << "a trace whose size changed";
+    EXPECT_THROW(restoredFrom(p, set(3, size + 1)), std::runtime_error)
+        << "a restart offset past the end of the file";
+    EXPECT_THROW(restoredFrom(p, set(5, cursor + 24)), StateError)
+        << "a cursor that is not record 20000";
+    EXPECT_THROW(restoredFrom(p, withField(set(3, 0), "pattern", 4, 0)),
+                 std::runtime_error)
+        << "a cursor more than one member past its restart point";
+}
+
+TEST_F(TraceReaderTest, ChampSimCheckpointGuardsRejectBadPositions)
+{
+    // Raw files restart exactly at the cursor, and ChampSim cursors
+    // have no header arithmetic to match: only the guards keep a bad
+    // cursor from seeking past the end, where replay would fail later.
+    const std::string p = path(".champsimtrace");
+    const std::string name = p.substr(p.find_last_of('/') + 1);
+    writeMultiOpChampSim(p, 3'000);
+    FileWorkload w(p);
+    for (int i = 0; i < 1'001; ++i) // inside record 400's expansion
+        static_cast<void>(w.next());
+    const std::vector<char> good = checkpointOf(w);
+    const std::uint64_t cursor = 401 * 64;
+    const std::uint64_t past_end = 3'001 * 64;
+
+    const auto set = [&](int field, std::uint64_t value) {
+        return withField(good, name, field, value);
+    };
+    EXPECT_NO_THROW(restoredFrom(p, set(5, cursor)));
+    EXPECT_THROW(restoredFrom(p, set(1, 1'002)), StateError)
+        << "a loop position the expansion queue does not add up to";
+    EXPECT_THROW(restoredFrom(p, set(5, cursor + 1)), std::runtime_error)
+        << "a cursor inside a record";
+    const auto past = withField(
+        withField(set(3, past_end), name, 4, past_end), name, 5, past_end);
+    EXPECT_THROW(restoredFrom(p, past), std::runtime_error)
+        << "a cursor past the end of the file";
+}
+
+TEST_F(TraceReaderTest, GzipReadsStopAtMemberEnds)
+{
+    if (!compressionSupported(Compression::Gzip))
+        GTEST_SKIP() << "zlib not compiled in";
+    // The sink cuts a member every kGzipMemberBytes of input; a read
+    // returns bytes of one member only, so every byte it returned has
+    // a known restart point.
+    const std::string p = path(".bin.gz");
+    std::vector<char> data(2 * kGzipMemberBytes + 1000);
+    for (std::size_t i = 0; i < data.size(); ++i)
+        data[i] = static_cast<char>(i * 7 + (i >> 9));
+    {
+        auto sink = openByteSink(p, Compression::Gzip);
+        sink->write(data.data(), data.size());
+        sink->finish();
+    }
+    auto src = openByteSource(p);
+    std::vector<char> buf(4 * kGzipMemberBytes);
+    std::vector<std::size_t> reads;
+    std::size_t total = 0;
+    while (const std::size_t n =
+               src->read(buf.data() + total, buf.size() - total)) {
+        reads.push_back(n);
+        total += n;
+    }
+    EXPECT_EQ(reads, (std::vector<std::size_t>{kGzipMemberBytes,
+                                               kGzipMemberBytes, 1000}));
+    EXPECT_TRUE(std::equal(data.begin(), data.end(), buf.begin()));
+    const RestartPoint last = src->restartPoint(total - 1);
+    EXPECT_EQ(last.streamOffset, 2 * kGzipMemberBytes);
+    EXPECT_GT(last.fileOffset, 0u);
 }
 
 TEST_F(TraceReaderTest, TruncatedGzipThrows)
