@@ -2,13 +2,16 @@
 
 /**
  * @file
- * Open-addressed hash index mapping an in-flight line address to its
- * MSHR slot. Replaces the linear MSHR array scan on every cache lookup
- * (the second-hottest operation in the simulator after tag search).
+ * Open-addressed hash index mapping an in-flight line address to a
+ * slot: a cache's MSHR slot (replacing the linear MSHR array scan on
+ * every cache lookup, the second-hottest operation in the simulator
+ * after tag search), or mere membership for the DRAM read queue.
  *
  * Linear probing with backward-shift deletion; the table is sized at
- * 4x the MSHR count so probe chains stay short. Keys are unique: the
- * cache never allocates two MSHRs for the same line.
+ * 4x the most keys it may hold, so probe chains stay short. Keys are
+ * unique and never exceed that count: the cache never allocates two
+ * MSHRs for the same line, and DRAM reads merge by line into a bounded
+ * queue. Callers enforce both (insert does not check).
  */
 
 #include <cassert>
@@ -23,10 +26,10 @@ namespace hermes
 class AddrIndex
 {
   public:
-    explicit AddrIndex(std::uint32_t mshr_count)
+    explicit AddrIndex(std::uint32_t max_keys)
     {
         const auto cap = static_cast<std::uint32_t>(ceilPow2(
-            mshr_count * 4 < 8 ? 8 : static_cast<std::size_t>(mshr_count) * 4));
+            max_keys * 4 < 8 ? 8 : static_cast<std::size_t>(max_keys) * 4));
         mask_ = cap - 1;
         slots_.assign(cap, kEmpty);
         lines_.assign(cap, 0);
@@ -43,6 +46,8 @@ class AddrIndex
                 return slots_[h];
         }
     }
+
+    bool contains(Addr line) const { return find(line) != kNotFound; }
 
     void
     insert(Addr line, std::uint32_t slot)

@@ -6,13 +6,18 @@
 namespace hermes
 {
 
+DramController::Channel::Channel(const DramParams &p)
+    : banks(p.ranksPerChannel * p.banksPerRank), rqLines(p.rqSize)
+{
+    rq.reserve(p.rqSize);
+}
+
 DramController::DramController(DramParams params) : params_(params)
 {
     assert(params_.channels > 0);
-    channels_.resize(params_.channels);
-    const unsigned banks = params_.ranksPerChannel * params_.banksPerRank;
-    for (auto &ch : channels_)
-        ch.banks.resize(banks);
+    channels_.reserve(params_.channels);
+    for (unsigned c = 0; c < params_.channels; ++c)
+        channels_.emplace_back(params_);
 }
 
 void
@@ -71,7 +76,7 @@ DramController::addRead(const MemRequest &req)
     // Merge with an in-flight read (regular or Hermes) to the same
     // line; rq holds at most one entry per line, so the line set
     // decides in O(1) whether the locating scan is needed at all.
-    if (ch.rqLines.find(req.line()) != ch.rqLines.end())
+    if (ch.rqLines.contains(req.line()))
         for (auto &e : ch.rq) {
             if (e.line != req.line())
                 continue;
@@ -97,7 +102,7 @@ DramController::addRead(const MemRequest &req)
     MemRequest w = req;
     w.cycleMcArrive = now_;
     e.waiters.push_back(w);
-    ch.rqLines.insert(e.line);
+    ch.rqLines.insert(e.line, 0);
     ch.rq.push_back(std::move(e));
     ++ch.queuedReads;
     ch.readSchedBlockedUntil = 0;
@@ -112,7 +117,7 @@ DramController::addHermes(const MemRequest &req)
     // Already in flight (regular or another Hermes request): nothing to
     // do, the data is on its way. Pure membership test — no entry needs
     // touching, so the line set answers without any rq scan.
-    if (ch.rqLines.find(req.line()) != ch.rqLines.end()) {
+    if (ch.rqLines.contains(req.line())) {
         ++stats_.hermesMergedIntoExisting;
         return true;
     }
@@ -127,7 +132,7 @@ DramController::addHermes(const MemRequest &req)
     e.arrived = now_;
     e.hermesOnly = true;
     e.hermesInitiated = true;
-    ch.rqLines.insert(e.line);
+    ch.rqLines.insert(e.line, 0);
     ch.rq.push_back(std::move(e));
     ++ch.queuedReads;
     ++stats_.hermesIssued;
@@ -441,8 +446,7 @@ DramController::nextEventCycle(Cycle now) const
 bool
 DramController::probeRead(Addr line) const
 {
-    const Channel &ch = channels_[channelOf(line)];
-    return ch.rqLines.find(line) != ch.rqLines.end();
+    return channels_[channelOf(line)].rqLines.contains(line);
 }
 
 void
@@ -499,11 +503,19 @@ DramController::loadState(StateReader &r)
     if (r.u64() != channels_.size())
         throw StateError("dram channel count mismatch");
     for (Channel &ch : channels_) {
+        // The read queue is rebuilt with its line index as it loads:
+        // more than rqSize entries or a repeated line is a state the
+        // controller can never reach (enqueues stop at rqSize and
+        // merge by line), and the index relies on both.
         ch.rq.clear();
-        const std::size_t nr = r.count(1u << 20);
+        ch.rqLines.clear();
+        const std::size_t nr = r.count(params_.rqSize);
         for (std::size_t i = 0; i < nr; ++i) {
             ReadEntry e;
             e.line = r.u64();
+            if (ch.rqLines.contains(e.line))
+                throw StateError("dram read queue repeats a line");
+            ch.rqLines.insert(e.line, 0);
             e.bank = r.u32();
             e.row = r.u64();
             e.arrived = r.u64();
@@ -543,11 +555,9 @@ DramController::loadState(StateReader &r)
         ch.issuedWrites = r.u32();
         ch.nextReadFinish = r.u64();
         ch.nextWriteFinish = r.u64();
-        // Derived lookup state: rebuild the line indexes and drop the
-        // scheduler's cached bound (it re-establishes on the next scan).
-        ch.rqLines.clear();
-        for (const ReadEntry &e : ch.rq)
-            ch.rqLines.insert(e.line);
+        // Derived lookup state: rebuild the write-line counts and drop
+        // the scheduler's cached bound (it re-establishes on the next
+        // scan).
         ch.wqLines.clear();
         for (const WriteEntry &e : ch.wq)
             ++ch.wqLines[e.line];

@@ -18,10 +18,10 @@
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "cache/mem_iface.hh"
+#include "common/addr_index.hh"
 #include "common/types.hh"
 
 namespace hermes
@@ -165,7 +165,15 @@ class DramController final : public MemDevice
 
     struct Channel
     {
-        std::deque<ReadEntry> rq;
+        explicit Channel(const DramParams &p);
+
+        /**
+         * Arrival-ordered read queue. Reserved to rqSize and never
+         * grown past it (addRead/addHermes refuse an entry at rqSize,
+         * loadState reads at most rqSize), so it never reallocates;
+         * completions erase in place, keeping the order.
+         */
+        std::vector<ReadEntry> rq;
         std::deque<WriteEntry> wq;
         std::vector<Bank> banks;
         Cycle busFreeAt = 0;
@@ -194,10 +202,11 @@ class DramController final : public MemDevice
         /**
          * Lines of every entry in rq (reads merge by line, so entries
          * are unique per line). O(1) duplicate/merge pre-check for
-         * addRead/addHermes/probeRead instead of an rq scan. Derived
-         * state, rebuilt on loadState.
+         * addRead/addHermes/probeRead instead of an rq scan; the same
+         * open-addressed index as the caches' MSHRs, sized from
+         * rqSize. Derived state, rebuilt on loadState.
          */
-        std::unordered_set<Addr> rqLines;
+        AddrIndex rqLines;
         /** Occupancy count per line in wq (writes to one line can
          * coexist). Gates the read-after-write forwarding scan. */
         std::unordered_map<Addr, unsigned> wqLines;

@@ -20,10 +20,10 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <memory>
 
 #include "cache/mem_iface.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 #include "dram/dram.hh"
 #include "predictor/offchip_pred.hh"
@@ -117,9 +117,9 @@ class HermesController
     {
         w.section("HRMC");
         w.u64(pending_.size());
-        for (const PendingIssue &p : pending_) {
-            saveMemRequest(w, p.req);
-            w.u64(p.issueAt);
+        for (std::size_t i = 0; i < pending_.size(); ++i) {
+            saveMemRequest(w, pending_.at(i).req);
+            w.u64(pending_.at(i).issueAt);
         }
     }
 
@@ -141,7 +141,7 @@ class HermesController
     struct PendingIssue
     {
         MemRequest req;
-        Cycle issueAt;
+        Cycle issueAt = 0;
     };
 
     void drainPending(Cycle now);
@@ -149,7 +149,7 @@ class HermesController
     HermesParams params_;
     OffChipPredictor *predictor_;
     DramController *dram_;
-    std::deque<PendingIssue> pending_;
+    Ring<PendingIssue> pending_;
     HermesStats stats_;
 };
 

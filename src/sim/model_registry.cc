@@ -25,6 +25,20 @@ boundStr(double v)
     return buf;
 }
 
+/**
+ * Names a model may not take. Its knob keys are "<model>.<knob>", and
+ * ParamRegistry::apply looks core keys up first, so a model named like
+ * the first segment of a dotted core key could declare a knob that no
+ * override can reach ("llc" with "ways": llc.ways sets the LLC). The
+ * corpus-generator keys ("corpus.<gen>.<knob>") are reserved the same
+ * way. A fixed list, because add() runs during static initialization,
+ * where the ParamRegistry cannot be consulted; test_model_registry
+ * derives the segments from the ParamRegistry to keep it whole.
+ */
+constexpr const char *kReservedNames[] = {
+    "core", "corpus", "dram", "hermes", "l1", "l2", "llc", "system",
+};
+
 /** Names are dotted-key segments: lowercase alnum and underscores. */
 bool
 validName(const std::string &name)
@@ -163,6 +177,11 @@ ModelRegistry::add(ModelDef def)
         throw std::invalid_argument(
             "model name '" + def.name +
             "' must be lowercase alnum/underscore");
+    for (const char *reserved : kReservedNames)
+        if (def.name == reserved)
+            throw std::invalid_argument(
+                "model name '" + def.name + "' is reserved: keys '" +
+                def.name + ".*' are core or corpus parameters, not knobs");
     const int factories = (def.makePredictor ? 1 : 0) +
                           (def.makePrefetcher ? 1 : 0) +
                           (def.makeReplacement ? 1 : 0);

@@ -162,7 +162,8 @@ class ModelRegistry
 
     /**
      * Register a model. Throws std::invalid_argument on a duplicate
-     * (kind, name), an empty/ill-formed name, a missing or
+     * (kind, name), an empty/ill-formed name, a name reserved for core
+     * parameter keys ("llc", "dram", "corpus", ...), a missing or
      * kind-mismatched factory, an invalid knob declaration or a knob
      * key another model already declares. Stores each knob default in
      * canonical form.

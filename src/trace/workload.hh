@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 
 #include "common/types.hh"
 
@@ -50,7 +51,20 @@ struct TraceInstr
     std::uint32_t depDistance = 0;
     InstrKind kind = InstrKind::Alu;
     bool branchTaken = false;  ///< Outcome for Branch
+    /**
+     * Always zero; never read, never serialized. It fills what would be
+     * 2 bytes of tail padding. With padding, GCC copies the 22 meaningful
+     * bytes as a 16-byte move plus an 8-byte move at offset 14, and that
+     * unaligned load straddles the separate field stores the workload
+     * just made, so it cannot be forwarded from them
+     * (docs/performance.md, "Hot-path data-structure rules").
+     */
+    std::uint16_t reserved = 0;
 };
+
+static_assert(sizeof(TraceInstr) == 24, "TraceInstr must stay 24 bytes");
+static_assert(std::has_unique_object_representations_v<TraceInstr>,
+              "TraceInstr must have no implicit padding");
 
 /**
  * Infinite instruction stream. Implementations must be deterministic

@@ -1,10 +1,14 @@
 // Tests for the DDR4 memory controller: timing classes, bus
-// serialisation, merging, write handling and the Hermes datapath
-// (merge / drop semantics, §6.2).
+// serialisation, merging, write handling, the Hermes datapath
+// (merge / drop semantics, §6.2), the read queue's line index and the
+// checkpoint restore bounds.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/rng.hh"
+#include "common/state_io.hh"
 #include "dram/dram.hh"
 #include "test_helpers.hh"
 
@@ -288,6 +292,170 @@ TEST_P(DramRandomTraffic, ConservesRequests)
 
 INSTANTIATE_TEST_SUITE_P(Channels, DramRandomTraffic,
                          ::testing::Values(1u, 2u, 4u));
+
+/**
+ * Property of the read queue's line index: under a random mix of
+ * regular and Hermes reads on a few lines, probeRead is true for every
+ * accepted regular read until its data returns, and false everywhere
+ * once the controller reports no further work.
+ */
+class DramLineIndex : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(DramLineIndex, TracksEveryQueuedLine)
+{
+    DramParams p;
+    p.channels = GetParam();
+    p.rqSize = 4;
+    DramHarness h(p);
+    constexpr unsigned kLines = 24;
+    Rng rng(7 + GetParam());
+    std::vector<unsigned> waiting(kLines, 0); // regular reads in flight
+    std::size_t seen = 0;
+    std::uint64_t regular_into_hermes = 0;
+    std::uint64_t hermes_into_read = 0;
+    std::uint64_t full_rejects = 0;
+
+    const auto check = [&](const char *after) {
+        for (; seen < h.client.responses.size(); ++seen) {
+            const Addr line = h.client.responses[seen].line();
+            ASSERT_LT(line, kLines);
+            ASSERT_GT(waiting[line], 0u) << "an unrequested response";
+            --waiting[line];
+            if (h.client.responses[seen].servedByHermes)
+                ++regular_into_hermes;
+        }
+        const bool idle = h.dram.nextEventCycle(h.now) == kNoEventCycle;
+        for (Addr line = 0; line < kLines; ++line) {
+            if (waiting[line] != 0) {
+                ASSERT_TRUE(h.dram.probeRead(line))
+                    << "line " << line << " after " << after;
+            }
+            if (idle) {
+                ASSERT_FALSE(h.dram.probeRead(line))
+                    << "line " << line << " idle, after " << after;
+            }
+        }
+    };
+
+    for (int i = 0; i < 4000; ++i) {
+        const Addr line = rng.below(kLines);
+        const MemRequest req = loadReq(line << kLogBlockSize, 0x400000, 0, i);
+        const double op = rng.uniform();
+        if (op < 0.45) {
+            if (h.dram.addRead(req))
+                ++waiting[line];
+            else
+                ++full_rejects;
+            check("addRead");
+        } else if (op < 0.8) {
+            MemRequest hq = req;
+            hq.type = AccessType::Hermes;
+            const auto merged = h.dram.stats().hermesMergedIntoExisting;
+            const bool had_read = waiting[line] != 0;
+            if (!h.dram.addHermes(hq))
+                ++full_rejects;
+            else if (had_read &&
+                     h.dram.stats().hermesMergedIntoExisting > merged)
+                ++hermes_into_read;
+            check("addHermes");
+        } else {
+            h.run(1 + rng.below(120));
+            check("tick");
+        }
+    }
+    while (h.dram.nextEventCycle(h.now) != kNoEventCycle) {
+        h.run(1);
+        check("drain");
+    }
+    for (Addr line = 0; line < kLines; ++line) {
+        EXPECT_EQ(waiting[line], 0u) << "line " << line;
+        EXPECT_FALSE(h.dram.probeRead(line)) << "line " << line;
+    }
+    EXPECT_GT(regular_into_hermes, 0u);
+    EXPECT_GT(hermes_into_read, 0u);
+    EXPECT_GT(full_rejects, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Channels, DramLineIndex,
+                         ::testing::Values(1u, 2u, 4u));
+
+// ---- Checkpoint restore bounds ----------------------------------------
+
+/** @p dram's checkpoint section, sealed with its checksum. */
+std::vector<char>
+checkpointOf(const DramController &dram)
+{
+    test::VectorSink sink;
+    StateWriter w(sink);
+    dram.saveState(w);
+    w.sealChecksum();
+    return sink.bytes;
+}
+
+/** Restore @p bytes into a fresh controller; throws on a defect. */
+void
+restore(const DramParams &p, const std::vector<char> &bytes)
+{
+    DramController dram(p);
+    test::VectorSource src(bytes);
+    StateReader r(src);
+    dram.loadState(r);
+    r.verifyChecksum();
+}
+
+/** Queue a Hermes read (no waiter, so a fixed-size entry) per line. */
+void
+queueHermes(DramController &dram, const std::vector<Addr> &lines)
+{
+    for (const Addr line : lines) {
+        MemRequest hq = loadReq(line << kLogBlockSize);
+        hq.type = AccessType::Hermes;
+        ASSERT_TRUE(dram.addHermes(hq));
+    }
+}
+
+TEST(DramCheckpoint, RejectsMoreReadsThanTheQueueHolds)
+{
+    DramParams big;
+    big.rqSize = 5;
+    DramController full(big);
+    queueHermes(full, {1, 2, 3, 4, 5});
+    const std::vector<char> bytes = checkpointOf(full);
+    EXPECT_NO_THROW(restore(big, bytes));
+
+    DramParams small = big;
+    small.rqSize = 4; // the section holds rqSize + 1 entries
+    EXPECT_THROW(restore(small, bytes), StateError);
+}
+
+TEST(DramCheckpoint, RejectsARepeatedLine)
+{
+    DramParams p;
+    DramController dram(p);
+    queueHermes(dram, {11, 22});
+    const std::vector<char> good = checkpointOf(dram);
+    EXPECT_NO_THROW(restore(p, good));
+
+    // Layout: "DRAM" tag (u64 length + 4 bytes), u64 channel count,
+    // u64 read count, then per read: line, bank, row, arrived, state,
+    // finishAt, hermesOnly, hermesInitiated, waiter count (47 bytes
+    // with no waiters).
+    const std::size_t second_line = 8 + 4 + 8 + 8 + 47;
+    const auto withSecondLine = [&](Addr line) {
+        std::vector<char> bytes = good;
+        std::uint64_t was = 0;
+        std::memcpy(&was, bytes.data() + second_line, 8);
+        EXPECT_EQ(was, 22u) << "the layout above is stale";
+        for (int i = 0; i < 8; ++i)
+            bytes[second_line + i] = static_cast<char>(line >> (8 * i));
+        test::resealChecksum(bytes);
+        return bytes;
+    };
+    EXPECT_NO_THROW(restore(p, withSecondLine(33)));
+    EXPECT_THROW(restore(p, withSecondLine(11)), StateError);
+}
 
 } // namespace
 } // namespace hermes

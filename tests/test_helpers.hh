@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "cache/mem_iface.hh"
+#include "common/state_io.hh"
 #include "trace/trace_io.hh"
 
 namespace hermes::test
@@ -148,6 +149,20 @@ class VectorSource : public ByteSource
     std::size_t pos_ = 0;
     std::string path_ = "<memory>";
 };
+
+/**
+ * Recompute the trailing checksum of a sealed checkpoint whose payload
+ * a test edited, so only the restore's own checks can reject the edit.
+ */
+inline void
+resealChecksum(std::vector<char> &bytes)
+{
+    Xxh64 sum;
+    sum.update(bytes.data(), bytes.size() - 8);
+    const std::uint64_t value = sum.value();
+    for (int i = 0; i < 8; ++i)
+        bytes[bytes.size() - 8 + i] = static_cast<char>(value >> (8 * i));
+}
 
 /** Make a load request to a byte address. */
 inline MemRequest

@@ -1,12 +1,12 @@
 // Tests for the self-registering model factory
 // (sim/model_registry.hh): registration validation (duplicates,
-// ill-formed names, factory/kind mismatches), nearest-name suggestions
-// for unknown models and knob keys, knob validation and
-// fromConfig/toConfig round trips, that every knob reaches its model
-// and that every spelling of a value is one identity, runtime
-// registration visibility through the selection parameters, the
-// rejection of names that are not registered, and deterministic runs
-// of the new contenders.
+// ill-formed names, names reserved for core keys, factory/kind
+// mismatches), nearest-name suggestions for unknown models and knob
+// keys, knob validation and fromConfig/toConfig round trips, that
+// every knob reaches its model and that every spelling of a value is
+// one identity, runtime registration visibility through the selection
+// parameters, the rejection of names that are not registered, and
+// deterministic runs of the new contenders.
 
 #include <gtest/gtest.h>
 
@@ -105,6 +105,50 @@ TEST(ModelRegistry, IllFormedDefsRejected)
     bad_knob.knobs = {{"k", ModelKnob::Type::Int, "99", 0, 8, false,
                        "out-of-range default"}};
     EXPECT_THROW(reg.add(std::move(bad_knob)), std::invalid_argument);
+}
+
+TEST(ModelRegistry, NamesOfCoreKeyPrefixesRejected)
+{
+    // Every first segment of a dotted core key, and the corpus-generator
+    // prefix, derived from the live schema so a new key family cannot
+    // slip past the registry's fixed list.
+    std::vector<std::string> prefixes = {"corpus"};
+    for (const ParamDef &d : ParamRegistry::instance().params()) {
+        const std::size_t dot = d.key.find('.');
+        if (dot != std::string::npos)
+            prefixes.push_back(d.key.substr(0, dot));
+    }
+    std::sort(prefixes.begin(), prefixes.end());
+    prefixes.erase(std::unique(prefixes.begin(), prefixes.end()),
+                   prefixes.end());
+    ASSERT_GE(prefixes.size(), 8u);
+    ModelRegistry reg;
+    for (const std::string &prefix : prefixes) {
+        EXPECT_THROW(reg.add(minimalPredictorDef(prefix)),
+                     std::invalid_argument)
+            << prefix;
+        EXPECT_NO_THROW(reg.add(minimalPredictorDef(prefix + "_x")))
+            << prefix;
+    }
+}
+
+TEST(ModelRegistry, KnobShadowedByACoreKeyRejected)
+{
+    // llc.ways is the LLC's associativity; a model "llc" with knob
+    // "ways" could never be set.
+    ModelRegistry reg;
+    ModelDef d = minimalPredictorDef("llc");
+    d.knobs = {{"ways", ModelKnob::Type::Int, "4", 1, 64, false,
+                "a knob a core key would shadow"}};
+    try {
+        reg.add(std::move(d));
+        FAIL() << "model 'llc' registered";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("reserved"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(reg.models(ModelKind::Predictor).empty());
 }
 
 TEST(ModelRegistry, UnknownModelGetsNearestSuggestion)

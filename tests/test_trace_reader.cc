@@ -392,10 +392,7 @@ withField(std::vector<char> bytes, const std::string &name, int field,
     const std::size_t at = 8 + 4 + 8 + name.size() + 8 * field;
     for (int i = 0; i < 8; ++i)
         bytes[at + i] = static_cast<char>(value >> (8 * i));
-    Xxh64 sum;
-    sum.update(bytes.data(), bytes.size() - 8);
-    for (int i = 0; i < 8; ++i)
-        bytes[bytes.size() - 8 + i] = static_cast<char>(sum.value() >> (8 * i));
+    test::resealChecksum(bytes);
     return bytes;
 }
 
