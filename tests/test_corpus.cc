@@ -4,14 +4,24 @@
 // and the resolver contract — suite names resolve exactly as before
 // the resolver existed (fingerprint safety), corpus and file specs
 // resolve to runnable workloads, and malformed specs fail with
-// actionable errors.
+// actionable errors. SuiteStreams pins every suite trace's and every
+// bare generator's identity and instruction stream in
+// tests/golden/suite_streams.txt; after an *intentional* stream change
+// regenerate it with
+//   HERMES_UPDATE_GOLDEN=1 ./test_corpus --gtest_filter='SuiteStreams.*'
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstdlib>
+#include <map>
 #include <stdexcept>
 #include <string>
 
+#include "common/fnv.hh"
+#include "common/state_io.hh"
+#include "golden_util.hh"
+#include "test_helpers.hh"
 #include "trace/corpus.hh"
 #include "trace/resolve.hh"
 #include "trace/suite.hh"
@@ -223,6 +233,92 @@ TEST(Resolver, BuiltInSuitesHaveUniqueNames)
 {
     EXPECT_NO_THROW(validateUniqueTraceNames(fullSuite()));
     EXPECT_NO_THROW(validateUniqueTraceNames(quickSuite()));
+}
+
+// ---- Pinned suite streams -------------------------------------------
+
+/** Instructions of each trace that suite_streams.txt covers. */
+constexpr int kPinnedInstrs = 20'000;
+
+/**
+ * @p spec's identity and stream in one hash: name, category, the
+ * first kPinnedInstrs instructions (every TraceInstr field the core
+ * reads) and the generator's checkpoint bytes after them.
+ */
+std::uint64_t
+streamFingerprint(const TraceSpec &spec)
+{
+    Fnv64 f;
+    f.add(spec.name());
+    f.add(spec.category());
+    auto w = spec.make();
+    for (int i = 0; i < kPinnedInstrs; ++i) {
+        const TraceInstr t = w->next();
+        f.add(t.pc);
+        f.add(static_cast<std::uint64_t>(t.kind));
+        f.add(t.vaddr);
+        f.add(std::uint64_t{t.branchTaken});
+        f.add(std::uint64_t{t.depDistance});
+    }
+    test::VectorSink sink;
+    StateWriter state(sink);
+    w->saveState(state);
+    state.sealChecksum();
+    f.add(std::string(sink.bytes.begin(), sink.bytes.end()));
+    return f.value();
+}
+
+/** Hash of a suite's trace names, in order. */
+std::uint64_t
+orderFingerprint(const std::vector<TraceSpec> &suite)
+{
+    Fnv64 f;
+    for (const TraceSpec &t : suite)
+        f.add(t.name());
+    return f.value();
+}
+
+TEST(SuiteStreams, EveryTraceMatchesItsGolden)
+{
+    ASSERT_EQ(fullSuite().size(), 56u);
+    ASSERT_EQ(quickSuite().size(), 10u);
+
+    std::map<std::string, std::uint64_t> actual;
+    actual["suite:full"] = orderFingerprint(fullSuite());
+    actual["suite:quick"] = orderFingerprint(quickSuite());
+    for (const TraceSpec &t : fullSuite())
+        actual[t.name()] = streamFingerprint(t);
+    for (const char *gen :
+         {"chase", "stream", "gather", "mlp", "tlb", "mix"}) {
+        const TraceSpec t = makeCorpusTrace(std::string("corpus.") + gen);
+        actual[t.name()] = streamFingerprint(t);
+    }
+
+    const std::string path = golden::goldenPath("suite_streams.txt");
+    if (std::getenv("HERMES_UPDATE_GOLDEN") != nullptr) {
+        ASSERT_TRUE(golden::writeGoldens(
+            path,
+            "# Suite trace identities and streams (name, category, first "
+            "20000\n"
+            "# instructions, checkpoint bytes), plus the suite orders.\n"
+            "# Regenerate: HERMES_UPDATE_GOLDEN=1 ./test_corpus "
+            "--gtest_filter='SuiteStreams.*'\n",
+            actual))
+            << "cannot write " << path;
+        GTEST_LOG_(INFO) << "golden file updated: " << path;
+        return;
+    }
+
+    const auto golden = golden::loadGoldens(path);
+    EXPECT_EQ(golden.size(), actual.size())
+        << path << " and the suite list different traces";
+    for (const auto &[key, fp] : actual) {
+        const auto it = golden.find(key);
+        ASSERT_NE(it, golden.end()) << "no golden entry for " << key;
+        EXPECT_EQ(it->second, fp)
+            << key << ": trace identity or stream changed; if "
+            << "intentional, regenerate with HERMES_UPDATE_GOLDEN=1";
+    }
 }
 
 } // namespace

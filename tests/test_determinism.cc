@@ -15,9 +15,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <fstream>
 #include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -121,16 +119,12 @@ TEST(Determinism, GoldenFingerprintsMatch)
         actual[c.key] = statsFingerprint(runCase(c));
 
     if (std::getenv("HERMES_UPDATE_GOLDEN") != nullptr) {
-        std::ofstream out(goldenPath());
-        ASSERT_TRUE(out) << "cannot write " << goldenPath();
-        out << "# Golden RunStats fingerprints (statsFingerprint).\n"
-            << "# Regenerate: HERMES_UPDATE_GOLDEN=1 ./test_determinism\n";
-        char buf[32];
-        for (const auto &[key, fp] : actual) {
-            std::snprintf(buf, sizeof(buf), "%016llx",
-                          static_cast<unsigned long long>(fp));
-            out << key << " " << buf << "\n";
-        }
+        ASSERT_TRUE(golden::writeGoldens(
+            goldenPath(),
+            "# Golden RunStats fingerprints (statsFingerprint).\n"
+            "# Regenerate: HERMES_UPDATE_GOLDEN=1 ./test_determinism\n",
+            actual))
+            << "cannot write " << goldenPath();
         GTEST_LOG_(INFO) << "golden file updated: " << goldenPath();
         return;
     }
