@@ -502,6 +502,25 @@ DramController::loadState(StateReader &r)
     r.section("DRAM");
     if (r.u64() != channels_.size())
         throw StateError("dram channel count mismatch");
+    // A queue's Queued and Issued counts and its earliest Issued finish
+    // cycle (0 with none in flight, as the scheduler leaves it).
+    const auto recount = [](const auto &q, unsigned &queued,
+                            unsigned &issued, Cycle &next_finish) {
+        queued = issued = 0;
+        next_finish = 0;
+        for (const auto &e : q) {
+            if (e.state == State::Queued) {
+                ++queued;
+            } else if (e.state == State::Issued) {
+                next_finish = issued == 0 ? e.finishAt
+                                          : std::min(next_finish, e.finishAt);
+                ++issued;
+            } else {
+                throw StateError("dram entry state is neither queued "
+                                 "nor issued");
+            }
+        }
+    };
     for (Channel &ch : channels_) {
         // The read queue is rebuilt with its line index as it loads:
         // more than rqSize entries or a repeated line is a state the
@@ -549,12 +568,19 @@ DramController::loadState(StateReader &r)
         }
         ch.busFreeAt = r.u64();
         ch.drainingWrites = r.b();
-        ch.queuedReads = r.u32();
-        ch.issuedReads = r.u32();
-        ch.queuedWrites = r.u32();
-        ch.issuedWrites = r.u32();
-        ch.nextReadFinish = r.u64();
-        ch.nextWriteFinish = r.u64();
+        // The scheduler's counts and next-finish cycles are a summary
+        // of the entries: recount them, and reject a stored count the
+        // entries disagree with (tick() trusts the counts to decide
+        // whether to scan at all, so a wrong one strands a request).
+        recount(ch.rq, ch.queuedReads, ch.issuedReads, ch.nextReadFinish);
+        recount(ch.wq, ch.queuedWrites, ch.issuedWrites,
+                ch.nextWriteFinish);
+        const unsigned stored[] = {r.u32(), r.u32(), r.u32(), r.u32()};
+        if (stored[0] != ch.queuedReads || stored[1] != ch.issuedReads ||
+            stored[2] != ch.queuedWrites || stored[3] != ch.issuedWrites)
+            throw StateError("dram queue counts disagree with the queues");
+        r.u64(); // nextReadFinish and nextWriteFinish, recomputed above
+        r.u64();
         // Derived lookup state: rebuild the write-line counts and drop
         // the scheduler's cached bound (it re-establishes on the next
         // scan).

@@ -457,5 +457,32 @@ TEST(DramCheckpoint, RejectsARepeatedLine)
     EXPECT_THROW(restore(p, withSecondLine(11)), StateError);
 }
 
+TEST(DramCheckpoint, RejectsStateThatDisagreesWithTheQueue)
+{
+    DramParams p;
+    DramController dram(p);
+    ASSERT_TRUE(dram.addRead(loadReq(7 << kLogBlockSize)));
+    const std::vector<char> good = checkpointOf(dram);
+    EXPECT_NO_THROW(restore(p, good));
+
+    const auto withByte = [&](std::size_t at, char was, char now) {
+        std::vector<char> bytes = good;
+        EXPECT_EQ(bytes[at], was) << "the layout below is stale";
+        bytes[at] = now;
+        test::resealChecksum(bytes);
+        return bytes;
+    };
+    // The one channel's section ends with queuedReads, issuedReads,
+    // queuedWrites, issuedWrites (u32 each) and nextReadFinish,
+    // nextWriteFinish (u64 each); the controller clock (u64) and the
+    // checksum (u64) follow.
+    const std::size_t queued_reads = good.size() - 8 - 8 - 2 * 8 - 4 * 4;
+    EXPECT_THROW(restore(p, withByte(queued_reads, 1, 0)), StateError);
+    // The read's state byte: "DRAM" tag, channel and read counts, then
+    // line, bank, row and arrival cycle (see RejectsARepeatedLine).
+    const std::size_t state = 8 + 4 + 8 + 8 + 8 + 4 + 8 + 8;
+    EXPECT_THROW(restore(p, withByte(state, 0, 2)), StateError);
+}
+
 } // namespace
 } // namespace hermes
