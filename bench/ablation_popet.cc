@@ -1,12 +1,12 @@
 /**
  * @file
- * Design-choice ablations for POPET beyond the paper's figures — the
- * knobs DESIGN.md §4 calls out: page-buffer reach, weight width,
- * training thresholds and the mispredict-training rule. Each sweep
- * reports accuracy/coverage (predictor-only) and Hermes speedup on the
- * Pythia baseline, quantifying how much each design decision buys.
+ * Design-choice ablations for POPET (paper §6.1) beyond the paper's
+ * figures: page-buffer reach, weight width, training thresholds and
+ * the mispredict-training rule. Each sweep reports accuracy/coverage
+ * (predictor-only) and Hermes speedup on the Pythia baseline,
+ * quantifying how much each design decision buys.
  */
-// figmap: DESIGN.md ablations | POPET buffer/weights/thresholds knobs
+// figmap: (ablation) | POPET buffer/weights/thresholds knobs
 
 #include <cstdio>
 #include <string>

@@ -12,9 +12,9 @@
  * Latencies are *incremental*: with L1=5, L2=10, LLC=40 a demand load
  * that hits the LLC observes the paper's 55-cycle round trip (Table 4).
  *
- * Simplification (documented in DESIGN.md): write queues accept
- * unconditionally (soft-bounded) to avoid writeback-deadlock plumbing;
- * an overflow statistic records pressure instead.
+ * Simplification: write queues accept unconditionally (soft-bounded)
+ * to avoid writeback-deadlock plumbing; an overflow statistic records
+ * pressure instead.
  *
  * Hot-path layout (this cache is looked up for every simulated memory
  * access, so the data structures are shaped for throughput):

@@ -43,8 +43,13 @@ parseAxis(const std::string &spec)
             "'");
     Axis axis;
     axis.key = spec.substr(0, eq);
-    ParamRegistry::instance().findOrThrow(axis.key);
     axis.values = splitCommaList(spec.substr(eq + 1), "axis spec");
+    // Check every value the way expandAxis applies it, so a model knob
+    // ("popet.act_threshold") or a corpus knob ("corpus.chase.alu") is
+    // an axis like any core parameter.
+    SystemConfig scratch = SystemConfig::baseline(1);
+    for (const std::string &v : axis.values)
+        ParamRegistry::instance().apply(scratch, axis.key, v);
     return axis;
 }
 

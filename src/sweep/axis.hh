@@ -27,8 +27,9 @@ struct Axis
 
 /**
  * Parse "key=v1,v2,v3" (at least one value; empty values rejected).
- * The key is validated against the parameter registry. Throws
- * std::invalid_argument on malformed specs or unknown keys.
+ * Key and values are checked as ParamRegistry::apply applies them:
+ * core parameters, model knobs and corpus knobs alike. Throws
+ * std::invalid_argument on malformed specs, unknown keys or bad values.
  */
 Axis parseAxis(const std::string &spec);
 

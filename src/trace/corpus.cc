@@ -76,6 +76,33 @@ void setColdFrac(SyntheticParams &p, double v)
     p.mixColdFraction = v;
 }
 
+void setBranchBias(SyntheticParams &p, double v) { p.dataBranchBias = v; }
+
+void setHotKb(SyntheticParams &p, double v)
+{
+    p.hotBytes = static_cast<std::uint64_t>(v) << 10;
+}
+
+void setRowKb(SyntheticParams &p, double v)
+{
+    p.rowBytes = static_cast<std::uint64_t>(v) << 10;
+}
+
+void setProbeHotFrac(SyntheticParams &p, double v)
+{
+    p.probeHotFraction = v;
+}
+
+void setTableHotFrac(SyntheticParams &p, double v)
+{
+    p.probeTableHotFraction = v;
+}
+
+void setWarmMb(SyntheticParams &p, double v)
+{
+    p.warmBytes = static_cast<std::uint64_t>(v) << 20;
+}
+
 // Shared knob rows (tables repeat them so each generator lists only
 // what it honours, in a stable documented order).
 constexpr CorpusKnob kSeed = {"seed", "generator RNG seed", 0, 1e15,
@@ -96,6 +123,9 @@ constexpr CorpusKnob kMlp = {
     true, setMlp};
 constexpr CorpusKnob kStride = {"stride", "sweep stride in bytes", 1,
                                 4096, true, setStride};
+constexpr CorpusKnob kBranchBias = {
+    "branch_bias", "taken probability of a data-dependent branch", 0, 1,
+    false, setBranchBias};
 
 void
 chaseDefaults(SyntheticParams &p)
@@ -157,6 +187,18 @@ mixDefaults(SyntheticParams &p)
     p.loadMlp = 12;
 }
 
+// The three generators below keep SyntheticParams' own defaults: each
+// knob a suite workload sets is spelled in its spec (trace/suite.cc).
+void stridedDefaults(SyntheticParams &p) { p.pattern = Pattern::Stride; }
+
+void
+stencilDefaults(SyntheticParams &p)
+{
+    p.pattern = Pattern::StencilReuse;
+}
+
+void probeDefaults(SyntheticParams &p) { p.pattern = Pattern::HashProbe; }
+
 std::vector<CorpusGenerator>
 buildGenerators()
 {
@@ -168,6 +210,8 @@ buildGenerators()
            true, setChains},
           {"hit_frac", "extra always-hitting loads per block", 0, 1,
            false, setHitFrac},
+          {"hot_kb", "always-hitting region size in KiB", 1, 1 << 16,
+           true, setHotKb},
           kAlu, kStoreFrac, kBranchFrac, kSeed}},
         {"stream", "dense sequential sweep (lbm-like)", streamDefaults,
          {kFootprint, kStride, kMlp, kAlu, kStoreFrac, kBranchFrac,
@@ -182,7 +226,7 @@ buildGenerators()
            setDataStride},
           {"hot_frac", "fraction of gathers into the hot subset", 0, 1,
            false, setGatherHotFrac},
-          kAlu, kStoreFrac, kSeed}},
+          kMlp, kAlu, kStoreFrac, kBranchFrac, kBranchBias, kSeed}},
         {"mlp", "high memory-level-parallelism sweep", mlpDefaults,
          {kFootprint, kMlp, kStride, kAlu, kSeed}},
         {"tlb",
@@ -196,7 +240,28 @@ buildGenerators()
          {kFootprint,
           {"cold_frac", "probability of touching the DRAM array", 0, 1,
            false, setColdFrac},
-          kMlp, kAlu, kBranchFrac, kSeed}},
+          kMlp, kAlu, kBranchFrac, kBranchBias, kSeed}},
+        {"strided", "constant-stride sweep (fotonik3d-like)",
+         stridedDefaults, {kFootprint, kStride, kMlp, kAlu, kSeed}},
+        {"stencil",
+         "row sweep reading the neighbour rows (cactusADM/pop2-like)",
+         stencilDefaults,
+         {kFootprint,
+          {"row_kb", "grid row size in KiB", 1, 1 << 16, true, setRowKb},
+          kStride, kMlp, kSeed}},
+        {"probe",
+         "hash-table probes with hot and warm payloads "
+         "(xalancbmk/server-like)",
+         probeDefaults,
+         {kFootprint,
+          {"hot_frac", "probability a payload access hits the hot region",
+           0, 1, false, setProbeHotFrac},
+          {"table_hot_frac",
+           "fraction of probes into the cache-resident part of the table",
+           0, 1, false, setTableHotFrac},
+          {"warm_mb", "LLC-sized warm payload region in MiB", 1, 1 << 16,
+           true, setWarmMb},
+          kMlp, kAlu, kBranchFrac, kBranchBias, kSeed}},
     };
 }
 
@@ -217,11 +282,16 @@ nearest(const std::string &needle, const Names &names)
     return best_dist <= 3 ? best : std::string();
 }
 
+/**
+ * Throw "<context>: <why>", naming @p suggestion if there is one. The
+ * context says where the text came from: a spec ("corpus spec '...'")
+ * or a configuration override.
+ */
 [[noreturn]] void
-failSpec(const std::string &spec, const std::string &why,
-         const std::string &suggestion = std::string())
+fail(const std::string &context, const std::string &why,
+     const std::string &suggestion = std::string())
 {
-    std::string msg = "corpus spec '" + spec + "': " + why;
+    std::string msg = context + ": " + why;
     if (!suggestion.empty())
         msg += " (did you mean '" + suggestion + "'?)";
     throw std::invalid_argument(msg);
@@ -237,6 +307,77 @@ formatKnobValue(const CorpusKnob &knob, double value)
     else
         std::snprintf(buf, sizeof(buf), "%g", value);
     return buf;
+}
+
+const CorpusGenerator &
+findGenerator(const std::string &name, const std::string &context)
+{
+    std::vector<std::string> names;
+    for (const auto &g : corpusGenerators()) {
+        if (name == g.name)
+            return g;
+        names.push_back(g.name);
+    }
+    fail(context, "unknown generator '" + name + "'", nearest(name, names));
+}
+
+/** Position of @p key in @p gen's knob table. */
+std::size_t
+findKnob(const CorpusGenerator &gen, const std::string &key,
+         const std::string &context)
+{
+    std::vector<std::string> keys;
+    for (std::size_t k = 0; k < gen.knobs.size(); ++k) {
+        if (key == gen.knobs[k].key)
+            return k;
+        keys.push_back(gen.knobs[k].key);
+    }
+    fail(context,
+         "generator '" + std::string(gen.name) + "' has no knob '" + key +
+             "'",
+         nearest(key, keys));
+}
+
+/** @p value as a number in @p knob's range (an integer if it must be). */
+double
+parseKnobValue(const CorpusKnob &knob, const std::string &value,
+               const std::string &context)
+{
+    const auto parsed = parseFiniteDouble(value);
+    if (!parsed)
+        fail(context, "invalid number '" + value + "'");
+    const double v = *parsed;
+    if (knob.integer && v != std::floor(v))
+        fail(context, "expected an integer, got '" + value + "'");
+    if (v < knob.min || v > knob.max)
+        fail(context, value + " out of range [" +
+                          formatKnobValue(knob, knob.min) + ", " +
+                          formatKnobValue(knob, knob.max) + "]");
+    return v;
+}
+
+/** A "corpus.<generator>.<knob>" override, resolved and range-checked. */
+struct Override
+{
+    const CorpusGenerator &gen;
+    const CorpusKnob &knob;
+    double value;
+};
+
+Override
+resolveOverride(const std::string &key, const std::string &value)
+{
+    const std::string context = "corpus override '" + key + "'";
+    const std::size_t prefix_len = std::strlen(kPrefix);
+    const std::size_t dot = key.find('.', prefix_len);
+    if (!isCorpusSpec(key) || dot == std::string::npos ||
+        dot == prefix_len || dot + 1 >= key.size())
+        fail(context, "expected corpus.<generator>.<knob>");
+    const CorpusGenerator &gen =
+        findGenerator(key.substr(prefix_len, dot - prefix_len), context);
+    const CorpusKnob &knob =
+        gen.knobs[findKnob(gen, key.substr(dot + 1), context)];
+    return {gen, knob, parseKnobValue(knob, value, key)};
 }
 
 } // namespace
@@ -258,8 +399,9 @@ isCorpusSpec(const std::string &spec)
 TraceSpec
 makeCorpusTrace(const std::string &spec)
 {
+    const std::string context = "corpus spec '" + spec + "'";
     if (!isCorpusSpec(spec))
-        failSpec(spec, "missing 'corpus.' prefix");
+        fail(context, "missing 'corpus.' prefix");
 
     // Split on ':' — the first field names the generator, the rest
     // are knob=value settings.
@@ -275,81 +417,38 @@ makeCorpusTrace(const std::string &spec)
         start = colon + 1;
     }
 
-    const std::string gen_name = fields[0].substr(std::strlen(kPrefix));
-    const CorpusGenerator *gen = nullptr;
-    for (const auto &g : corpusGenerators())
-        if (gen_name == g.name) {
-            gen = &g;
-            break;
-        }
-    if (gen == nullptr) {
-        std::vector<std::string> names;
-        for (const auto &g : corpusGenerators())
-            names.push_back(g.name);
-        failSpec(spec, "unknown generator '" + gen_name + "'",
-                 nearest(gen_name, names));
-    }
-
+    const CorpusGenerator &gen =
+        findGenerator(fields[0].substr(std::strlen(kPrefix)), context);
     SyntheticParams params;
-    gen->defaults(params);
+    gen.defaults(params);
 
     // Values keyed by knob-table position, so the canonical name lists
     // knobs in one stable order however the user spelled the spec.
-    std::vector<double> values(gen->knobs.size());
-    std::vector<bool> set(gen->knobs.size(), false);
+    std::vector<double> values(gen.knobs.size());
+    std::vector<bool> set(gen.knobs.size(), false);
     for (std::size_t f = 1; f < fields.size(); ++f) {
         const std::string &field = fields[f];
         const std::size_t eq = field.find('=');
         if (field.empty() || eq == std::string::npos || eq == 0)
-            failSpec(spec, "expected knob=value, got '" + field + "'");
+            fail(context, "expected knob=value, got '" + field + "'");
         const std::string key = field.substr(0, eq);
-        const std::string value_str = field.substr(eq + 1);
-
-        std::size_t idx = gen->knobs.size();
-        for (std::size_t k = 0; k < gen->knobs.size(); ++k)
-            if (key == gen->knobs[k].key) {
-                idx = k;
-                break;
-            }
-        if (idx == gen->knobs.size()) {
-            std::vector<std::string> keys;
-            for (const auto &k : gen->knobs)
-                keys.push_back(k.key);
-            failSpec(spec,
-                     "generator '" + gen_name + "' has no knob '" +
-                         key + "'",
-                     nearest(key, keys));
-        }
+        const std::size_t idx = findKnob(gen, key, context);
         if (set[idx])
-            failSpec(spec, "duplicate knob '" + key + "'");
-
-        const CorpusKnob &knob = gen->knobs[idx];
-        const auto parsed = parseFiniteDouble(value_str);
-        if (!parsed)
-            failSpec(spec, "knob '" + key + "': invalid number '" +
-                               value_str + "'");
-        const double v = *parsed;
-        if (knob.integer && v != std::floor(v))
-            failSpec(spec, "knob '" + key + "': expected an integer, "
-                           "got '" + value_str + "'");
-        if (v < knob.min || v > knob.max)
-            failSpec(spec, "knob '" + key + "': " + value_str +
-                               " out of range [" +
-                               formatKnobValue(knob, knob.min) + ", " +
-                               formatKnobValue(knob, knob.max) + "]");
-        values[idx] = v;
+            fail(context, "duplicate knob '" + key + "'");
+        values[idx] = parseKnobValue(gen.knobs[idx], field.substr(eq + 1),
+                                     context + ": knob '" + key + "'");
         set[idx] = true;
     }
 
-    std::string canonical = std::string(kPrefix) + gen->name;
-    for (std::size_t k = 0; k < gen->knobs.size(); ++k) {
+    std::string canonical = std::string(kPrefix) + gen.name;
+    for (std::size_t k = 0; k < gen.knobs.size(); ++k) {
         if (!set[k])
             continue;
-        gen->knobs[k].apply(params, values[k]);
+        gen.knobs[k].apply(params, values[k]);
         canonical += ':';
-        canonical += gen->knobs[k].key;
+        canonical += gen.knobs[k].key;
         canonical += '=';
-        canonical += formatKnobValue(gen->knobs[k], values[k]);
+        canonical += formatKnobValue(gen.knobs[k], values[k]);
     }
 
     params.name = canonical;
@@ -357,111 +456,27 @@ makeCorpusTrace(const std::string &spec)
     return TraceSpec{std::move(params)};
 }
 
-namespace
-{
-
-/** Split a "corpus.<gen>.<knob>" override key; throws on bad shape. */
-void
-splitOverrideKey(const std::string &key, std::string &gen_name,
-                 std::string &knob_name)
-{
-    const std::size_t prefix_len = std::strlen(kPrefix);
-    const std::size_t dot = key.find('.', prefix_len);
-    if (key.rfind(kPrefix, 0) != 0 || dot == std::string::npos ||
-        dot == prefix_len || dot + 1 >= key.size())
-        throw std::invalid_argument(
-            "corpus override '" + key +
-            "': expected corpus.<generator>.<knob>");
-    gen_name = key.substr(prefix_len, dot - prefix_len);
-    knob_name = key.substr(dot + 1);
-}
-
-/** Resolve generator + knob for an override key; throws with
- * suggestions. */
-const CorpusKnob &
-findOverrideKnob(const std::string &key, const CorpusGenerator *&gen_out)
-{
-    std::string gen_name, knob_name;
-    splitOverrideKey(key, gen_name, knob_name);
-
-    const CorpusGenerator *gen = nullptr;
-    for (const auto &g : corpusGenerators())
-        if (gen_name == g.name) {
-            gen = &g;
-            break;
-        }
-    if (gen == nullptr) {
-        std::vector<std::string> names;
-        for (const auto &g : corpusGenerators())
-            names.push_back(g.name);
-        std::string msg = "corpus override '" + key +
-                          "': unknown generator '" + gen_name + "'";
-        const std::string s = nearest(gen_name, names);
-        if (!s.empty())
-            msg += " (did you mean '" + s + "'?)";
-        throw std::invalid_argument(msg);
-    }
-    for (const auto &k : gen->knobs)
-        if (knob_name == k.key) {
-            gen_out = gen;
-            return k;
-        }
-    std::vector<std::string> keys;
-    for (const auto &k : gen->knobs)
-        keys.push_back(k.key);
-    std::string msg = "corpus override '" + key + "': generator '" +
-                      gen_name + "' has no knob '" + knob_name + "'";
-    const std::string s = nearest(knob_name, keys);
-    if (!s.empty())
-        msg += " (did you mean '" + s + "'?)";
-    throw std::invalid_argument(msg);
-}
-
-} // namespace
-
 void
 validateCorpusOverride(const std::string &key, const std::string &value)
 {
-    const CorpusGenerator *gen = nullptr;
-    const CorpusKnob &knob = findOverrideKnob(key, gen);
-    const auto parsed = parseFiniteDouble(value);
-    if (!parsed)
-        throw std::invalid_argument(key + ": invalid number '" + value +
-                                    "'");
-    const double v = *parsed;
-    if (knob.integer && v != std::floor(v))
-        throw std::invalid_argument(key + ": expected an integer, got '" +
-                                    value + "'");
-    if (v < knob.min || v > knob.max)
-        throw std::invalid_argument(
-            key + ": " + value + " out of range [" +
-            formatKnobValue(knob, knob.min) + ", " +
-            formatKnobValue(knob, knob.max) + "]");
+    resolveOverride(key, value);
 }
 
 std::vector<TraceSpec>
 applyCorpusOverrides(std::vector<TraceSpec> traces,
                      const std::map<std::string, std::string> &knobs)
 {
-    if (knobs.empty())
-        return traces;
     for (const auto &[key, value] : knobs) {
-        const CorpusGenerator *gen = nullptr;
-        const CorpusKnob &knob = findOverrideKnob(key, gen);
-        std::string gen_name, knob_name;
-        splitOverrideKey(key, gen_name, knob_name);
+        const Override o = resolveOverride(key, value);
+        const std::string knob_name = o.knob.key;
         // Normalize through the validated double so the rebuilt spec
         // canonicalizes identically to the inline spelling.
-        validateCorpusOverride(key, value);
-        const std::string canon_value =
-            formatKnobValue(knob, *parseFiniteDouble(value));
+        const std::string canon_value = formatKnobValue(o.knob, o.value);
 
-        const std::string spec_prefix = std::string(kPrefix) + gen_name;
+        const std::string spec_prefix = std::string(kPrefix) + o.gen.name;
         bool matched = false;
         for (TraceSpec &trace : traces) {
             const std::string &name = trace.name();
-            if (!isCorpusSpec(name))
-                continue;
             if (name != spec_prefix &&
                 name.rfind(spec_prefix + ":", 0) != 0)
                 continue;
@@ -485,8 +500,8 @@ applyCorpusOverrides(std::vector<TraceSpec> traces,
         }
         if (!matched)
             throw std::invalid_argument(
-                key + ": no trace in this run uses generator 'corpus." +
-                gen_name + "' (the override would be dead)");
+                key + ": no trace in this run uses generator '" +
+                spec_prefix + "' (the override would be dead)");
     }
     return traces;
 }

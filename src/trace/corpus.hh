@@ -20,6 +20,9 @@
  * normalized value formatting — becomes the trace name, so two
  * spellings of the same workload share one identity everywhere a
  * trace name matters (reports, result-cache keys, pointFingerprint).
+ * The evaluation suite (trace/suite.cc) is a table of such specs
+ * under suite names; only trace/corpus.cc maps knob names to
+ * SyntheticParams fields.
  */
 
 #include <map>

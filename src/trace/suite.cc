@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <unordered_set>
 
+#include "trace/corpus.hh"
 #include "trace/trace_file.hh"
 
 namespace hermes
@@ -29,279 +30,131 @@ validateUniqueTraceNames(const std::vector<TraceSpec> &suite)
 namespace
 {
 
-SyntheticParams
-base(std::string name, std::string category, Pattern pattern,
-     std::uint64_t seed, std::uint64_t footprint_mb)
+/**
+ * One suite workload: its name without the trace suffix, its paper
+ * category and the corpus spec (trace/corpus.hh) that generates it.
+ */
+struct SuiteRow
 {
-    SyntheticParams p;
-    p.name = std::move(name);
-    p.category = std::move(category);
-    p.pattern = pattern;
-    p.seed = seed;
-    p.footprintBytes = footprint_mb << 20;
-    return p;
-}
+    const char *name;
+    const char *category;
+    const char *spec;
+};
+
+// Each row mirrors the memory behaviour of a workload in the paper's
+// trace list.
+constexpr SuiteRow kRows[] = {
+    // mcf: dependent pointer chasing over a large working set.
+    {"spec06.mcf_like", "SPEC06",
+     "corpus.chase:footprint_mb=64:hit_frac=0.5:alu=16:seed=101"},
+    // lbm: dense streaming with stores.
+    {"spec06.lbm_like", "SPEC06",
+     "corpus.stream:footprint_mb=64:mlp=24:store_frac=0.35:seed=102"},
+    // libquantum: long unit-stride sweeps, few branches mispredict.
+    {"spec06.libquantum_like", "SPEC06",
+     "corpus.stream:footprint_mb=32:stride=16:alu=8:branch_frac=0.02:"
+     "seed=103"},
+    // omnetpp: pointer-heavy with moderate locality.
+    {"spec06.omnetpp_like", "SPEC06",
+     "corpus.chase:footprint_mb=24:chains=1:hit_frac=0.8:hot_kb=64:alu=24:"
+     "seed=104"},
+    // gcc: branchy compute mix over several working sets.
+    {"spec06.gcc_like", "SPEC06",
+     "corpus.mix:footprint_mb=48:cold_frac=0.04:alu=4:branch_frac=0.25:"
+     "branch_bias=0.88:seed=105"},
+    // cactusADM: stencil sweep with cross-row reuse.
+    {"spec06.cactus_like", "SPEC06",
+     "corpus.stencil:footprint_mb=64:row_kb=2048:stride=8:mlp=24:seed=106"},
+
+    {"spec17.mcf_like", "SPEC17",
+     "corpus.chase:footprint_mb=96:chains=3:alu=16:seed=201"},
+    {"spec17.lbm_like", "SPEC17",
+     "corpus.stream:footprint_mb=96:mlp=24:store_frac=0.3:seed=202"},
+    // fotonik3d: streaming with large stride.
+    {"spec17.fotonik_like", "SPEC17",
+     "corpus.strided:footprint_mb=64:stride=20:mlp=8:alu=10:seed=203"},
+    // pop2: stencil/ocean-model behaviour.
+    {"spec17.pop2_like", "SPEC17",
+     "corpus.stencil:footprint_mb=48:stride=16:mlp=16:seed=204"},
+    // xalancbmk: hash/table driven with hot metadata.
+    {"spec17.xalancbmk_like", "SPEC17",
+     "corpus.probe:footprint_mb=32:hot_frac=0.85:table_hot_frac=0.9:alu=8:"
+     "branch_frac=0.3:seed=205"},
+    {"spec17.gcc_like", "SPEC17",
+     "corpus.mix:footprint_mb=64:cold_frac=0.05:alu=4:branch_frac=0.25:"
+     "seed=206"},
+
+    // canneal: random element swaps over a big netlist.
+    {"parsec.canneal_like", "PARSEC",
+     "corpus.chase:footprint_mb=48:hit_frac=0.3:alu=16:seed=301"},
+    // facesim: stencil with reuse.
+    {"parsec.facesim_like", "PARSEC",
+     "corpus.stencil:footprint_mb=64:stride=8:mlp=24:seed=302"},
+    // streamcluster: distance computations = dense streaming.
+    {"parsec.streamcluster_like", "PARSEC",
+     "corpus.stream:footprint_mb=48:stride=4:mlp=48:alu=4:seed=303"},
+    // raytrace: irregular structure walks with a hot BVH top.
+    {"parsec.raytrace_like", "PARSEC",
+     "corpus.probe:footprint_mb=48:hot_frac=0.6:table_hot_frac=0.9:"
+     "warm_mb=4:mlp=12:alu=10:seed=304"},
+
+    // Ligra: edge scans with community-local vertex gathers.
+    {"ligra.bfs_like", "Ligra",
+     "corpus.gather:footprint_mb=64:degree=6:hot_frac=0.94:alu=10:"
+     "branch_frac=0.15:branch_bias=0.8:seed=401"},
+    {"ligra.pagerank_like", "Ligra",
+     "corpus.gather:footprint_mb=96:degree=12:hot_frac=0.94:alu=10:"
+     "branch_frac=0.15:branch_bias=0.8:seed=402"},
+    {"ligra.components_like", "Ligra",
+     "corpus.gather:footprint_mb=64:hot_frac=0.94:alu=10:branch_frac=0.15:"
+     "branch_bias=0.8:seed=403"},
+    {"ligra.radii_like", "Ligra",
+     "corpus.gather:footprint_mb=48:degree=10:hot_frac=0.94:alu=10:"
+     "branch_frac=0.15:branch_bias=0.8:seed=404"},
+    {"ligra.triangle_like", "Ligra",
+     "corpus.gather:footprint_mb=64:degree=16:data_stride=32:hot_frac=0.94:"
+     "alu=10:branch_frac=0.15:branch_bias=0.8:seed=405"},
+    {"ligra.bc_like", "Ligra",
+     "corpus.gather:footprint_mb=80:hot_frac=0.94:alu=10:branch_frac=0.15:"
+     "branch_bias=0.8:seed=406"},
+
+    // CVP: server and commercial traces.
+    {"cvp.server_db_like", "CVP",
+     "corpus.probe:footprint_mb=96:hot_frac=0.7:table_hot_frac=0.9:"
+     "warm_mb=4:mlp=12:alu=10:branch_frac=0.2:branch_bias=0.75:seed=501"},
+    {"cvp.server_int_like", "CVP",
+     "corpus.probe:footprint_mb=48:hot_frac=0.8:table_hot_frac=0.9:mlp=12:"
+     "alu=10:branch_frac=0.3:seed=502"},
+    {"cvp.compute_int_like", "CVP",
+     "corpus.mix:footprint_mb=32:cold_frac=0.06:seed=503"},
+    {"cvp.compute_fp_like", "CVP",
+     "corpus.strided:footprint_mb=64:stride=12:mlp=12:alu=8:seed=504"},
+    {"cvp.crypto_like", "CVP",
+     "corpus.mix:footprint_mb=24:cold_frac=0.07:alu=4:branch_frac=0.05:"
+     "seed=505"},
+    {"cvp.server_misc_like", "CVP",
+     "corpus.gather:footprint_mb=48:degree=4:data_stride=128:hot_frac=0.75:"
+     "mlp=0:alu=4:seed=506"},
+};
 
 std::vector<TraceSpec>
 buildFullSuite()
 {
+    // The paper evaluates several SimPoint traces of each binary; every
+    // row yields two: ".0" as spelled, then ".1" with a perturbed seed
+    // and a 3/4-size footprint. All ".0" traces come first.
     std::vector<TraceSpec> suite;
-    auto add = [&suite](SyntheticParams p) {
-        suite.push_back(TraceSpec{std::move(p)});
-    };
-
-    // ---- SPEC06-like -------------------------------------------------
-    {
-        // mcf: dependent pointer chasing over a large working set.
-        auto p = base("spec06.mcf_like.0", "SPEC06", Pattern::PointerChase,
-                      101, 64);
-        p.chaseChains = 2;
-        p.hitLoadFraction = 0.5;
-        p.aluPerMemop = 16;
-        add(p);
-    }
-    {
-        // lbm: dense streaming with stores.
-        auto p = base("spec06.lbm_like.0", "SPEC06", Pattern::Stream, 102,
-                      64);
-        p.strideBytes = 8;
-        p.storeFraction = 0.35;
-        p.aluPerMemop = 6;
-        p.loadMlp = 24;
-        add(p);
-    }
-    {
-        // libquantum: long unit-stride sweeps, few branches mispredict.
-        auto p = base("spec06.libquantum_like.0", "SPEC06", Pattern::Stream,
-                      103, 32);
-        p.strideBytes = 16;
-        p.aluPerMemop = 8;
-        p.loadMlp = 16;
-        p.dataBranchFraction = 0.02;
-        add(p);
-    }
-    {
-        // omnetpp: pointer-heavy with moderate locality.
-        auto p = base("spec06.omnetpp_like.0", "SPEC06",
-                      Pattern::PointerChase, 104, 24);
-        p.chaseChains = 1;
-        p.hitLoadFraction = 0.8;
-        p.aluPerMemop = 24;
-        p.hotBytes = 64ull << 10;
-        add(p);
-    }
-    {
-        // gcc: branchy compute mix over several working sets.
-        auto p = base("spec06.gcc_like.0", "SPEC06", Pattern::MixedCompute,
-                      105, 48);
-        p.mixColdFraction = 0.04;
-        p.loadMlp = 12;
-        p.dataBranchFraction = 0.25;
-        p.dataBranchBias = 0.88;
-        add(p);
-    }
-    {
-        // cactusADM: stencil sweep with cross-row reuse.
-        auto p = base("spec06.cactus_like.0", "SPEC06",
-                      Pattern::StencilReuse, 106, 64);
-        p.rowBytes = 2ull << 20;
-        p.strideBytes = 8;
-        p.loadMlp = 24;
-        add(p);
-    }
-
-    // ---- SPEC17-like -------------------------------------------------
-    {
-        auto p = base("spec17.mcf_like.0", "SPEC17", Pattern::PointerChase,
-                      201, 96);
-        p.chaseChains = 3;
-        p.hitLoadFraction = 0.4;
-        p.aluPerMemop = 16;
-        add(p);
-    }
-    {
-        auto p = base("spec17.lbm_like.0", "SPEC17", Pattern::Stream, 202,
-                      96);
-        p.strideBytes = 8;
-        p.storeFraction = 0.30;
-        p.aluPerMemop = 6;
-        p.loadMlp = 24;
-        add(p);
-    }
-    {
-        // fotonik3d: streaming with large stride.
-        auto p = base("spec17.fotonik_like.0", "SPEC17", Pattern::Stride,
-                      203, 64);
-        p.strideBytes = 20;
-        p.aluPerMemop = 10;
-        p.loadMlp = 8;
-        add(p);
-    }
-    {
-        // pop2: stencil/ocean-model behaviour.
-        auto p = base("spec17.pop2_like.0", "SPEC17", Pattern::StencilReuse,
-                      204, 48);
-        p.rowBytes = 1ull << 20;
-        p.strideBytes = 16;
-        p.loadMlp = 16;
-        add(p);
-    }
-    {
-        // xalancbmk: hash/table driven with hot metadata.
-        auto p = base("spec17.xalancbmk_like.0", "SPEC17",
-                      Pattern::HashProbe, 205, 32);
-        p.probeHotFraction = 0.85;
-        p.probeTableHotFraction = 0.9;
-        p.aluPerMemop = 8;
-        p.dataBranchFraction = 0.3;
-        add(p);
-    }
-    {
-        auto p = base("spec17.gcc_like.0", "SPEC17", Pattern::MixedCompute,
-                      206, 64);
-        p.mixColdFraction = 0.05;
-        p.loadMlp = 12;
-        p.dataBranchFraction = 0.25;
-        add(p);
-    }
-
-    // ---- PARSEC-like -------------------------------------------------
-    {
-        // canneal: random element swaps over a big netlist.
-        auto p = base("parsec.canneal_like.0", "PARSEC",
-                      Pattern::PointerChase, 301, 48);
-        p.chaseChains = 2;
-        p.hitLoadFraction = 0.3;
-        p.aluPerMemop = 16;
-        add(p);
-    }
-    {
-        // facesim: stencil with reuse.
-        auto p = base("parsec.facesim_like.0", "PARSEC",
-                      Pattern::StencilReuse, 302, 64);
-        p.rowBytes = 1ull << 20;
-        p.strideBytes = 8;
-        p.storeFraction = 0.25;
-        p.loadMlp = 24;
-        add(p);
-    }
-    {
-        // streamcluster: distance computations = dense streaming.
-        auto p = base("parsec.streamcluster_like.0", "PARSEC",
-                      Pattern::Stream, 303, 48);
-        p.strideBytes = 4;
-        p.aluPerMemop = 4;
-        p.loadMlp = 48;
-        add(p);
-    }
-    {
-        // raytrace: irregular structure walks with a hot BVH top.
-        auto p = base("parsec.raytrace_like.0", "PARSEC",
-                      Pattern::HashProbe, 304, 48);
-        p.probeHotFraction = 0.6;
-        p.probeTableHotFraction = 0.9;
-        p.aluPerMemop = 10;
-        p.loadMlp = 12;
-        p.warmBytes = 4ull << 20;
-        add(p);
-    }
-
-    // ---- Ligra-like --------------------------------------------------
-    const struct
-    {
-        const char *name;
-        std::uint64_t seed;
-        std::uint64_t mb;
-        unsigned degree;
-        unsigned stride;
-    } ligra[] = {
-        {"ligra.bfs_like.0", 401, 64, 6, 64},
-        {"ligra.pagerank_like.0", 402, 96, 12, 64},
-        {"ligra.components_like.0", 403, 64, 8, 64},
-        {"ligra.radii_like.0", 404, 48, 10, 64},
-        {"ligra.triangle_like.0", 405, 64, 16, 32},
-        {"ligra.bc_like.0", 406, 80, 8, 64},
-    };
-    for (const auto &l : ligra) {
-        auto p = base(l.name, "Ligra", Pattern::GraphGather, l.seed, l.mb);
-        p.graphAvgDegree = l.degree;
-        p.graphDataStride = l.stride;
-        p.gatherHotFraction = 0.94;
-        p.aluPerMemop = 10;
-        p.loadMlp = 10;
-        p.dataBranchFraction = 0.15;
-        p.dataBranchBias = 0.8;
-        add(p);
-    }
-
-    // ---- CVP-like (server/commercial) --------------------------------
-    {
-        auto p = base("cvp.server_db_like.0", "CVP", Pattern::HashProbe,
-                      501, 96);
-        p.probeHotFraction = 0.7;
-        p.probeTableHotFraction = 0.9;
-        p.aluPerMemop = 10;
-        p.loadMlp = 12;
-        p.warmBytes = 4ull << 20;
-        p.dataBranchFraction = 0.2;
-        p.dataBranchBias = 0.75;
-        add(p);
-    }
-    {
-        auto p = base("cvp.server_int_like.0", "CVP", Pattern::HashProbe,
-                      502, 48);
-        p.probeHotFraction = 0.8;
-        p.probeTableHotFraction = 0.9;
-        p.aluPerMemop = 10;
-        p.loadMlp = 12;
-        p.dataBranchFraction = 0.3;
-        add(p);
-    }
-    {
-        auto p = base("cvp.compute_int_like.0", "CVP", Pattern::MixedCompute,
-                      503, 32);
-        p.mixColdFraction = 0.06;
-        p.aluPerMemop = 8;
-        p.loadMlp = 12;
-        add(p);
-    }
-    {
-        auto p = base("cvp.compute_fp_like.0", "CVP", Pattern::Stride, 504,
-                      64);
-        p.strideBytes = 12;
-        p.aluPerMemop = 8;
-        p.loadMlp = 12;
-        add(p);
-    }
-    {
-        auto p = base("cvp.crypto_like.0", "CVP", Pattern::MixedCompute,
-                      505, 24);
-        p.mixColdFraction = 0.07;
-        p.loadMlp = 12;
-        p.dataBranchFraction = 0.05;
-        add(p);
-    }
-    {
-        auto p = base("cvp.server_misc_like.0", "CVP", Pattern::GraphGather,
-                      506, 48);
-        p.graphAvgDegree = 4;
-        p.graphDataStride = 128;
-        add(p);
-    }
-
-
-    // Second trace per workload: the paper evaluates multiple SimPoint
-    // traces of each binary; we mirror that with a seed- and
-    // footprint-perturbed ".1" variant of every entry.
-    const std::size_t base_count = suite.size();
-    for (std::size_t i = 0; i < base_count; ++i) {
-        SyntheticParams q = suite[i].params;
-        q.name.replace(q.name.rfind(".0"), 2, ".1");
-        q.seed += 1009;
-        q.footprintBytes = q.footprintBytes * 3 / 4;
-        suite.push_back(TraceSpec{std::move(q)});
-    }
-
+    for (int variant = 0; variant < 2; ++variant)
+        for (const SuiteRow &row : kRows) {
+            TraceSpec t = makeCorpusTrace(row.spec);
+            t.params.name = row.name + ("." + std::to_string(variant));
+            t.params.category = row.category;
+            if (variant == 1) {
+                t.params.seed += 1009;
+                t.params.footprintBytes = t.params.footprintBytes * 3 / 4;
+            }
+            suite.push_back(std::move(t));
+        }
     validateUniqueTraceNames(suite);
     return suite;
 }

@@ -4,9 +4,10 @@
  * @file
  * The evaluation suite: named synthetic traces grouped into the paper's
  * five workload categories (SPEC06, SPEC17, PARSEC, Ligra, CVP). Each
- * entry mirrors the memory behaviour of a representative workload the
- * paper's trace list contains (e.g. mcf -> dependent pointer chase,
- * lbm -> dense stream, Ligra PageRank -> gather).
+ * workload is a named corpus spec (trace/corpus.hh) that mirrors the
+ * memory behaviour of a representative workload the paper's trace list
+ * contains (e.g. mcf -> dependent pointer chase, lbm -> dense stream,
+ * Ligra PageRank -> gather).
  */
 
 #include <memory>
@@ -47,7 +48,10 @@ struct TraceSpec
     std::unique_ptr<Workload> make() const;
 };
 
-/** The full 28-trace evaluation suite across all five categories. */
+/**
+ * The full 56-trace evaluation suite across all five categories: 28
+ * workloads, two traces each (".0" and ".1").
+ */
 std::vector<TraceSpec> fullSuite();
 
 /** A fast 10-trace subset (2 per category) for quick runs and tests. */

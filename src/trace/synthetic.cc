@@ -11,6 +11,9 @@ namespace
 /** Code region base; PC slots are 4B apart like real instructions. */
 constexpr Addr kPcBase = 0x400000;
 
+/** Inner-loop trip count: the loop branch is not taken once per trip. */
+constexpr std::uint64_t kLoopTripCount = 64;
+
 /** Each logical array gets its own 4GB-aligned data region. */
 constexpr Addr
 regionBase(unsigned region_id)
@@ -139,7 +142,7 @@ SyntheticWorkload::emitBlockTail()
     ++loopCounter_;
     // Inner-loop branch: taken except at trip-count boundaries, so the
     // branch predictor sees the highly regular behaviour of real loops.
-    const bool exit_loop = (loopCounter_ % params_.loopTripCount) == 0;
+    const bool exit_loop = (loopCounter_ % kLoopTripCount) == 0;
     emitBranch(191, !exit_loop);
     if (exit_loop)
         emitBranch(192, true); // outer loop back-edge

@@ -6,10 +6,11 @@
  *
  * Each generator emits an infinite, deterministic instruction stream
  * whose memory-access structure mimics one class of the paper's
- * workloads (DESIGN.md §1): streaming sweeps, strided sweeps, dependent
- * pointer chases, graph-analytics gathers (Ligra-like), server-style
- * hash probes (CVP-like), multi-working-set compute mixes (SPEC-like)
- * and stencil sweeps with cross-row reuse (PARSEC-like).
+ * workloads (docs/traces.md, "The workload corpus"): streaming sweeps,
+ * strided sweeps, dependent pointer chases, graph-analytics gathers
+ * (Ligra-like), server-style hash probes (CVP-like), multi-working-set
+ * compute mixes (SPEC-like) and stencil sweeps with cross-row reuse
+ * (PARSEC-like).
  *
  * Address-space layout: every logical array lives in its own 4GB-aligned
  * region, so arrays never alias in the cache index bits.
@@ -55,14 +56,13 @@ struct SyntheticParams
     unsigned strideBytes = 4;
     /** ALU instructions emitted around each memory operation. */
     unsigned aluPerMemop = 4;
-    /** Probability that a block also writes (emits a store). */
+    /** Probability that a block also writes (emits a store); a
+     * StencilReuse block always stores. */
     double storeFraction = 0.10;
     /** Probability that a block carries a data-dependent branch. */
     double dataBranchFraction = 0.10;
     /** Taken-probability (predictability) of data-dependent branches. */
     double dataBranchBias = 0.85;
-    /** Inner-loop trip count (loop branch not-taken once per trip). */
-    unsigned loopTripCount = 64;
     /**
      * Limit on load-level parallelism for regular sweeps: each sweep
      * load depends on the one @c loadMlp loads earlier, bounding the
@@ -73,7 +73,7 @@ struct SyntheticParams
 
     /** PointerChase: number of independent chains interleaved. */
     unsigned chaseChains = 1;
-    /** PointerChase/HashProbe: extra always-hitting loads per block. */
+    /** PointerChase: extra always-hitting loads per block. */
     double hitLoadFraction = 0.4;
     /** Size of the small always-hitting (hot) region. */
     std::uint64_t hotBytes = 16ull << 10;

@@ -8,7 +8,8 @@
  * an infinite, deterministic stream of decoded instructions. The paper's
  * SPEC/PARSEC/Ligra/CVP championship traces are replaced by synthetic
  * generators that reproduce the same *memory-access structure* (see
- * DESIGN.md §1); the core/memory models consume both identically.
+ * docs/traces.md, "The evaluation suite"); the core/memory models
+ * consume both identically.
  */
 
 #include <cstdint>

@@ -206,6 +206,22 @@ TEST(SweepAxis, ExpandAxisAppliesAndLabels)
                  std::invalid_argument);
 }
 
+TEST(SweepAxis, ModelAndCorpusKnobsAreAxes)
+{
+    const auto model = sweep::expandAxis(SystemConfig::baseline(1),
+                                         "popet.act_threshold=-38,2");
+    ASSERT_EQ(model.size(), 2u);
+    EXPECT_EQ(model[1].config.modelKnobs.at("popet.act_threshold"), "2");
+    const auto corpus = sweep::expandAxis(SystemConfig::baseline(1),
+                                          "corpus.chase.alu=8,32");
+    ASSERT_EQ(corpus.size(), 2u);
+    EXPECT_EQ(corpus[1].config.corpusKnobs.at("corpus.chase.alu"), "32");
+    EXPECT_THROW(sweep::parseAxis("corpus.chase.alu=8,65"),
+                 std::invalid_argument);
+    EXPECT_THROW(sweep::parseAxis("popet.no_such_knob=1"),
+                 std::invalid_argument);
+}
+
 TEST(SweepAxis, ExpandGridIsCartesianLastAxisFastest)
 {
     const auto pts = sweep::expandGrid(
