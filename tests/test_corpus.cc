@@ -243,9 +243,11 @@ TEST(Resolver, BuiltInSuitesHaveUniqueNames)
 constexpr int kPinnedInstrs = 20'000;
 
 /**
- * @p spec's identity and stream in one hash: name, category, the
- * first kPinnedInstrs instructions (every TraceInstr field the core
- * reads) and the generator's checkpoint bytes after them.
+ * @p spec's identity and stream in one hash: name, category, footprint,
+ * the first kPinnedInstrs instructions (every TraceInstr field the core
+ * reads) and the generator's checkpoint bytes after them. The footprint
+ * is hashed itself: a sweep reads it only when it wraps, far past the
+ * pinned instructions, and the checkpoint does not hold it.
  */
 std::uint64_t
 streamFingerprint(const TraceSpec &spec)
@@ -253,6 +255,7 @@ streamFingerprint(const TraceSpec &spec)
     Fnv64 f;
     f.add(spec.name());
     f.add(spec.category());
+    f.add(spec.params.footprintBytes);
     auto w = spec.make();
     for (int i = 0; i < kPinnedInstrs; ++i) {
         const TraceInstr t = w->next();
@@ -398,9 +401,10 @@ TEST(SuiteStreams, EveryTraceMatchesItsGolden)
     if (std::getenv("HERMES_UPDATE_GOLDEN") != nullptr) {
         ASSERT_TRUE(golden::writeGoldens(
             path,
-            "# Suite trace identities and streams (name, category, first "
-            "20000\n"
-            "# instructions, checkpoint bytes), plus the suite orders.\n"
+            "# Suite trace identities and streams (name, category, "
+            "footprint,\n"
+            "# first 20000 instructions, checkpoint bytes), plus the suite "
+            "orders.\n"
             "# Regenerate: HERMES_UPDATE_GOLDEN=1 ./test_corpus "
             "--gtest_filter='SuiteStreams.*'\n",
             actual))
