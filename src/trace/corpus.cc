@@ -93,11 +93,6 @@ void setProbeHotFrac(SyntheticParams &p, double v)
     p.probeHotFraction = v;
 }
 
-void setTableHotFrac(SyntheticParams &p, double v)
-{
-    p.probeTableHotFraction = v;
-}
-
 void setWarmMb(SyntheticParams &p, double v)
 {
     p.warmBytes = static_cast<std::uint64_t>(v) << 20;
@@ -187,8 +182,9 @@ mixDefaults(SyntheticParams &p)
     p.loadMlp = 12;
 }
 
-// The three generators below keep SyntheticParams' own defaults: each
-// knob a suite workload sets is spelled in its spec (trace/suite.cc).
+// strided and stencil keep SyntheticParams' own defaults, and probe adds
+// only the table skew its suite workloads share: each knob a suite
+// workload sets is spelled in its spec (trace/suite.cc).
 void stridedDefaults(SyntheticParams &p) { p.pattern = Pattern::Stride; }
 
 void
@@ -197,7 +193,12 @@ stencilDefaults(SyntheticParams &p)
     p.pattern = Pattern::StencilReuse;
 }
 
-void probeDefaults(SyntheticParams &p) { p.pattern = Pattern::HashProbe; }
+void
+probeDefaults(SyntheticParams &p)
+{
+    p.pattern = Pattern::HashProbe;
+    p.probeTableHotFraction = 0.9;
+}
 
 std::vector<CorpusGenerator>
 buildGenerators()
@@ -256,9 +257,6 @@ buildGenerators()
          {kFootprint,
           {"hot_frac", "probability a payload access hits the hot region",
            0, 1, false, setProbeHotFrac},
-          {"table_hot_frac",
-           "fraction of probes into the cache-resident part of the table",
-           0, 1, false, setTableHotFrac},
           {"warm_mb", "LLC-sized warm payload region in MiB", 1, 1 << 16,
            true, setWarmMb},
           kMlp, kAlu, kBranchFrac, kBranchBias, kSeed}},

@@ -78,8 +78,8 @@ constexpr SuiteRow kRows[] = {
      "corpus.stencil:footprint_mb=48:stride=16:mlp=16:seed=204"},
     // xalancbmk: hash/table driven with hot metadata.
     {"spec17.xalancbmk_like", "SPEC17",
-     "corpus.probe:footprint_mb=32:hot_frac=0.85:table_hot_frac=0.9:alu=8:"
-     "branch_frac=0.3:seed=205"},
+     "corpus.probe:footprint_mb=32:hot_frac=0.85:alu=8:branch_frac=0.3:"
+     "seed=205"},
     {"spec17.gcc_like", "SPEC17",
      "corpus.mix:footprint_mb=64:cold_frac=0.05:alu=4:branch_frac=0.25:"
      "seed=206"},
@@ -95,8 +95,8 @@ constexpr SuiteRow kRows[] = {
      "corpus.stream:footprint_mb=48:stride=4:mlp=48:alu=4:seed=303"},
     // raytrace: irregular structure walks with a hot BVH top.
     {"parsec.raytrace_like", "PARSEC",
-     "corpus.probe:footprint_mb=48:hot_frac=0.6:table_hot_frac=0.9:"
-     "warm_mb=4:mlp=12:alu=10:seed=304"},
+     "corpus.probe:footprint_mb=48:hot_frac=0.6:warm_mb=4:mlp=12:alu=10:"
+     "seed=304"},
 
     // Ligra: edge scans with community-local vertex gathers.
     {"ligra.bfs_like", "Ligra",
@@ -120,11 +120,11 @@ constexpr SuiteRow kRows[] = {
 
     // CVP: server and commercial traces.
     {"cvp.server_db_like", "CVP",
-     "corpus.probe:footprint_mb=96:hot_frac=0.7:table_hot_frac=0.9:"
-     "warm_mb=4:mlp=12:alu=10:branch_frac=0.2:branch_bias=0.75:seed=501"},
+     "corpus.probe:footprint_mb=96:hot_frac=0.7:warm_mb=4:mlp=12:alu=10:"
+     "branch_frac=0.2:branch_bias=0.75:seed=501"},
     {"cvp.server_int_like", "CVP",
-     "corpus.probe:footprint_mb=48:hot_frac=0.8:table_hot_frac=0.9:mlp=12:"
-     "alu=10:branch_frac=0.3:seed=502"},
+     "corpus.probe:footprint_mb=48:hot_frac=0.8:mlp=12:alu=10:"
+     "branch_frac=0.3:seed=502"},
     {"cvp.compute_int_like", "CVP",
      "corpus.mix:footprint_mb=32:cold_frac=0.06:seed=503"},
     {"cvp.compute_fp_like", "CVP",
