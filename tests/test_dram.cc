@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <initializer_list>
 
 #include "common/rng.hh"
 #include "common/state_io.hh"
@@ -465,10 +466,19 @@ TEST(DramCheckpoint, RejectsStateThatDisagreesWithTheQueue)
     const std::vector<char> good = checkpointOf(dram);
     EXPECT_NO_THROW(restore(p, good));
 
-    const auto withByte = [&](std::size_t at, char was, char now) {
+    // good with each byte at `at` rewritten from `was` to `now`, then
+    // resealed once.
+    struct Edit
+    {
+        std::size_t at;
+        char was, now;
+    };
+    const auto edited = [&](std::initializer_list<Edit> edits) {
         std::vector<char> bytes = good;
-        EXPECT_EQ(bytes[at], was) << "the layout below is stale";
-        bytes[at] = now;
+        for (const Edit &e : edits) {
+            EXPECT_EQ(bytes[e.at], e.was) << "the layout below is stale";
+            bytes[e.at] = e.now;
+        }
         test::resealChecksum(bytes);
         return bytes;
     };
@@ -477,11 +487,15 @@ TEST(DramCheckpoint, RejectsStateThatDisagreesWithTheQueue)
     // nextWriteFinish (u64 each); the controller clock (u64) and the
     // checksum (u64) follow.
     const std::size_t queued_reads = good.size() - 8 - 8 - 2 * 8 - 4 * 4;
-    EXPECT_THROW(restore(p, withByte(queued_reads, 1, 0)), StateError);
+    EXPECT_THROW(restore(p, edited({{queued_reads, 1, 0}})), StateError);
     // The read's state byte: "DRAM" tag, channel and read counts, then
-    // line, bank, row and arrival cycle (see RejectsARepeatedLine).
+    // line, bank, row and arrival cycle (see RejectsARepeatedLine). A
+    // state that is neither Queued nor Issued counts nowhere, so with
+    // queuedReads rewritten to match, the counts agree and only the
+    // state check rejects the entry.
     const std::size_t state = 8 + 4 + 8 + 8 + 8 + 4 + 8 + 8;
-    EXPECT_THROW(restore(p, withByte(state, 0, 2)), StateError);
+    EXPECT_THROW(restore(p, edited({{state, 0, 2}, {queued_reads, 1, 0}})),
+                 StateError);
 }
 
 } // namespace
