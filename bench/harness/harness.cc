@@ -92,12 +92,22 @@ printProfileSummary(const std::vector<sweep::PointResult> &results)
                      prof.horizonSeconds);
 }
 
+/** --suite, else HERMES_BENCH_SUITE, else "quick", as spelled. */
+std::string
+suiteName()
+{
+    if (!g_cli.suiteName.empty())
+        return g_cli.suiteName;
+    const char *env = std::getenv("HERMES_BENCH_SUITE");
+    return env != nullptr ? env : "quick";
+}
+
 } // namespace
 
 void
-initCli(int argc, char **argv, const sweep::FrontEnd &fe)
+initCli(int argc, char **argv)
 {
-    g_cli = sweep::parseCliOrExit(fe, argc, argv);
+    g_cli = sweep::parseCliOrExit(sweep::kFigureFrontEnd, argc, argv);
 
     // Read every resume journal up front; the journal *writer* (which
     // truncates its target — the common crash-recovery spelling
@@ -126,15 +136,6 @@ const CliOptions &
 cli()
 {
     return g_cli;
-}
-
-std::string
-suiteName()
-{
-    if (!g_cli.suiteName.empty())
-        return g_cli.suiteName;
-    const char *env = std::getenv("HERMES_BENCH_SUITE");
-    return env != nullptr ? env : "quick";
 }
 
 std::vector<TraceSpec>

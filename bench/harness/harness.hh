@@ -46,21 +46,20 @@ namespace hermes::bench
 using CliOptions = sweep::CliOptions;
 
 /**
- * Parse the driver flags @p fe declares (call first in every driver's
- * main); usage errors exit 2 with the generated usage text. Then read
- * the --resume journals and open the stores (exit 1 on failure).
+ * Parse the flags sweep::kFigureFrontEnd declares (call first in every
+ * driver's main); usage errors exit 2 with the generated usage text.
+ * Then read the --resume journals and open the stores (exit 1 on
+ * failure).
  */
-void initCli(int argc, char **argv,
-             const sweep::FrontEnd &fe = sweep::kFigureFrontEnd);
+void initCli(int argc, char **argv);
 
 /** The options parsed by initCli() (defaults if never called). */
 const CliOptions &cli();
 
-/** The suite --suite, else HERMES_BENCH_SUITE, selects ("quick" if
- * neither), as spelled: a suite name or a comma list of trace specs. */
-std::string suiteName();
-
-/** The trace list suiteName() names. */
+/**
+ * The traces --suite, else HERMES_BENCH_SUITE, selects ("quick" if
+ * neither): a suite name or a comma list of trace specs.
+ */
 std::vector<TraceSpec> suite();
 
 /**

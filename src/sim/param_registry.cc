@@ -563,9 +563,9 @@ describeScenarioSpace()
     out += "prefetchers: " + fromDef("prefetcher") + "\n";
     out += "replacement: " + fromDef("llc.repl") + "\n";
     for (const char *suite_name : {"quick", "full"}) {
-        const auto specs = std::string(suite_name) == "quick"
-                               ? quickSuite()
-                               : fullSuite();
+        const auto &specs = std::string(suite_name) == "quick"
+                                ? quickSuite()
+                                : fullSuite();
         out += "suite " + std::string(suite_name) + " (" +
                std::to_string(specs.size()) + " traces):\n";
         for (const auto &spec : specs)

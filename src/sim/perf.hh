@@ -9,8 +9,8 @@
  * The numbers here describe the *simulator*, not the simulated
  * machine: they are intentionally excluded from statsFingerprint() and
  * from the default CSV/JSON columns so that determinism checks and
- * paired sweeps stay reproducible. The bench harness opts into them
- * with --mips, and bench/perf_gate builds its throughput gate on them.
+ * paired sweeps stay reproducible. The front ends opt into them with
+ * --mips.
  */
 
 #include <chrono>

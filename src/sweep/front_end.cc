@@ -217,20 +217,6 @@ flagTable()
          "per-component host-time breakdown per grid (exports "
          "HERMES_PROFILE; simulated results are unaffected)",
          [](CliOptions &o, S) { o.profile = true; }},
-        {"output", "--out", "FILE",
-         "also write the gate result to FILE as JSON",
-         [](CliOptions &o, S v) { o.outPath = v; }},
-        {"output", "--min-mips", "X",
-         "exit 1 when the aggregate falls below X MIPS (a finite number "
-         ">= 0; default 0, no floor)",
-         [](CliOptions &o, S v) {
-             const auto x = parseFiniteDouble(v);
-             if (!x || *x < 0)
-                 throw UsageError(
-                     "--min-mips wants a finite number >= 0, got '" + v +
-                     "'");
-             o.minMips = *x;
-         }},
         {"discovery", "--list-grid", nullptr,
          "print the expanded grid and its space fingerprint, then exit",
          [](CliOptions &o, S) { o.listGrid = true; }},
@@ -273,7 +259,6 @@ const FrontEnd kRunFrontEnd{
      "--label", "--report", "--csv", "--json", "--stats", "--fingerprint",
      "--list", "--list-params", "--list-models", "--list-stats", "--help"},
     SimBudget::runDefaults(),
-    std::nullopt,
 };
 
 const FrontEnd kSweepFrontEnd{
@@ -290,7 +275,6 @@ const FrontEnd kSweepFrontEnd{
      "--fingerprint", "--mips", "--list-grid", "--list", "--list-models",
      "--list-stats", "--help"},
     SimBudget::sweepDefaults(),
-    std::nullopt,
 };
 
 const FrontEnd kFigureFrontEnd{
@@ -303,20 +287,6 @@ const FrontEnd kFigureFrontEnd{
      "--warmup-cache", "--no-warmup-cache", "--csv", "--json", "--stats",
      "--mips", "--profile", "--list", "--help"},
     SimBudget::sweepDefaults(),
-    std::nullopt,
-};
-
-const FrontEnd kPerfGateFrontEnd{
-    "Simulator-throughput gate: the suite on Pythia + POPET + Hermes,\n"
-    "on one thread unless --threads says otherwise; prints simulated\n"
-    "MIPS per trace and in aggregate.",
-    false,
-    {"--suite", "--scale", "--shard", "--journal", "--resume",
-     "--threads", "--progress", "--no-progress", "--cache", "--no-cache",
-     "--warmup-cache", "--no-warmup-cache", "--csv", "--json", "--stats",
-     "--mips", "--profile", "--out", "--min-mips", "--list", "--help"},
-    SimBudget::sweepDefaults(),
-    1,
 };
 
 CliOptions
@@ -326,12 +296,9 @@ parseCli(const FrontEnd &fe, int argc, const char *const *argv)
     opt.warmup = fe.budget.warmupInstrs;
     opt.instrs = fe.budget.simInstrs;
     opt.progress = fe.accepts("--progress") && isatty(fileno(stderr)) != 0;
-    if (fe.accepts("--threads")) {
-        std::optional<int> env;
-        if (const char *s = std::getenv("HERMES_THREADS"))
-            env = threadCount("HERMES_THREADS", s);
-        opt.threads = fe.threads.value_or(env.value_or(0));
-    }
+    const char *env_threads = std::getenv("HERMES_THREADS");
+    if (env_threads != nullptr && fe.accepts("--threads"))
+        opt.threads = threadCount("HERMES_THREADS", env_threads);
 
     std::vector<std::string> overrides;
     for (int i = 1; i < argc; ++i) {

@@ -3,12 +3,12 @@
 /**
  * @file
  * The command-line front ends' one flag table. Every flag that
- * hermes_run, hermes_sweep, the figure drivers (bench/harness) and
- * perf_gate take is declared here once: its name, value metavar,
- * strict value parser and help line. A front end is a FrontEnd value
- * naming the subset it accepts; parseCli() reads argv against that
- * subset and usage() generates its help text from the same rows, so
- * spellings, value checks and help cannot drift between binaries.
+ * hermes_run, hermes_sweep and the figure drivers (bench/harness) take
+ * is declared here once: its name, value metavar, strict value parser
+ * and help line. A front end is a FrontEnd value naming the subset it
+ * accepts; parseCli() reads argv against that subset and usage()
+ * generates its help text from the same rows, so spellings, value
+ * checks and help cannot drift between binaries.
  *
  * Spellings: "--name value" and "--name=value" for every value-taking
  * flag, and "-h" for "--help". A front end that takes scenario
@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -114,9 +113,6 @@ struct CliOptions
     /** Per-stage host time; parseCliOrExit() exports HERMES_PROFILE. */
     bool profile = false;
     bool listGrid = false;
-    /** perf_gate: JSON result path and aggregate MIPS floor. */
-    std::string outPath;
-    double minMips = 0;
 };
 
 /** One row of the flag table. */
@@ -146,11 +142,6 @@ struct FrontEnd
     std::vector<std::string> flags;
     /** --warmup/--instrs defaults. */
     SimBudget budget;
-    /**
-     * --threads default. Unset: HERMES_THREADS, else all hardware
-     * threads. The environment is checked either way.
-     */
-    std::optional<int> threads;
 
     bool accepts(const std::string &flag) const;
 };
@@ -161,14 +152,12 @@ extern const FrontEnd kRunFrontEnd;
 extern const FrontEnd kSweepFrontEnd;
 /** The figure and table drivers (bench/harness initCli). */
 extern const FrontEnd kFigureFrontEnd;
-/** perf_gate: the drivers' flags plus --out and --min-mips. */
-extern const FrontEnd kPerfGateFrontEnd;
 
 /**
- * Parse @p argv against @p fe. Reads HERMES_THREADS when @p fe takes
- * --threads; changes nothing else in the process. Throws UsageError on
- * a usage error and std::runtime_error when a --config file cannot be
- * read or parsed.
+ * Parse @p argv against @p fe. When @p fe takes --threads, its default
+ * is HERMES_THREADS, else 0 (all hardware threads). Changes nothing in
+ * the process. Throws UsageError on a usage error and
+ * std::runtime_error when a --config file cannot be read or parsed.
  */
 CliOptions parseCli(const FrontEnd &fe, int argc, const char *const *argv);
 

@@ -159,17 +159,8 @@ buildFullSuite()
     return suite;
 }
 
-} // namespace
-
 std::vector<TraceSpec>
-fullSuite()
-{
-    static const std::vector<TraceSpec> suite = buildFullSuite();
-    return suite;
-}
-
-std::vector<TraceSpec>
-quickSuite()
+buildQuickSuite()
 {
     static const char *names[] = {
         "spec06.mcf_like.0",    "spec06.lbm_like.0",
@@ -182,6 +173,22 @@ quickSuite()
     for (const char *n : names)
         out.push_back(findTrace(n));
     return out;
+}
+
+} // namespace
+
+const std::vector<TraceSpec> &
+fullSuite()
+{
+    static const std::vector<TraceSpec> suite = buildFullSuite();
+    return suite;
+}
+
+const std::vector<TraceSpec> &
+quickSuite()
+{
+    static const std::vector<TraceSpec> suite = buildQuickSuite();
+    return suite;
 }
 
 std::vector<std::string>

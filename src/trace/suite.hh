@@ -50,12 +50,15 @@ struct TraceSpec
 
 /**
  * The full 56-trace evaluation suite across all five categories: 28
- * workloads, two traces each (".0" and ".1").
+ * workloads, two traces each (".0" and ".1"). Built once.
  */
-std::vector<TraceSpec> fullSuite();
+const std::vector<TraceSpec> &fullSuite();
 
-/** A fast 10-trace subset (2 per category) for quick runs and tests. */
-std::vector<TraceSpec> quickSuite();
+/**
+ * A fast 10-trace subset (2 per category) for quick runs and tests.
+ * Built once.
+ */
+const std::vector<TraceSpec> &quickSuite();
 
 /** All distinct categories in suite order. */
 std::vector<std::string> suiteCategories();

@@ -1,9 +1,10 @@
 // Unit tests for src/sweep/front_end: the one flag table behind
-// hermes_run, hermes_sweep, the figure drivers and perf_gate. Each
-// front end's declared subset must parse "--name value" and
-// "--name=value" alike, its generated help must list exactly that
-// subset, and every malformed command line must be a UsageError
-// (exit 2 in the binaries), never a crash or a silent fallback.
+// hermes_run, hermes_sweep and the figure drivers. Each front end's
+// declared subset must parse "--name value" and "--name=value" alike,
+// its generated help must list exactly that subset, every table row
+// must belong to some front end, and every malformed command line must
+// be a UsageError (exit 2 in the binaries), never a crash or a silent
+// fallback.
 
 #include <gtest/gtest.h>
 
@@ -45,7 +46,6 @@ const std::vector<std::pair<const char *, const FrontEnd *>> kFrontEnds = {
     {"hermes_run", &kRunFrontEnd},
     {"hermes_sweep", &kSweepFrontEnd},
     {"figure driver", &kFigureFrontEnd},
-    {"perf_gate", &kPerfGateFrontEnd},
 };
 
 CliOptions
@@ -81,7 +81,7 @@ render(const CliOptions &o)
       << o.noWarmupCache << '|' << o.label << '|' << o.report << '|'
       << o.csvPath << '|' << o.jsonPath << '|' << o.statsSpec << '|'
       << o.fingerprint << '|' << o.mips << '|' << o.profile << '|'
-      << o.listGrid << '|' << o.outPath << '|' << o.minMips;
+      << o.listGrid;
     return s.str();
 }
 
@@ -107,8 +107,6 @@ sampleValue(const std::string &flag)
         {"--csv", "x.csv"},
         {"--json", "x.json"},
         {"--stats", "core.ipc,dram.*"},
-        {"--out", "gate.json"},
-        {"--min-mips", "2.5"},
     };
     if (flag == "--config") {
         const std::string path = ::testing::TempDir() + "front_end.ini";
@@ -141,6 +139,11 @@ TEST_F(FrontEndTest, EveryDeclaredFlagIsOneTableRow)
         EXPECT_TRUE(names.insert(f.name).second) << f.name;
         EXPECT_NE(f.help, nullptr);
         EXPECT_NE(f.apply, nullptr);
+        // A row no front end accepts is dead code.
+        bool accepted = false;
+        for (const auto &entry : kFrontEnds)
+            accepted = accepted || entry.second->accepts(f.name);
+        EXPECT_TRUE(accepted) << f.name << " is in no front end";
     }
     for (const auto &[what, fe] : kFrontEnds) {
         std::set<std::string> declared;
@@ -249,11 +252,6 @@ TEST_F(FrontEndTest, MalformedCommandLinesAreUsageErrors)
         {"--shard", "5/4"},
         {"--shard", "x"},
         {"--shard=1/"},
-        {"--min-mips", "abc"},
-        {"--min-mips", "-1"},
-        {"--min-mips", "nan"},
-        {"--min-mips", "inf"},
-        {"--min-mips", ""},
         {"--cache", "d", "--no-cache"},
         {"--no-cache", "--cache=d"},
         {"--warmup-cache", "d", "--no-warmup-cache"},
@@ -296,9 +294,8 @@ TEST_F(FrontEndTest, FlagsOfOtherFrontEndsAreUnknown)
     EXPECT_THROW(parse(kSweepFrontEnd, {"--list-params"}), UsageError);
     EXPECT_THROW(parse(kSweepFrontEnd, {"--label=x"}), UsageError);
     EXPECT_THROW(parse(kFigureFrontEnd, {"--trace", "x"}), UsageError);
-    EXPECT_THROW(parse(kFigureFrontEnd, {"--min-mips", "1"}), UsageError);
+    EXPECT_THROW(parse(kFigureFrontEnd, {"--fingerprint"}), UsageError);
     EXPECT_THROW(parse(kFigureFrontEnd, {"llc.ways=16"}), UsageError);
-    EXPECT_THROW(parse(kPerfGateFrontEnd, {"--fingerprint"}), UsageError);
 }
 
 TEST_F(FrontEndTest, TwoDumpsMayFollowAFigureTable)
@@ -374,35 +371,23 @@ TEST_F(FrontEndTest, BudgetDefaultsComeFromTheFrontEnd)
     EXPECT_EQ(sweep.instrs, 16u);
 }
 
-TEST_F(FrontEndTest, ThreadsComeFromFlagThenDefaultThenEnvironment)
+TEST_F(FrontEndTest, ThreadsComeFromFlagThenEnvironment)
 {
     EXPECT_EQ(parse(kFigureFrontEnd, {}).threads, 0);
-    EXPECT_EQ(parse(kPerfGateFrontEnd, {}).threads, 1);
+    EXPECT_EQ(parse(kSweepFrontEnd, {}).threads, 0);
     {
         ScopedEnv env("HERMES_THREADS", "5");
         EXPECT_EQ(parse(kFigureFrontEnd, {}).threads, 5);
+        EXPECT_EQ(parse(kFigureFrontEnd, {"--threads=4"}).threads, 4);
         EXPECT_EQ(parse(kSweepFrontEnd, {"--threads", "2"}).threads, 2);
-        // perf_gate measures on one thread unless --threads says so.
-        EXPECT_EQ(parse(kPerfGateFrontEnd, {}).threads, 1);
-        EXPECT_EQ(parse(kPerfGateFrontEnd, {"--threads=4"}).threads, 4);
     }
     {
         ScopedEnv env("HERMES_THREADS", "abc");
         EXPECT_THROW(parse(kFigureFrontEnd, {}), UsageError);
         EXPECT_THROW(parse(kSweepFrontEnd, {"--threads", "2"}), UsageError);
-        EXPECT_THROW(parse(kPerfGateFrontEnd, {}), UsageError);
         // hermes_run has no --threads and never reads the variable.
         EXPECT_NO_THROW(parse(kRunFrontEnd, {}));
     }
-}
-
-TEST_F(FrontEndTest, PerfGateFloorParsesStrictly)
-{
-    EXPECT_EQ(parse(kPerfGateFrontEnd, {}).minMips, 0.0);
-    EXPECT_EQ(parse(kPerfGateFrontEnd, {"--min-mips", "4"}).minMips, 4.0);
-    EXPECT_EQ(parse(kPerfGateFrontEnd, {"--min-mips=0"}).minMips, 0.0);
-    EXPECT_EQ(parse(kPerfGateFrontEnd, {"--min-mips", "1e-1"}).minMips,
-              0.1);
 }
 
 TEST_F(FrontEndTest, StatColumnsAddHostPerfUnderMips)
