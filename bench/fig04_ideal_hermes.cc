@@ -44,9 +44,7 @@ main(int argc, char **argv)
                          1.0));
 
     Table t({"prefetcher", "pf-only", "pf + Ideal Hermes", "gain"});
-    for (auto pf : {PrefetcherKind::Pythia, PrefetcherKind::Bingo,
-                    PrefetcherKind::Spp, PrefetcherKind::Mlop,
-                    PrefetcherKind::Sms}) {
+    for (const char *pf : kPaperPrefetchers) {
         const auto base = runSuite(cfgPrefetcher(pf), b);
         const auto with =
             runSuite(withHermes(cfgPrefetcher(pf), PredictorKind::Ideal),

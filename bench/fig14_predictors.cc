@@ -1,21 +1,19 @@
 /**
  * @file
- * Fig. 14: Hermes on top of Pythia with every registered off-chip
- * predictor — the paper's three real ones (HMP, TTP, POPET), the
- * oracle (Ideal Hermes), and any contender landed through the model
- * registry since (hermes_run --list-models). A predictor added in its
- * own translation unit appears in this figure with zero edits here.
+ * Fig. 14: Hermes on top of Pythia with each off-chip predictor the
+ * paper compares: HMP, TTP, POPET and the oracle (Ideal Hermes), in
+ * the paper's order.
  *
  * Paper shape (geomean over no-pf): Pythia 1.203, +Hermes-HMP 1.211,
  * +Hermes-TTP 1.220, +Hermes-POPET 1.257, +Ideal 1.286 — POPET
  * captures ~90% of the oracle's benefit.
  */
-// figmap: Fig. 14 | every registered predictor on the Pythia baseline
+// figmap: Fig. 14 | HMP, TTP, POPET and Ideal Hermes on the Pythia baseline
 
 #include <cstdio>
+#include <string>
 
 #include "harness/harness.hh"
-#include "sim/model_registry.hh"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -32,17 +30,16 @@ main(int argc, char **argv)
     const double base = geomeanSpeedup(pyth, nopf);
     t.addRow({"Pythia (baseline)", Table::fmt(base), "-"});
     double popet_gain = 0, ideal_gain = 0;
-    for (const std::string &name :
-         ModelRegistry::instance().names(ModelKind::Predictor)) {
-        if (name == "none")
-            continue;
+    for (const std::string name : {PredictorKind::Hmp, PredictorKind::Ttp,
+                                   PredictorKind::Popet,
+                                   PredictorKind::Ideal}) {
         const auto rs = runSuite(withHermes(cfgBaseline(), name, 6), b);
         const double s = geomeanSpeedup(rs, nopf);
         t.addRow({"Pythia+Hermes-" + name, Table::fmt(s),
                   Table::pct(s / base - 1.0)});
-        if (name == "popet")
+        if (name == PredictorKind::Popet)
             popet_gain = s / base - 1.0;
-        if (name == "ideal")
+        if (name == PredictorKind::Ideal)
             ideal_gain = s / base - 1.0;
     }
     t.print("Fig. 14: effect of the off-chip prediction mechanism");

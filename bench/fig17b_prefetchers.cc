@@ -24,9 +24,7 @@ main(int argc, char **argv)
 
     Table t({"prefetcher", "pf-only", "pf+Hermes-P", "pf+Hermes-O",
              "Hermes-O gain"});
-    for (auto pf : {PrefetcherKind::Pythia, PrefetcherKind::Bingo,
-                    PrefetcherKind::Spp, PrefetcherKind::Mlop,
-                    PrefetcherKind::Sms}) {
+    for (const char *pf : kPaperPrefetchers) {
         const auto base = runSuite(cfgPrefetcher(pf), b);
         const auto hp = runSuite(
             withHermes(cfgPrefetcher(pf), PredictorKind::Popet, 18), b);

@@ -1,23 +1,21 @@
 /**
  * @file
  * Fig. 21 (Appendix B.3): POPET accuracy/coverage when Hermes runs with
- * every registered prefetcher and with no prefetcher at all — the
- * paper's five baselines plus any contender landed through the model
- * registry since (hermes_run --list-models). A prefetcher added in its
- * own translation unit appears in this figure with zero edits here.
+ * each of the paper's five baseline prefetchers and with no prefetcher
+ * at all.
  *
  * Paper shape: accuracy/coverage vary with the prefetcher (73-80% /
  * 66-85%); without any prefetcher POPET is clearly best (88.9% / 93.6%)
  * because prefetch traffic perturbs off-chip behaviour.
  */
-// figmap: Fig. 21 | POPET accuracy/coverage on every registered prefetcher
+// figmap: Fig. 21 | POPET accuracy/coverage per baseline prefetcher and none
 
 #include <cstdio>
+#include <iterator>
 #include <string>
 #include <vector>
 
 #include "harness/harness.hh"
-#include "sim/model_registry.hh"
 
 using namespace hermes;
 using namespace hermes::bench;
@@ -28,21 +26,18 @@ main(int argc, char **argv)
     initCli(argc, argv);
     const SimBudget b = budget(120'000, 300'000);
 
-    // Every registered prefetcher, "none" last: the paper's panels put
-    // the prefetcher-free system at the end as the reference point.
-    std::vector<std::string> pfs;
-    for (const std::string &name :
-         ModelRegistry::instance().names(ModelKind::Prefetcher))
-        if (name != "none")
-            pfs.push_back(name);
-    pfs.push_back("none");
+    // "none" last: the paper's panels put the prefetcher-free system
+    // at the end as the reference point.
+    std::vector<std::string> pfs(std::begin(kPaperPrefetchers),
+                                 std::end(kPaperPrefetchers));
+    pfs.push_back(PrefetcherKind::None);
 
     Table t({"config", "accuracy", "coverage"});
     for (const std::string &pf : pfs) {
         const std::string label =
-            pf == "none" ? "Hermes alone" : pf + "+Hermes";
+            pf == PrefetcherKind::None ? "Hermes alone" : pf + "+Hermes";
         const auto rs = runSuite(
-            withHermes(cfgPrefetcher(pf), "popet", 6), b);
+            withHermes(cfgPrefetcher(pf), PredictorKind::Popet, 6), b);
         PredictorStats all;
         for (const auto &r : rs) {
             const PredictorStats p = r.stats.predTotal();

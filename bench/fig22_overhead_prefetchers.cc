@@ -31,9 +31,7 @@ main(int argc, char **argv)
 
     Table t({"prefetcher", "pf vs no-pf", "pf+Hermes vs no-pf",
              "Hermes adds"});
-    for (auto pf : {PrefetcherKind::Pythia, PrefetcherKind::Bingo,
-                    PrefetcherKind::Spp, PrefetcherKind::Mlop,
-                    PrefetcherKind::Sms}) {
+    for (const char *pf : kPaperPrefetchers) {
         const double r0 = reads(runSuite(cfgPrefetcher(pf), b));
         const double r1 = reads(runSuite(
             withHermes(cfgPrefetcher(pf), PredictorKind::Popet, 6), b));

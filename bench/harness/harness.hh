@@ -90,6 +90,11 @@ SystemConfig cfgNoPrefetch();
 SystemConfig cfgPrefetcher(const std::string &pf);
 /** Pythia baseline (the paper's Table 4 system). */
 SystemConfig cfgBaseline();
+/** The paper's five baseline prefetchers (Table 6), in the order its
+ * per-prefetcher figures (Figs. 4b, 17b, 21, 22) plot them. */
+inline constexpr const char *kPaperPrefetchers[] = {
+    PrefetcherKind::Pythia, PrefetcherKind::Bingo, PrefetcherKind::Spp,
+    PrefetcherKind::Mlop, PrefetcherKind::Sms};
 /** Add Hermes with the given predictor to a config. */
 SystemConfig withHermes(SystemConfig cfg, const std::string &pred,
                         Cycle issue_latency = 6);

@@ -14,6 +14,10 @@
  * loads go off-chip, and predicts off-chip once the counter crosses a
  * threshold.
  *
+ * It exits 1 unless the model made predictions, Hermes scheduled
+ * requests on them, the knobs survived toConfig() and a second run of
+ * the same scenario has the same statistics fingerprint.
+ *
  * Usage: custom_predictor [trace=<name>]
  */
 
@@ -24,6 +28,7 @@
 #include "common/config.hh"
 #include "predictor/offchip_pred.hh"
 #include "sim/model_registry.hh"
+#include "sim/report.hh"
 #include "sim/simulator.hh"
 #include "sim/system.hh"
 #include "trace/suite.hh"
@@ -166,5 +171,13 @@ main(int argc, char **argv)
         cfg.toConfig().contains("example_bias.table_bits");
     std::printf("knobs survive toConfig() round-trip: %s\n",
                 knob_kept ? "yes" : "NO");
-    return knob_kept ? 0 : 1;
+    const bool repeatable =
+        statsFingerprint(simulate(cfg, {findTrace(trace)}, budget)) ==
+        statsFingerprint(stats);
+    std::printf("second run has the same fingerprint: %s\n",
+                repeatable ? "yes" : "NO");
+    const bool ok = pred.total() > 0 &&
+                    stats.hermesRequestsScheduled > 0 && knob_kept &&
+                    repeatable;
+    return ok ? 0 : 1;
 }

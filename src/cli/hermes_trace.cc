@@ -16,16 +16,19 @@
  *   hermes_trace corpus
  */
 
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
+#include "common/config.hh"
 #include "trace/corpus.hh"
 #include "trace/resolve.hh"
 #include "trace/trace_file.hh"
@@ -72,14 +75,22 @@ usage(const char *argv0, int exit_code)
     std::exit(exit_code);
 }
 
+/** The value of a count flag (--count, --seed-offset, --head); a
+ * sign, a leading space or trailing garbage is a usage error. */
 std::uint64_t
-parseCount(const std::string &s)
+countFlag(const char *argv0, const char *flag, const std::string &value)
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    if (s.empty() || end == nullptr || *end != '\0')
-        throw std::invalid_argument("expected a number, got '" + s + "'");
-    return v;
+    const bool spaced =
+        !value.empty() && std::isspace(static_cast<unsigned char>(value[0]));
+    const std::optional<std::uint64_t> n =
+        spaced ? std::nullopt : parseUint64(value);
+    if (!n) {
+        std::fprintf(stderr,
+                     "error: %s wants a non-negative integer, got '%s'\n",
+                     flag, value.c_str());
+        usage(argv0, 2);
+    }
+    return *n;
 }
 
 const char *
@@ -139,9 +150,9 @@ cmdSynthesize(const std::vector<std::string> &args, const char *argv0)
         else if (args[i] == "--out")
             out = value();
         else if (args[i] == "--count")
-            count = parseCount(value());
+            count = countFlag(argv0, "--count", value());
         else if (args[i] == "--seed-offset")
-            seed_offset = parseCount(value());
+            seed_offset = countFlag(argv0, "--seed-offset", value());
         else
             usage(argv0, 2);
     }
@@ -221,7 +232,7 @@ cmdInspect(const std::vector<std::string> &args, const char *argv0)
         if (args[i] == "--head") {
             if (i + 1 >= args.size())
                 usage(argv0, 2);
-            head = parseCount(args[++i]);
+            head = countFlag(argv0, "--head", args[++i]);
         } else if (path.empty()) {
             path = args[i];
         } else {

@@ -1,7 +1,6 @@
 #include "sim/model_registry.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <stdexcept>
 
@@ -15,15 +14,6 @@ namespace hermes
 
 namespace
 {
-
-/** A bound as --list-models and range errors print it ("%g"). */
-std::string
-boundStr(double v)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%g", v);
-    return buf;
-}
 
 /**
  * Names a model may not take. Its knob keys are "<model>.<knob>", and
@@ -91,8 +81,6 @@ ModelKnob::typeName() const
         return "int";
       case Type::Bool:
         return "bool";
-      case Type::Double:
-        return "double";
     }
     return "?";
 }
@@ -103,18 +91,15 @@ ModelKnob::canonical(const std::string &key, const std::string &value) const
     auto reject = [&key](const std::string &why) {
         return std::invalid_argument(key + ": " + why);
     };
-    auto rangeCheck = [&](double v) {
-        if (v < minValue || v > maxValue)
-            throw reject("value " + value + " out of range [" +
-                         boundStr(minValue) + ", " + boundStr(maxValue) +
-                         "]");
-    };
     switch (type) {
       case Type::Int: {
         const auto v = parseInt64(value);
         if (!v)
             throw reject("expected an integer, got '" + value + "'");
-        rangeCheck(static_cast<double>(*v));
+        if (*v < minValue || *v > maxValue)
+            throw reject("value " + value + " out of range [" +
+                         std::to_string(minValue) + ", " +
+                         std::to_string(maxValue) + "]");
         if (powerOfTwo && (*v <= 0 || (*v & (*v - 1)) != 0))
             throw reject("value " + value + " must be a power of two");
         return std::to_string(*v);
@@ -124,16 +109,6 @@ ModelKnob::canonical(const std::string &key, const std::string &value) const
         if (!v)
             throw reject("expected a boolean, got '" + value + "'");
         return *v ? "true" : "false";
-      }
-      case Type::Double: {
-        const auto v = parseFiniteDouble(value);
-        if (!v)
-            throw reject("expected a number, got '" + value + "'");
-        rangeCheck(*v);
-        // The shortest spelling that parses back to the same double.
-        char buf[64];
-        return std::string(buf,
-                           std::to_chars(buf, buf + sizeof(buf), *v).ptr);
       }
     }
     throw std::logic_error("unknown knob type");
@@ -155,12 +130,6 @@ bool
 ModelContext::knobBool(const std::string &name) const
 {
     return *parseBoolWord(knobRaw(*this, name));
-}
-
-double
-ModelContext::knobDouble(const std::string &name) const
-{
-    return *parseFiniteDouble(knobRaw(*this, name));
 }
 
 ModelRegistry &
@@ -362,9 +331,8 @@ ModelRegistry::describe() const
                 r.dflt = k.defaultValue;
                 switch (k.type) {
                   case ModelKnob::Type::Int:
-                  case ModelKnob::Type::Double:
-                    r.range = "[" + boundStr(k.minValue) + ", " +
-                              boundStr(k.maxValue) + "]" +
+                    r.range = "[" + std::to_string(k.minValue) + ", " +
+                              std::to_string(k.maxValue) + "]" +
                               (k.powerOfTwo ? " pow2" : "");
                     break;
                   case ModelKnob::Type::Bool:

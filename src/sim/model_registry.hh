@@ -8,7 +8,7 @@
  * ModelRegistrar), declaring a one-line doc, its tunable knobs and the
  * statistics-registry counters it feeds. Registration auto-exposes the
  * knobs as "<model>.<knob>" parameter-registry keys ("popet.act_threshold",
- * "hashperc.table_bits"), stored sparsely in SystemConfig::modelKnobs:
+ * "ttp.sets"), stored sparsely in SystemConfig::modelKnobs:
  * a knob renders, and fingerprints, only while it is off its declared
  * default. The model becomes selectable by name through the
  * "predictor", "prefetcher" and "llc.repl" parameters. The registry is
@@ -61,16 +61,15 @@ struct ModelKnob
 {
     enum class Type : std::uint8_t
     {
-        Int,    ///< Integer (strict parse), inclusive [min, max]
-        Bool,   ///< true/false, yes/no, on/off, 1/0
-        Double, ///< Finite real, inclusive [min, max]
+        Int,  ///< Integer (strict parse), inclusive [min, max]
+        Bool, ///< true/false, yes/no, on/off, 1/0
     };
 
-    std::string name; ///< Key suffix, e.g. "table_bits"
+    std::string name; ///< Key suffix, e.g. "weight_bits"
     Type type = Type::Int;
     std::string defaultValue;
-    double minValue = 0;
-    double maxValue = 0;
+    std::int64_t minValue = 0;
+    std::int64_t maxValue = 0;
     /** Int knobs indexed with masks must be a power of two. */
     bool powerOfTwo = false;
     std::string doc;
@@ -116,7 +115,6 @@ struct ModelContext
      * Throws std::logic_error for a knob the model never declared. */
     std::int64_t knobInt(const std::string &name) const;
     bool knobBool(const std::string &name) const;
-    double knobDouble(const std::string &name) const;
 };
 
 /** Schema + factory entry for one registered model. */

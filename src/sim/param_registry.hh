@@ -7,7 +7,7 @@
  * Hermes knobs) is bound to a dotted string key ("llc.ways",
  * "dram.channels", ...) with a type, a default, a valid range and a
  * doc string. The models' own parameters ("popet.act_threshold",
- * "hashperc.table_bits", ...) are not rows here: each model declares
+ * "ttp.sets", ...) are not rows here: each model declares
  * them as knobs in the model registry (sim/model_registry.hh), and
  * apply() accepts those keys too, storing them in
  * SystemConfig::modelKnobs.

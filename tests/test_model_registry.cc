@@ -5,8 +5,8 @@
 // keys, knob validation and fromConfig/toConfig round trips, that
 // every knob reaches its model and that every spelling of a value is
 // one identity, runtime registration visibility through the selection
-// parameters, the rejection of names that are not registered, and
-// deterministic runs of the new contenders.
+// parameters, the rejection of names that are not registered, and the
+// generated reference of the paper's models.
 
 #include <gtest/gtest.h>
 
@@ -29,7 +29,6 @@
 #include "prefetch/prefetcher.hh"
 #include "sim/model_registry.hh"
 #include "sim/param_registry.hh"
-#include "sim/report.hh"
 #include "sim/simulator.hh"
 #include "sim/system.hh"
 #include "sweep/journal.hh"
@@ -155,19 +154,19 @@ TEST(ModelRegistry, UnknownModelGetsNearestSuggestion)
 {
     try {
         ModelRegistry::instance().findOrThrow(ModelKind::Predictor,
-                                              "hashprec");
+                                              "poppet");
         FAIL() << "unknown model did not throw";
     } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("did you mean 'hashperc'"),
+        EXPECT_NE(std::string(e.what()).find("did you mean 'popet'"),
                   std::string::npos)
             << e.what();
     }
     // The same suggestion surfaces through the selection parameter.
     try {
-        configWith({"predictor=hashprec"});
+        configWith({"predictor=poppet"});
         FAIL() << "unknown predictor name did not throw";
     } catch (const std::invalid_argument &e) {
-        EXPECT_NE(std::string(e.what()).find("hashperc"),
+        EXPECT_NE(std::string(e.what()).find("did you mean 'popet'"),
                   std::string::npos)
             << e.what();
     }
@@ -177,13 +176,13 @@ TEST(ModelRegistry, UnknownKnobKeyGetsNearestSuggestion)
 {
     // A typo, and the kind-prefixed spelling knob keys no longer take.
     for (const char *kv :
-         {"hashperc.table_bit=12", "pred.hashperc.table_bits=12"}) {
+         {"popet.weight_bit=4", "pred.popet.weight_bits=4"}) {
         try {
             configWith({kv});
             ADD_FAILURE() << kv << " did not throw";
         } catch (const std::invalid_argument &e) {
             EXPECT_NE(std::string(e.what()).find(
-                          "did you mean 'hashperc.table_bits'"),
+                          "did you mean 'popet.weight_bits'"),
                       std::string::npos)
                 << e.what();
         }
@@ -192,34 +191,41 @@ TEST(ModelRegistry, UnknownKnobKeyGetsNearestSuggestion)
 
 TEST(ModelRegistry, KnobValuesAreValidated)
 {
-    // Range check.
-    EXPECT_THROW(configWith({"hashperc.table_bits=40"}),
-                 std::invalid_argument);
+    // Range check, naming the bounds exactly.
+    EXPECT_THROW(configWith({"ttp.ways=65"}), std::invalid_argument);
     EXPECT_THROW(configWith({"popet.weight_bits=9"}),
                  std::invalid_argument);
+    try {
+        configWith({"hmp.local_histories=2097152"});
+        ADD_FAILURE() << "out-of-range value accepted";
+    } catch (const std::invalid_argument &e) {
+        EXPECT_NE(std::string(e.what()).find("out of range [1, 1048576]"),
+                  std::string::npos)
+            << e.what();
+    }
     // Power-of-two check on mask-indexed geometry.
-    EXPECT_THROW(configWith({"ipcp.entries=1000"}), std::invalid_argument);
+    EXPECT_THROW(configWith({"ttp.sets=1000"}), std::invalid_argument);
     EXPECT_THROW(configWith({"hmp.gshare_counters=1000"}),
                  std::invalid_argument);
     // Type check.
-    EXPECT_THROW(configWith({"hashperc.hashes=many"}),
+    EXPECT_THROW(configWith({"hmp.counter_bits=many"}),
                  std::invalid_argument);
     EXPECT_THROW(configWith({"popet.train_on_mispredict=maybe"}),
                  std::invalid_argument);
     // In-range values apply.
-    EXPECT_NO_THROW(configWith({"ipcp.entries=2048"}));
+    EXPECT_NO_THROW(configWith({"ttp.sets=1024"}));
 }
 
 TEST(ModelRegistry, KnobsRoundTripThroughConfig)
 {
     const SystemConfig cfg =
-        configWith({"predictor=hashperc", "hashperc.table_bits=12"});
+        configWith({"predictor=hmp", "hmp.counter_bits=3"});
     const Config out = cfg.toConfig();
-    EXPECT_EQ(out.get("predictor", std::string()), "hashperc");
-    EXPECT_EQ(out.get("hashperc.table_bits", std::string()), "12");
+    EXPECT_EQ(out.get("predictor", std::string()), "hmp");
+    EXPECT_EQ(out.get("hmp.counter_bits", std::string()), "3");
     // And back: a config rebuilt from the rendering is identical.
     const SystemConfig again = SystemConfig::fromConfig(out);
-    EXPECT_EQ(again.predictor, "hashperc");
+    EXPECT_EQ(again.predictor, "hmp");
     EXPECT_EQ(again.modelKnobs, cfg.modelKnobs);
 
     // Untouched knobs never render.
@@ -254,9 +260,6 @@ TEST(ModelRegistry, EveryKnobKeyAppliesIntoModelKnobs)
             value = std::to_string(up <= k.maxValue ? up : down);
             break;
           }
-          case ModelKnob::Type::Double:
-            value = std::to_string(k.maxValue);
-            break;
         }
         SystemConfig cfg = SystemConfig::baseline(1);
         ParamRegistry::instance().apply(cfg, key, value);
@@ -297,7 +300,7 @@ TEST(ModelRegistry, EverySpellingOfAValueIsOneIdentity)
     for (const char *kv :
          {"popet.act_threshold=-18", "popet.feature_mask=0x1f",
           "popet.train_on_mispredict=yes", "hmp.counter_bits=2",
-          "ttp.sets=0x10000", "hashperc.table_bits=11"})
+          "ttp.sets=0x10000", "ttp.tag_bits=16"})
         EXPECT_EQ(identity(configWith({"predictor=popet", kv})), base)
             << kv;
     // Off-default values are stored canonically too.
@@ -548,43 +551,41 @@ TEST(ModelSelection, OnlyRegisteredNamesSelect)
     }
 }
 
-TEST(ModelRegistry, ListsContainTheNewContenders)
+TEST(ModelRegistry, ListsHoldThePapersModels)
 {
-    const auto preds =
-        ModelRegistry::instance().names(ModelKind::Predictor);
-    EXPECT_NE(std::find(preds.begin(), preds.end(), "hashperc"),
-              preds.end());
-    const auto prefs =
-        ModelRegistry::instance().names(ModelKind::Prefetcher);
-    EXPECT_NE(std::find(prefs.begin(), prefs.end(), "ipcp"),
-              prefs.end());
-    const std::string ref = ModelRegistry::instance().describe();
-    EXPECT_NE(ref.find("knob hashperc.table_bits"), std::string::npos);
-    EXPECT_NE(ref.find("knob ipcp.degree"), std::string::npos);
-}
-
-TEST(ModelRegistryGolden, NewContendersRunDeterministically)
-{
-    SimBudget b;
-    b.warmupInstrs = 2'000;
-    b.simInstrs = 5'000;
-    const TraceSpec trace = findTrace("spec06.mcf_like.0");
-
-    const SystemConfig pred_cfg = configWith(
-        {"predictor=hashperc", "hermes.enabled=true"});
-    const RunStats p1 = simulate(pred_cfg, {trace}, b);
-    const RunStats p2 = simulate(pred_cfg, {trace}, b);
-    EXPECT_EQ(statsFingerprint(p1), statsFingerprint(p2));
-    EXPECT_GT(p1.predTotal().total(), 0u);
-    EXPECT_GT(p1.hermesRequestsScheduled, 0u);
-
-    // A streaming trace: ipcp needs stable per-PC strides to trigger.
-    const TraceSpec stream = findTrace("parsec.streamcluster_like.0");
-    const SystemConfig pf_cfg = configWith({"prefetcher=ipcp"});
-    const RunStats f1 = simulate(pf_cfg, {stream}, b);
-    const RunStats f2 = simulate(pf_cfg, {stream}, b);
-    EXPECT_EQ(statsFingerprint(f1), statsFingerprint(f2));
-    EXPECT_GT(f1.llc.prefetchIssued, 0u);
+    // The paper's models and the streamer baseline are listed, and the
+    // generated reference has a header line for each and a line for
+    // each of its knobs, every bound printed exactly.
+    const ModelRegistry &models = ModelRegistry::instance();
+    const std::string ref = models.describe();
+    const std::pair<ModelKind, std::vector<const char *>> lists[] = {
+        {ModelKind::Predictor,
+         {PredictorKind::None, PredictorKind::Popet, PredictorKind::Hmp,
+          PredictorKind::Ttp, PredictorKind::Ideal}},
+        {ModelKind::Prefetcher,
+         {PrefetcherKind::None, PrefetcherKind::Streamer,
+          PrefetcherKind::Spp, PrefetcherKind::Bingo, PrefetcherKind::Mlop,
+          PrefetcherKind::Sms, PrefetcherKind::Pythia}},
+    };
+    for (const auto &[kind, paper] : lists) {
+        const std::vector<std::string> names = models.names(kind);
+        for (const char *name : paper) {
+            EXPECT_NE(std::find(names.begin(), names.end(), name),
+                      names.end())
+                << name;
+            EXPECT_NE(ref.find(std::string(modelKindLabel(kind)) + " " +
+                               name + " — "),
+                      std::string::npos)
+                << name;
+            const ModelDef &d = models.findOrThrow(kind, name);
+            for (const ModelKnob &k : d.knobs)
+                EXPECT_NE(ref.find("  knob " + d.knobKey(k) + " "),
+                          std::string::npos)
+                    << d.knobKey(k);
+        }
+    }
+    // Bounds print as exact integers: ttp.sets goes up to 2^24.
+    EXPECT_NE(ref.find("[1, 16777216] pow2"), std::string::npos);
 }
 
 } // namespace
