@@ -38,13 +38,8 @@ evaluate(const std::vector<std::string> &popet, const SimBudget &b,
         withHermes(cfgBaseline(), PredictorKind::Popet, 6), popet);
     const auto rs = runSuite(cfg, b);
     PredictorStats all;
-    for (const auto &r : rs) {
-        const PredictorStats p = r.stats.predTotal();
-        all.truePositives += p.truePositives;
-        all.falsePositives += p.falsePositives;
-        all.falseNegatives += p.falseNegatives;
-        all.trueNegatives += p.trueNegatives;
-    }
+    for (const auto &r : rs)
+        all += r.stats.predTotal();
     return {all.accuracy(), all.coverage(), geomeanSpeedup(rs, nopf)};
 }
 

@@ -29,13 +29,8 @@ runMask(unsigned mask, const SimBudget &b)
                                          PredictorKind::Popet);
     applyOverride(cfg, "popet.feature_mask=" + std::to_string(mask));
     PredictorStats all;
-    for (const auto &r : runSuite(cfg, b)) {
-        const PredictorStats p = r.stats.predTotal();
-        all.truePositives += p.truePositives;
-        all.falsePositives += p.falsePositives;
-        all.falseNegatives += p.falseNegatives;
-        all.trueNegatives += p.trueNegatives;
-    }
+    for (const auto &r : runSuite(cfg, b))
+        all += r.stats.predTotal();
     return all;
 }
 

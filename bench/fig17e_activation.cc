@@ -32,13 +32,8 @@ main(int argc, char **argv)
         applyOverride(cfg, "popet.act_threshold=" + std::to_string(tau));
         const auto rs = runSuite(cfg, b);
         PredictorStats all;
-        for (const auto &r : rs) {
-            const PredictorStats p = r.stats.predTotal();
-            all.truePositives += p.truePositives;
-            all.falsePositives += p.falsePositives;
-            all.falseNegatives += p.falseNegatives;
-            all.trueNegatives += p.trueNegatives;
-        }
+        for (const auto &r : rs)
+            all += r.stats.predTotal();
         t.addRow({std::to_string(tau), Table::pct(all.accuracy()),
                   Table::pct(all.coverage()),
                   Table::fmt(geomeanSpeedup(rs, nopf))});

@@ -39,13 +39,8 @@ main(int argc, char **argv)
         const auto rs = runSuite(
             withHermes(cfgPrefetcher(pf), PredictorKind::Popet, 6), b);
         PredictorStats all;
-        for (const auto &r : rs) {
-            const PredictorStats p = r.stats.predTotal();
-            all.truePositives += p.truePositives;
-            all.falsePositives += p.falsePositives;
-            all.falseNegatives += p.falseNegatives;
-            all.trueNegatives += p.trueNegatives;
-        }
+        for (const auto &r : rs)
+            all += r.stats.predTotal();
         t.addRow({label, Table::pct(all.accuracy()),
                   Table::pct(all.coverage())});
     }

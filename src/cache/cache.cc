@@ -367,10 +367,8 @@ Cache::handleReadHit(const MemRequest &req, std::uint32_t set,
     if ((lineFlags_[i] & kPrefetched) != 0) {
         lineFlags_[i] &= static_cast<std::uint8_t>(~kPrefetched);
         ++stats_.usefulPrefetches;
-        if (prefetcher_ != nullptr) {
-            ++prefetcher_->stats().useful;
+        if (prefetcher_ != nullptr)
             prefetcher_->onPrefetchUseful(tags_[i], req.pc);
-        }
     }
     MemRequest resp = req;
     resp.servedFrom = params_.level;
@@ -439,8 +437,6 @@ Cache::processPrefetches(Cycle now)
         m.originPrefetch = true;
         forwardFetch(m, slot);
         ++stats_.prefetchIssued;
-        if (prefetcher_ != nullptr)
-            ++prefetcher_->stats().issued;
     }
 }
 
@@ -487,10 +483,8 @@ Cache::installLine(Addr line, Addr pc, AccessType type, bool dirty,
         ++stats_.evictions;
         if ((victim_flags & kPrefetched) != 0) {
             ++stats_.uselessPrefetches;
-            if (prefetcher_ != nullptr) {
-                ++prefetcher_->stats().useless;
+            if (prefetcher_ != nullptr)
                 prefetcher_->onPrefetchUseless(victim_line);
-            }
         }
         replOnEvict(set, way);
         if (onEviction)

@@ -195,7 +195,6 @@ class Cache final : public MemDevice, public MemClient
 
     const CacheParams &params() const { return params_; }
     const CacheStats &stats() const { return stats_; }
-    void clearStats() { stats_ = CacheStats{}; }
 
     /** Replacement-metadata bits (storage report). */
     std::uint64_t replStorageBits() const { return repl_->storageBits(); }

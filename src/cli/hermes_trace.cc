@@ -16,7 +16,6 @@
  *   hermes_trace corpus
  */
 
-#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -80,10 +79,7 @@ usage(const char *argv0, int exit_code)
 std::uint64_t
 countFlag(const char *argv0, const char *flag, const std::string &value)
 {
-    const bool spaced =
-        !value.empty() && std::isspace(static_cast<unsigned char>(value[0]));
-    const std::optional<std::uint64_t> n =
-        spaced ? std::nullopt : parseUint64(value);
+    const std::optional<std::uint64_t> n = parseCount(value);
     if (!n) {
         std::fprintf(stderr,
                      "error: %s wants a non-negative integer, got '%s'\n",

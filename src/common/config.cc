@@ -101,6 +101,16 @@ parseFiniteDouble(const std::string &s)
     return v;
 }
 
+std::optional<std::uint64_t>
+parseCount(const std::string &s)
+{
+    // strtoull would skip leading whitespace and take a sign; a count
+    // starts with its first digit.
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])))
+        return std::nullopt;
+    return parseUint64(s);
+}
+
 std::optional<double>
 parseScale(const std::string &s)
 {
@@ -115,10 +125,9 @@ parseScale(const std::string &s)
 std::optional<int>
 parseThreadCount(const std::string &s)
 {
-    if (s.empty() || std::isspace(static_cast<unsigned char>(s[0])))
-        return std::nullopt;
-    const auto v = parseInt64(s);
-    if (!v || *v < 0 || *v > std::numeric_limits<int>::max())
+    const auto v = parseCount(s);
+    if (!v || *v > static_cast<std::uint64_t>(
+                       std::numeric_limits<int>::max()))
         return std::nullopt;
     return static_cast<int>(*v);
 }

@@ -31,12 +31,16 @@ std::optional<bool> parseBoolWord(const std::string &s);
 
 /**
  * The numeric front-end flags, parsed one way by hermes_run,
- * hermes_sweep and the bench harness. Both reject leading whitespace
- * and anything parseInt64/parseFiniteDouble would.
- *  - parseScale: a finite number > 0 (--scale, HERMES_SIM_SCALE);
- *  - parseThreadCount: an integer in [0, INT_MAX] (--threads,
+ * hermes_sweep, hermes_trace and the bench harness.
+ *  - parseCount: a non-negative integer with no sign, no leading
+ *    whitespace and no octal-looking leading zero (--warmup, --instrs,
+ *    hermes_trace's --count/--seed-offset/--head);
+ *  - parseScale: a finite number > 0 with no leading whitespace
+ *    (--scale, HERMES_SIM_SCALE);
+ *  - parseThreadCount: a parseCount value up to INT_MAX (--threads,
  *    HERMES_THREADS; 0 means all hardware threads).
  */
+std::optional<std::uint64_t> parseCount(const std::string &s);
 std::optional<double> parseScale(const std::string &s);
 std::optional<int> parseThreadCount(const std::string &s);
 

@@ -53,7 +53,6 @@ class BranchPredictor
     bool update(Addr pc, bool taken);
 
     const BranchStats &stats() const { return stats_; }
-    void clearStats() { stats_ = BranchStats{}; }
 
     std::uint64_t storageBits() const;
 

@@ -21,13 +21,6 @@ OooCore::entry(InstrId seq)
     return rob_[seq & robMask_];
 }
 
-void
-OooCore::clearStats()
-{
-    stats_ = CoreStats{};
-    branch_.clearStats();
-}
-
 bool
 OooCore::nonLoadComplete(const RobEntry &e, Cycle now) const
 {

@@ -201,12 +201,11 @@ class OooCore final : public MemClient
     const CoreStats &stats() const { return stats_; }
     const BranchStats &branchStats() const { return branch_.stats(); }
 
-    /** Reset statistics (end of warmup), keeping learned state. */
-    void clearStats();
-
     std::uint64_t instrsRetired() const { return stats_.instrsRetired; }
 
-    /** Warmup checkpoint hooks (stats are zero at the snapshot seam). */
+    /** Warmup checkpoint hooks. Statistics are not part of the state:
+     * the seam is a stored System::snapshot(), so a restored core
+     * counts from its restore. */
     void saveState(StateWriter &w) const;
     void loadState(StateReader &r);
 

@@ -124,7 +124,6 @@ class DramController final : public MemDevice
 
     const DramParams &params() const { return params_; }
     const DramStats &stats() const { return stats_; }
-    void clearStats() { stats_ = DramStats{}; }
 
     /** Warmup checkpoint hooks. */
     void saveState(StateWriter &w) const;

@@ -102,7 +102,6 @@ class HermesController
     OffChipPredictor *predictor() { return predictor_; }
     const HermesParams &params() const { return params_; }
     const HermesStats &stats() const { return stats_; }
-    void clearStats() { stats_ = HermesStats{}; }
 
     /**
      * Gate speculative issue at a phase boundary (hermes.warmup_issue):

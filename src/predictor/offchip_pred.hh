@@ -45,6 +45,17 @@ struct PredictorStats
     std::uint64_t falseNegatives = 0;
     std::uint64_t trueNegatives = 0;
 
+    /** Pool another matrix into this one (cores, traces, a suite). */
+    PredictorStats &
+    operator+=(const PredictorStats &o)
+    {
+        truePositives += o.truePositives;
+        falsePositives += o.falsePositives;
+        falseNegatives += o.falseNegatives;
+        trueNegatives += o.trueNegatives;
+        return *this;
+    }
+
     std::uint64_t
     total() const
     {

@@ -21,14 +21,6 @@ namespace hermes
 class StateReader;
 class StateWriter;
 
-/** Aggregate prefetcher statistics. */
-struct PrefetcherStats
-{
-    std::uint64_t issued = 0;  ///< Prefetch lines handed to the cache
-    std::uint64_t useful = 0;  ///< Prefetched lines later hit by demand
-    std::uint64_t useless = 0; ///< Prefetched lines evicted untouched
-};
-
 /**
  * A hardware prefetcher attached to one cache. Addresses exchanged with
  * the prefetcher are full byte addresses; prefetch candidates are
@@ -78,21 +70,15 @@ class Prefetcher
     virtual std::uint64_t storageBits() const = 0;
 
     /**
-     * Warmup-checkpoint support (sim/simulator.hh). Stats are not
-     * serialized: checkpoints are taken at the warmup/measure seam,
-     * right after every statistic has been cleared. A prefetcher that
-     * does not override these stays non-checkpointable and disables
-     * checkpointing for runs that select it.
+     * Warmup-checkpoint support (sim/simulator.hh): the learned state
+     * at the warmup/measure seam. The cache counts this prefetcher's
+     * events (CacheStats), and counters are never checkpointed. A
+     * prefetcher that does not override these stays non-checkpointable
+     * and disables checkpointing for runs that select it.
      */
     virtual bool checkpointable() const { return false; }
     virtual void saveState(StateWriter &) const {}
     virtual void loadState(StateReader &) {}
-
-    PrefetcherStats &stats() { return stats_; }
-    const PrefetcherStats &stats() const { return stats_; }
-
-  protected:
-    PrefetcherStats stats_;
 };
 
 /**

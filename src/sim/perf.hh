@@ -19,12 +19,12 @@
 namespace hermes
 {
 
-/** Simulator throughput over one System::run invocation. */
+/** Simulator throughput of one System in this process. */
 struct HostPerf
 {
-    /** Wall-clock seconds spent inside run() (warmup + measurement). */
+    /** Wall-clock seconds spent in runWarmup() and runMeasure(). */
     double seconds = 0;
-    /** Instructions executed by run(), including the warmup window. */
+    /** Instructions they executed, including the warmup window. */
     std::uint64_t instrs = 0;
 
     /** Simulated millions of instructions per host second. */

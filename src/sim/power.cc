@@ -38,7 +38,7 @@ computePower(const RunStats &stats, const PowerParams &params)
                 params.predictorAccessPj;
     other_pj += static_cast<double>(stats.llc.demandLookups()) *
                 params.prefetcherAccessPj *
-                (stats.prefetch.issued > 0 ? 1.0 : 0.0);
+                (stats.llc.prefetchIssued > 0 ? 1.0 : 0.0);
     p.other = other_pj * pj_to_mw;
     return p;
 }

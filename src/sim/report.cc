@@ -83,10 +83,10 @@ formatReport(const RunStats &stats)
            << d.hermesRejected << ", loads served "
            << stats.hermesLoadsServed << "\n";
     }
-    if (stats.prefetch.issued > 0) {
-        os << "prefetcher: issued " << stats.prefetch.issued
-           << ", useful " << stats.prefetch.useful << ", useless "
-           << stats.prefetch.useless << "\n";
+    if (stats.llc.prefetchIssued > 0) {
+        os << "prefetcher: issued " << stats.llc.prefetchIssued
+           << ", useful " << stats.llc.usefulPrefetches << ", useless "
+           << stats.llc.uselessPrefetches << "\n";
     }
 
     const PowerBreakdown p = computePower(stats);

@@ -68,11 +68,12 @@ struct SimBudget
  *   RunStats r = s.collect();
  *
  * Between warmup() and measure() the session sits at the *snapshot
- * seam*: statistics are all zero and every stateful component
- * (workload cursors/RNG, cache tags + queues, DRAM queues, predictor
- * and prefetcher training state, ROB) is serializable. snapshot()
- * writes that state; restore() replaces warmup() in a session that is
- * built but not yet warmed. Checkpoints are versioned, keyed by
+ * seam*: the System has stored a snapshot of its counters for the
+ * measurement window to start from (System::snapshot; counters only
+ * grow), and every stateful component (workload cursors/RNG, cache
+ * tags + queues, DRAM queues, predictor and prefetcher training state,
+ * ROB) is serializable. snapshot() writes that state; restore()
+ * replaces warmup() in a session that is built but not yet warmed. Checkpoints are versioned, keyed by
  * warmupFingerprint() and checksummed; restore() treats any mismatch
  * or corruption as a clean miss (returns false, session stays built)
  * so a caller always falls back to a real warmup.
@@ -104,13 +105,14 @@ class SimSession
     /** Open the workloads and assemble the System. */
     void build();
 
-    /** Run the warmup window (stats cleared at the end). */
+    /** Run the warmup window and store the seam snapshot. */
     void warmup();
 
     /** Run the measurement window. */
     const RunStats &measure();
 
-    /** Results of the measurement window. */
+    /** Results of the measurement window: the window from the seam
+     * snapshot to the snapshot measure() ended at. */
     const RunStats &collect() const;
 
     /**

@@ -12,8 +12,9 @@
  *
  * Everything that renders or persists statistics funnels through this
  * schema: the CSV/JSON rows in sim/report, statsFingerprint(), the
- * sweep journal's stats codec (via codecPlan()), the CLIs'
- * --stats/--list-stats column selection and the bench harness dumps.
+ * sweep journal's stats codec (via codecPlan()), windowStats(), the
+ * CLIs' --stats/--list-stats column selection and the bench harness
+ * dumps.
  * Declaring one row here makes a new counter journal-codec'd,
  * CSV-emittable, selectable and documented at once.
  *
@@ -64,7 +65,8 @@ struct StatDef
 
     /** Aggregate value (sum across cores for PerCore statistics). */
     std::function<std::uint64_t(const RunStats &)> getU64;
-    /** Write one scalar counter (journal decode); null for Derived. */
+    /** Write one scalar counter (journal decode, windowStats); null
+     * for Derived. Two keys may share a counter (pf.* and llc.pf_*). */
     std::function<void(RunStats &, std::uint64_t)> setU64;
     /** Per-core read; must return 0 for an out-of-range core. */
     std::function<std::uint64_t(const RunStats &, std::size_t)> getAtU64;
@@ -191,6 +193,15 @@ void appendHostPerfColumns(std::vector<StatColumn> &columns);
  * significant digits).
  */
 std::string statColumnValue(const StatColumn &col, const RunStats &stats);
+
+/**
+ * The window between two snapshots (System::snapshot): every raw
+ * counter of the codec plan is end - start, read and written through
+ * its registry binding, so a newly registered counter is windowed with
+ * no further work. Configuration echoes and host-side fields come from
+ * @p end. windowStats(x, RunStats{}) is x.
+ */
+RunStats windowStats(const RunStats &end, const RunStats &start);
 
 /** Aggregate value of a registered integer statistic. */
 std::uint64_t statU64(const RunStats &stats, const std::string &key);

@@ -8,6 +8,7 @@
 #include <stdexcept>
 
 #include "sim/model_registry.hh"
+#include "sim/stat_registry.hh"
 
 namespace hermes
 {
@@ -85,12 +86,8 @@ PredictorStats
 RunStats::predTotal() const
 {
     PredictorStats t;
-    for (const auto &p : predictor) {
-        t.truePositives += p.truePositives;
-        t.falsePositives += p.falsePositives;
-        t.falseNegatives += p.falseNegatives;
-        t.trueNegatives += p.trueNegatives;
-    }
+    for (const auto &p : predictor)
+        t += p;
     return t;
 }
 
@@ -224,13 +221,13 @@ System::System(const SystemConfig &config,
             hermes_[i].get()));
         l1_[i]->setUpper(i, cores_.back().get());
     }
-    finishCycle_.assign(n, 0);
 
     // Environment escape hatches (docs/performance.md): disable the
     // event-horizon fast-forward (determinism cross-check) and enable
     // per-component host-time attribution (bench --profile).
     eventSkip_ = std::getenv("HERMES_NO_EVENT_SKIP") == nullptr;
     profile_.enabled = std::getenv("HERMES_PROFILE") != nullptr;
+    markSeam();
 }
 
 System::~System() = default;
@@ -367,30 +364,6 @@ System::doSkip(Cycle limit)
 }
 
 void
-System::clearAllStats()
-{
-    for (auto &c : cores_)
-        c->clearStats();
-    for (auto &c : l1_)
-        c->clearStats();
-    for (auto &c : l2_)
-        c->clearStats();
-    llc_->clearStats();
-    dram_->clearStats();
-    for (auto &h : hermes_)
-        h->clearStats();
-    if (prefetcher_ != nullptr)
-        prefetcher_->stats() = PrefetcherStats{};
-}
-
-RunStats
-System::run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs)
-{
-    runWarmup(warmup_instrs);
-    return runMeasure(sim_instrs);
-}
-
-void
 System::runWarmup(std::uint64_t warmup_instrs)
 {
     const int n = config_.numCores;
@@ -429,38 +402,44 @@ System::runWarmup(std::uint64_t warmup_instrs)
             hermes_[i]->setIssueEnabled(config_.hermesIssueEnabled &&
                                         predictors_[i] != nullptr);
 
-    warmupExecuted_ = 0;
-    for (const auto &c : cores_)
-        warmupExecuted_ += c->instrsRetired();
-    warmupSeconds_ = watch.elapsedSeconds();
-    clearAllStats();
-    measureStart_ = now_;
-    finishCycle_.assign(n, 0);
+    hostSeconds_ += watch.elapsedSeconds();
+    markSeam();
+}
+
+void
+System::markSeam()
+{
+    finishCycle_.assign(config_.numCores, now_);
+    seam_ = snapshot();
 }
 
 RunStats
 System::runMeasure(std::uint64_t sim_instrs)
 {
     const int n = config_.numCores;
-    const std::uint64_t max_cycles = sim_instrs * 400 + 1'000'000;
+    const Cycle start = seam_.simCycles;
+    const Cycle limit = start + sim_instrs * 400 + 1'000'000;
     const Stopwatch watch;
 
-    // The completion scan only needs to run after cycles where some
-    // core retired: instrsRetired() is constant otherwise, and
-    // finishCycle_ records the cycle the quota was *reached*, which is
-    // by definition a retiring cycle. The initial recheck covers the
-    // sim_instrs == 0 edge (quota met before the first tick).
+    // Each core's quota counts from the seam. The completion scan only
+    // needs to run after cycles where some core retired: instrsRetired()
+    // is constant otherwise, and finishCycle_ records the cycle the
+    // quota was *reached*, which is by definition a retiring cycle. The
+    // initial recheck covers the sim_instrs == 0 edge (quota met before
+    // the first tick).
     bool done = false;
     bool recheck = true;
-    while (!done && now_ < measureStart_ + max_cycles) {
+    while (!done && now_ < limit) {
         const bool retired = tick();
         if (retired || recheck) {
             recheck = false;
             done = true;
             for (int i = 0; i < n; ++i) {
-                if (cores_[i]->instrsRetired() >= sim_instrs) {
-                    if (finishCycle_[i] == 0)
-                        finishCycle_[i] = now_ - measureStart_;
+                if (cores_[i]->instrsRetired() -
+                        seam_.core[i].instrsRetired >=
+                    sim_instrs) {
+                    if (finishCycle_[i] == start)
+                        finishCycle_[i] = now_;
                 } else {
                     done = false;
                 }
@@ -469,14 +448,11 @@ System::runMeasure(std::uint64_t sim_instrs)
         // Horizon probes only pay off after non-retiring ticks (see
         // runWarmup); a retiring core has head-of-ROB work next cycle.
         if (!done && !retired)
-            maybeSkip(measureStart_ + max_cycles);
+            maybeSkip(limit);
     }
 
-    RunStats stats = collect();
-    stats.simCycles = now_ - measureStart_;
-    stats.hostPerf.seconds = warmupSeconds_ + watch.elapsedSeconds();
-    stats.hostPerf.instrs = warmupExecuted_ + stats.instrsRetired();
-    return stats;
+    hostSeconds_ += watch.elapsedSeconds();
+    return windowStats(snapshot(), seam_);
 }
 
 bool
@@ -550,20 +526,18 @@ System::loadState(StateReader &r)
         h->loadState(r);
     for (auto &c : cores_)
         c->loadState(r);
-    // Re-establish the snapshot seam: stats are zero by construction,
-    // the measurement window starts here, and this process did no
+    // The measurement window starts here, and this process did no
     // warmup work (host-perf accounting).
-    measureStart_ = now_;
-    finishCycle_.assign(config_.numCores, 0);
-    warmupExecuted_ = 0;
-    warmupSeconds_ = 0.0;
+    hostSeconds_ = 0.0;
+    markSeam();
 }
 
 RunStats
-System::collect() const
+System::snapshot() const
 {
     RunStats s;
     const int n = config_.numCores;
+    s.simCycles = now_;
     s.coreFinishCycle = finishCycle_;
     for (int i = 0; i < n; ++i) {
         s.core.push_back(cores_[i]->stats());
@@ -599,10 +573,10 @@ System::collect() const
     s.dram = dram_->stats();
     s.dramChannels = config_.dram.channels;
     s.dramBusCyclesPerLine = config_.dram.busCyclesPerLine();
-    if (prefetcher_ != nullptr)
-        s.prefetch = prefetcher_->stats();
-    // Accumulated across warmup + measurement (host-side only, so the
-    // warmup share is informative rather than misleading).
+    // Host-side: this process's warmup + measurement work, so the
+    // warmup share is informative rather than misleading.
+    s.hostPerf.seconds = hostSeconds_;
+    s.hostPerf.instrs = s.instrsRetired();
     s.profile = profile_;
     return s;
 }

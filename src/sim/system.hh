@@ -76,6 +76,9 @@ struct SystemConfig
      * issue path, so a sweep over issue-side parameters (e.g.
      * hermes.issue_latency) can share one warmup checkpoint across all
      * its points. The predictor still trains during warmup either way.
+     * Issue switches on at the end of System::runWarmup, so when this
+     * is off a statistics window is valid only if it starts at the
+     * configured warmup.
      */
     bool hermesWarmupIssue = true;
 
@@ -123,7 +126,8 @@ struct SystemConfig
     Config toConfig() const;
 };
 
-/** Aggregated results of one simulation run. */
+/** Aggregated statistics: a System::snapshot() or the window between
+ * two snapshots (windowStats, sim/stat_registry.hh). */
 struct RunStats
 {
     std::uint64_t simCycles = 0;
@@ -134,12 +138,11 @@ struct RunStats
                                                 ///< its instruction quota
     CacheStats l1;  ///< Summed over cores
     CacheStats l2;  ///< Summed over cores
-    CacheStats llc;
+    CacheStats llc; ///< Its pf_* counters are also the pf.* keys
     DramStats dram;
-    PrefetcherStats prefetch;
     std::uint64_t hermesRequestsScheduled = 0;
     std::uint64_t hermesLoadsServed = 0;
-    /** Configuration echoes filled by System::collect() so derived
+    /** Configuration echoes filled by System::snapshot() so derived
      * metrics (dram.bw_util) stay computable from a RunStats alone;
      * deterministic but excluded from fingerprints to keep the pinned
      * goldens stable. */
@@ -180,23 +183,23 @@ class System
     System &operator=(const System &) = delete;
 
     /**
-     * Run warmup then measure. Each core executes at least
-     * @p sim_instrs instructions in the measurement window; cores that
-     * finish early keep executing (multi-programmed replay, §7).
-     * Equivalent to runWarmup() followed by runMeasure().
-     */
-    RunStats run(std::uint64_t warmup_instrs, std::uint64_t sim_instrs);
-
-    /**
      * Warmup phase: execute @p warmup_instrs per core (Hermes issue
-     * gated by SystemConfig::hermesWarmupIssue), then clear all
-     * statistics. The post-warmup state is the snapshot seam: every
-     * counter is zero, so checkpoints carry only learned/queue state.
+     * gated by SystemConfig::hermesWarmupIssue), then store the seam
+     * snapshot that the measurement window starts from.
      */
     void runWarmup(std::uint64_t warmup_instrs);
 
-    /** Measurement phase; requires runWarmup() or loadState() first. */
+    /**
+     * Measurement phase: each core executes at least @p sim_instrs
+     * instructions past the seam; cores that finish early keep
+     * executing (multi-programmed replay, §7). Returns
+     * windowStats(snapshot(), seam).
+     */
     RunStats runMeasure(std::uint64_t sim_instrs);
+
+    /** Every counter since construction or loadState() (counters only
+     * grow and are not checkpointed), with cycles set to now(). */
+    RunStats snapshot() const;
 
     /**
      * True iff every stateful component (workloads, caches via their
@@ -208,8 +211,8 @@ class System
 
     /**
      * Serialize/restore the full warmed machine state. Only valid at
-     * the snapshot seam (immediately after runWarmup()); statistics are
-     * all zero there and are deliberately not part of the stream.
+     * the seam (right after runWarmup(); loadState() into a fresh
+     * System, which stores its seam). Counters are not serialized.
      */
     void saveState(StateWriter &w) const;
     void loadState(StateReader &r);
@@ -254,8 +257,8 @@ class System
     const SystemConfig &config() const { return config_; }
 
   private:
-    void clearAllStats();
-    RunStats collect() const;
+    /** Store the snapshot the measurement window starts from. */
+    void markSeam();
     /** tick() with per-stage host-time attribution (HERMES_PROFILE). */
     bool tickProfiled();
     /** Advance every component clock to @p target, emulating the
@@ -282,13 +285,13 @@ class System
     std::vector<std::unique_ptr<HermesController>> hermes_;
     std::vector<std::unique_ptr<OooCore>> cores_;
     Cycle now_ = 0;
+    /** Cycle each core reached its quota (the seam's cycle until then,
+     * so a window reads 0 for a core that never did). */
     std::vector<std::uint64_t> finishCycle_;
-    /** Measurement-window start (set at the end of runWarmup). */
-    Cycle measureStart_ = 0;
-    /** Warmup work done by *this process* (host-perf accounting only;
-     * zero after a checkpoint restore, which is the point). */
-    std::uint64_t warmupExecuted_ = 0;
-    double warmupSeconds_ = 0.0;
+    RunStats seam_;
+    /** Host seconds of runWarmup/runMeasure in *this process* (zero
+     * after a checkpoint restore, which is the point). */
+    double hostSeconds_ = 0.0;
     /** Event-horizon fast-forward enabled (HERMES_NO_EVENT_SKIP=1
      * disables it; statistics are identical either way). */
     bool eventSkip_ = true;

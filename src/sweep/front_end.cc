@@ -22,11 +22,11 @@ namespace
 std::uint64_t
 count(const char *flag, const std::string &v)
 {
-    const auto n = parseInt64(v);
-    if (!n || *n < 0)
+    const auto n = parseCount(v);
+    if (!n)
         throw UsageError(std::string(flag) +
                          " wants a non-negative integer, got '" + v + "'");
-    return static_cast<std::uint64_t>(*n);
+    return *n;
 }
 
 int

@@ -431,12 +431,15 @@ RunStats
 decodeStats(const Jv &obj)
 {
     RunStats s;
+    // Whole-run counters as decoded, read back once all are set.
+    std::vector<std::pair<const StatDef *, std::uint64_t>> totals;
     for (const StatCodecItem &item :
          StatRegistry::instance().codecPlan()) {
         const Jv &v = member(obj, item.name.c_str());
         switch (item.kind) {
         case StatCodecItem::Kind::Scalar:
-            item.defs[0]->setU64(s, asU64(v));
+            totals.emplace_back(item.defs[0], asU64(v));
+            item.defs[0]->setU64(s, totals.back().second);
             break;
         case StatCodecItem::Kind::Group: {
             if (v.kind != Jv::Kind::Arr)
@@ -460,11 +463,21 @@ decodeStats(const Jv &obj)
             if (v.kind != Jv::Kind::Arr ||
                 v.items.size() != item.defs.size())
                 fail("bad " + item.name + " array");
-            for (std::size_t j = 0; j < item.defs.size(); ++j)
-                item.defs[j]->setU64(s, asU64(v.items[j]));
+            for (std::size_t j = 0; j < item.defs.size(); ++j) {
+                totals.emplace_back(item.defs[j], asU64(v.items[j]));
+                item.defs[j]->setU64(s, totals.back().second);
+            }
             break;
         }
     }
+    // Some keys share one counter (pf.* are the LLC's prefetch
+    // counters). Entries that disagree make the record corrupt; the
+    // later one must not silently win.
+    for (const auto &[def, value] : totals)
+        if (def->getU64(s) != value)
+            fail("stats entry '" + def->key + "' (" +
+                 std::to_string(value) +
+                 ") disagrees with another entry for the same counter");
     return s;
 }
 

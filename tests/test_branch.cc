@@ -116,8 +116,6 @@ TEST(Branch, StatsAndStorage)
     bp.predict(0x400000);
     bp.update(0x400000, true);
     EXPECT_EQ(bp.stats().lookups, 1u);
-    bp.clearStats();
-    EXPECT_EQ(bp.stats().lookups, 0u);
     EXPECT_GT(bp.storageBits(), 0u);
     EXPECT_DOUBLE_EQ(BranchStats{}.mpki(0), 0.0);
 }

@@ -471,6 +471,18 @@ TEST(ParseScale, FinitePositiveWholeString)
         EXPECT_FALSE(parseScale(bad)) << "'" << bad << "'";
 }
 
+TEST(ParseCount, DigitsOnlyFromTheFirstCharacter)
+{
+    EXPECT_EQ(parseCount("0"), 0u);
+    EXPECT_EQ(parseCount("250000"), 250000u);
+    EXPECT_EQ(parseCount("0x10"), 16u);
+    EXPECT_EQ(parseCount("18446744073709551615"), ~std::uint64_t{0});
+    for (const char *bad : {"", " 2", "\t5", "\n5", "+2", "-0", "-1", "010",
+                            "00", "2 ", "1.5", "2x", "abc",
+                            "18446744073709551616"})
+        EXPECT_FALSE(parseCount(bad)) << "'" << bad << "'";
+}
+
 TEST(ParseThreadCount, IntegerFromZeroToIntMax)
 {
     EXPECT_EQ(parseThreadCount("0"), 0);
@@ -479,7 +491,7 @@ TEST(ParseThreadCount, IntegerFromZeroToIntMax)
     // 4294967297 would wrap to 1 through a plain int cast.
     for (const char *bad : {"", "-3", "-1", "2147483648", "4294967297",
                             "99999999999999999999", "abc", "4x", " 4",
-                            "4 ", "1.5"})
+                            "+4", "4 ", "1.5"})
         EXPECT_FALSE(parseThreadCount(bad)) << "'" << bad << "'";
 }
 

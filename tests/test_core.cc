@@ -250,18 +250,6 @@ TEST(Core, StallAttributionSeparatesOffChip)
     EXPECT_EQ(s.stallCyclesOtherLoad, 0u);
 }
 
-TEST(Core, ClearStatsPreservesProgress)
-{
-    CoreHarness h({});
-    h.run(200);
-    const auto before = h.core.stats().instrsRetired;
-    EXPECT_GT(before, 0u);
-    h.core.clearStats();
-    EXPECT_EQ(h.core.stats().instrsRetired, 0u);
-    h.run(200);
-    EXPECT_GT(h.core.stats().instrsRetired, 0u);
-}
-
 /** Parameterized: IPC scales sensibly with fetch width. */
 class CoreWidthTest : public ::testing::TestWithParam<unsigned>
 {

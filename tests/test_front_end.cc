@@ -239,6 +239,9 @@ TEST_F(FrontEndTest, MalformedCommandLinesAreUsageErrors)
         {"--warmup", "-1"},
         {"--warmup", ""},
         {"--warmup", "010"}, // base 0 would read octal 8
+        {"--warmup", " 2"},  // strtoll would skip the space
+        {"--warmup", "+2"},
+        {"--instrs", "\t5"},
         {"--instrs", "1x"},
         {"--instrs=1.5"},
         {"--instrs", "00"},

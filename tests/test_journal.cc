@@ -645,6 +645,42 @@ TEST(Journal, RecordCodecExposedAndVerifying)
     EXPECT_THROW(sweep::decodeJournalRecord(bad), std::runtime_error);
 }
 
+TEST(Journal, PrefetchEntriesThatDisagreeWithTheLlcAreRejected)
+{
+    // pf.* are the LLC's prefetch counters, so a record carries each
+    // value twice. A record whose two copies disagree is corrupt, even
+    // when its fingerprint matches the reading where the later pf
+    // entry overwrites the LLC's.
+    sweep::JournalRecord rec;
+    rec.result.label = "pf";
+    rec.result.stats.llc.prefetchIssued = 5;
+    rec.result.stats.llc.usefulPrefetches = 3;
+    rec.result.stats.llc.uselessPrefetches = 1;
+    const std::string line = sweep::encodeJournalRecord(rec);
+    EXPECT_NO_THROW(sweep::decodeJournalRecord(line));
+
+    RunStats later = rec.result.stats;
+    later.llc.prefetchIssued = 6;
+    std::string bad = line;
+    for (const auto &[from, to] :
+         {std::pair{std::string("\"pf\":[5,3,1]"),
+                    std::string("\"pf\":[6,3,1]")},
+          std::pair{fingerprintHex(statsFingerprint(rec.result.stats)),
+                    fingerprintHex(statsFingerprint(later))}}) {
+        const std::size_t at = bad.find(from);
+        ASSERT_NE(at, std::string::npos) << from << " in " << line;
+        bad.replace(at, from.size(), to);
+    }
+    try {
+        sweep::decodeJournalRecord(bad);
+        FAIL() << "disagreeing pf entries were accepted";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("llc.pf_issued"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 TEST(Journal, FailedPointsAreNeverRecorded)
 {
     sweep::PointResult bad;

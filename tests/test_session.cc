@@ -48,6 +48,7 @@
 #include "golden_util.hh"
 #include "sim/report.hh"
 #include "sim/simulator.hh"
+#include "sim/stat_registry.hh"
 #include "sim/warmup_cache.hh"
 #include "test_helpers.hh"
 #include "trace/resolve.hh"
@@ -203,6 +204,31 @@ TEST(Session, SimulateAndSessionAgreeWithGoldenFile)
     ASSERT_TRUE(restored.restore(src));
     restored.measure();
     EXPECT_EQ(statsFingerprint(restored.collect()), it->second);
+}
+
+TEST(Session, WindowIsTheDifferenceOfTwoSnapshots)
+{
+    // warmup() resets no counter: it stores a seam snapshot, and the
+    // measured window is the difference of two snapshots.
+    for (const SessionCase &c : sessionCases()) {
+        if (c.key != "one.hermes.mcf" && c.key != "mix2.hermes")
+            continue;
+        SCOPED_TRACE(c.key);
+        SimSession s(c.config, c.traces, c.budget);
+        s.build();
+        s.warmup();
+        System &sys = s.system();
+        for (int i = 0; i < c.config.numCores; ++i) {
+            EXPECT_GE(sys.coreAt(i).instrsRetired(), c.budget.warmupInstrs);
+            EXPECT_GT(sys.coreAt(i).stats().cycles, 0u);
+            EXPECT_GT(sys.l1At(i).stats().loadLookups, 0u);
+        }
+        const RunStats seam = sys.snapshot();
+        EXPECT_EQ(seam.simCycles, sys.now());
+        s.measure();
+        EXPECT_EQ(statsFingerprint(windowStats(sys.snapshot(), seam)),
+                  statsFingerprint(s.collect()));
+    }
 }
 
 TEST(Session, PhaseOrderEnforced)

@@ -65,8 +65,9 @@ legacyCsvRow(const std::string &label, const RunStats &stats)
           legacyNum(stats.dram.hermesIssued),
           legacyNum(stats.dram.hermesUseful),
           legacyNum(stats.dram.hermesDropped),
-          legacyNum(stats.prefetch.issued),
-          legacyNum(stats.prefetch.useful), legacyNum(power.total())})
+          legacyNum(stats.llc.prefetchIssued),
+          legacyNum(stats.llc.usefulPrefetches),
+          legacyNum(power.total())})
         out += "," + v;
     return out;
 }
@@ -147,9 +148,10 @@ legacyFingerprint(const RunStats &stats)
     h.add(d.hermesDropped);
     h.add(d.hermesUseful);
     h.add(d.hermesRejected);
-    h.add(stats.prefetch.issued);
-    h.add(stats.prefetch.useful);
-    h.add(stats.prefetch.useless);
+    // The prefetcher's counts, which are the LLC's prefetch counters.
+    h.add(stats.llc.prefetchIssued);
+    h.add(stats.llc.usefulPrefetches);
+    h.add(stats.llc.uselessPrefetches);
     h.add(stats.hermesRequestsScheduled);
     h.add(stats.hermesLoadsServed);
     return h.value();
@@ -166,27 +168,36 @@ tinyBudget()
     return b;
 }
 
-/** Every raw counter set to a distinct value via registry setters. */
+/**
+ * Every raw counter set to a distinct value via registry setters: the
+ * values @p first, @p first + @p step, ... in codec-plan order.
+ */
 RunStats
-syntheticStats(std::size_t cores)
+syntheticStats(std::size_t cores, std::uint64_t first = 1,
+               std::uint64_t step = 1)
 {
     RunStats s;
-    std::uint64_t v = 1;
+    std::uint64_t v = first;
     for (const StatCodecItem &item :
          StatRegistry::instance().codecPlan()) {
         switch (item.kind) {
         case StatCodecItem::Kind::Scalar:
-            item.defs[0]->setU64(s, v++);
+            item.defs[0]->setU64(s, v);
+            v += step;
             break;
         case StatCodecItem::Kind::Group:
             item.resize(s, cores);
             for (std::size_t i = 0; i < cores; ++i)
-                for (const StatDef *d : item.defs)
-                    d->setAtU64(s, i, v++);
+                for (const StatDef *d : item.defs) {
+                    d->setAtU64(s, i, v);
+                    v += step;
+                }
             break;
         case StatCodecItem::Kind::Section:
-            for (const StatDef *d : item.defs)
-                d->setU64(s, v++);
+            for (const StatDef *d : item.defs) {
+                d->setU64(s, v);
+                v += step;
+            }
             break;
         }
     }
@@ -250,6 +261,45 @@ TEST(StatRegistry, FingerprintIgnoresHostPerfAndConfigEchoes)
     s.dramChannels += 7;
     s.dramBusCyclesPerLine += 9;
     EXPECT_EQ(statsFingerprint(s), base);
+}
+
+TEST(StatRegistry, WindowIsEndMinusStartForEveryRawCounter)
+{
+    // Every raw key set through the registry setters, with a distinct
+    // difference per key: a counter registered later is windowed too,
+    // and a key windowed twice or not at all shows up here.
+    const RunStats start = syntheticStats(2, 1, 1);
+    RunStats end = syntheticStats(2, 1000, 3);
+    end.hostPerf.seconds = 2.5;
+    end.hostPerf.instrs = 4321;
+    const RunStats w = windowStats(end, start);
+
+    for (const StatCodecItem &item :
+         StatRegistry::instance().codecPlan()) {
+        if (item.kind == StatCodecItem::Kind::Group) {
+            ASSERT_EQ(item.count(w), 2u) << item.name;
+            for (std::size_t i = 0; i < 2; ++i)
+                for (const StatDef *d : item.defs)
+                    EXPECT_EQ(d->getAtU64(w, i),
+                              d->getAtU64(end, i) - d->getAtU64(start, i))
+                        << d->key << "[" << i << "]";
+            continue;
+        }
+        for (const StatDef *d : item.defs) {
+            if (d->agg == StatAgg::Config)
+                EXPECT_EQ(d->getU64(w), d->getU64(end)) << d->key;
+            else
+                EXPECT_EQ(d->getU64(w), d->getU64(end) - d->getU64(start))
+                    << d->key;
+        }
+    }
+    EXPECT_NE(end.dramChannels, start.dramChannels); // echoes differ
+    EXPECT_EQ(w.hostPerf.seconds, 2.5);
+    EXPECT_EQ(w.hostPerf.instrs, 4321u);
+
+    // A window from nothing is the snapshot itself.
+    EXPECT_EQ(statsFingerprint(windowStats(end, RunStats{})),
+              statsFingerprint(end));
 }
 
 TEST(StatRegistry, CsvAndJsonRowsMatchLegacyAcrossQuickSuite)
