@@ -224,7 +224,14 @@ runGrid(const std::vector<sweep::GridPoint> &grid)
 SimBudget
 budget(std::uint64_t warmup, std::uint64_t sim)
 {
-    return SimBudget::fromEnv(warmup, sim);
+    try {
+        return SimBudget::fromEnv(warmup, sim);
+    } catch (const std::exception &e) {
+        // A --scale/HERMES_SIM_SCALE that overflows a window is a bad
+        // command line, like a bad HERMES_BENCH_SUITE.
+        std::fprintf(stderr, "error: %s\n", e.what());
+        std::exit(2);
+    }
 }
 
 SystemConfig

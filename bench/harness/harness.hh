@@ -75,7 +75,8 @@ std::vector<sweep::PointResult>
 runGrid(const std::vector<sweep::GridPoint> &grid);
 
 /** Simulation budget honouring HERMES_SIM_SCALE; the defaults are the
- * shared per-point sweep windows (SimBudget::sweepDefaults). */
+ * shared per-point sweep windows (SimBudget::sweepDefaults). Exits 2
+ * when the scale takes a window past 64 bits. */
 SimBudget budget(
     std::uint64_t warmup = SimBudget::sweepDefaults().warmupInstrs,
     std::uint64_t sim = SimBudget::sweepDefaults().simInstrs);

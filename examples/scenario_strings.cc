@@ -56,6 +56,7 @@ main(int argc, char **argv)
     sweep::SweepOptions opts;
     opts.threads = threads;
     const auto results = sweep::SweepEngine(opts).run(grid);
-    std::printf("%s", sweep::toCsv(results).c_str());
+    std::printf("%s",
+                sweep::toCsv(results, defaultStatColumns()).c_str());
     return 0;
 }

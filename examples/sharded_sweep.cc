@@ -47,6 +47,9 @@ main(int argc, char **argv)
 
     // The reference: the whole grid in one process.
     const auto direct = sweep::SweepEngine().run(grid);
+    const auto csv = [](const std::vector<sweep::PointResult> &results) {
+        return sweep::toCsv(results, defaultStatColumns());
+    };
 
     // Two "machines", each owning a deterministic half of the grid.
     std::vector<std::string> paths;
@@ -74,9 +77,8 @@ main(int argc, char **argv)
         unioned.push_back(rec.result);
     std::printf("merged %zu records: CSV %s, fingerprint %s vs %s\n",
                 unioned.size(),
-                sweep::toCsv(unioned) == sweep::toCsv(direct)
-                    ? "byte-identical"
-                    : "MISMATCH",
+                csv(unioned) == csv(direct) ? "byte-identical"
+                                            : "MISMATCH",
                 fingerprintHex(sweep::sweepFingerprint(unioned)).c_str(),
                 fingerprintHex(sweep::sweepFingerprint(direct)).c_str());
 
@@ -91,6 +93,5 @@ main(int argc, char **argv)
                 "re-simulated, complete=%s\n",
                 resumed.resumed, resumed.simulated,
                 resumed.complete() ? "yes" : "no");
-    return sweep::toCsv(resumed.results) == sweep::toCsv(direct) ? 0
-                                                                 : 1;
+    return csv(resumed.results) == csv(direct) ? 0 : 1;
 }

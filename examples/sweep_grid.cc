@@ -65,9 +65,10 @@ main(int argc, char **argv)
     };
 
     const auto results = sweep::SweepEngine(opts).run(grid);
+    const auto columns = defaultStatColumns();
     if (emit_json)
-        std::printf("%s\n", sweep::toJson(results).c_str());
+        std::printf("%s\n", sweep::toJson(results, columns).c_str());
     else
-        std::printf("%s", sweep::toCsv(results).c_str());
+        std::printf("%s", sweep::toCsv(results, columns).c_str());
     return 0;
 }

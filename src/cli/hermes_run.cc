@@ -41,34 +41,6 @@ using namespace hermes;
 /** The default named in sweep::kRunFrontEnd's summary. */
 constexpr const char *kDefaultTrace = "spec06.mcf_like.0";
 
-void
-printSummary(const std::string &label, const SystemConfig &cfg,
-             const RunStats &stats)
-{
-    std::printf("scenario %s: %d core(s), prefetcher=%s, "
-                "predictor=%s, hermes=%s\n",
-                label.c_str(), cfg.numCores, cfg.prefetcher.c_str(),
-                cfg.predictor.c_str(),
-                cfg.hermesIssueEnabled ? "on" : "off");
-    std::printf("  cycles %llu  instrs %llu  ipc0 %.4f  "
-                "llc_mpki %.3f\n",
-                static_cast<unsigned long long>(stats.simCycles),
-                static_cast<unsigned long long>(stats.instrsRetired()),
-                stats.ipc(0), stats.llcMpki());
-    std::printf("  dram_reads %llu  hermes_scheduled %llu  "
-                "hermes_served %llu\n",
-                static_cast<unsigned long long>(stats.dram.totalReads()),
-                static_cast<unsigned long long>(
-                    stats.hermesRequestsScheduled),
-                static_cast<unsigned long long>(stats.hermesLoadsServed));
-    const PredictorStats pred = stats.predTotal();
-    if (pred.total() > 0)
-        std::printf("  pred_accuracy %.3f  pred_coverage %.3f\n",
-                    pred.accuracy(), pred.coverage());
-    std::printf("  fingerprint %016llx\n",
-                static_cast<unsigned long long>(statsFingerprint(stats)));
-}
-
 } // namespace
 
 int
@@ -105,8 +77,8 @@ main(int argc, char **argv)
                 "-core system (use one trace per core, or a single "
                 "trace to replicate)");
 
-        // Selection shapes the dumps only; fingerprints and the
-        // summary always cover the full statistics set.
+        // The selection shapes the summary and the dumps; fingerprints
+        // always cover the full statistics set.
         const std::vector<StatColumn> columns = sweep::statColumns(opt);
 
         // The label is part of the point's store identity, so settle
@@ -139,13 +111,20 @@ main(int argc, char **argv)
                 .stats;
 
         // Keep stdout machine-parseable when a dump streams to it.
+        const std::string fp = fingerprintHex(statsFingerprint(stats));
         if (opt.fingerprint)
-            std::printf("%016llx\n", static_cast<unsigned long long>(
-                                         statsFingerprint(stats)));
+            std::printf("%s\n", fp.c_str());
         else if (opt.report)
-            std::printf("%s", formatReport(stats).c_str());
+            std::printf("%s", formatTextLines(
+                                  stats, allStatColumns(stats.core.size()))
+                                  .c_str());
         else if (opt.csvPath != "-" && opt.jsonPath != "-")
-            printSummary(opt.label, cfg, stats);
+            std::printf("scenario %s: %d core(s), prefetcher=%s, "
+                        "predictor=%s, hermes=%s\n%sfingerprint %s\n",
+                        opt.label.c_str(), cfg.numCores,
+                        cfg.prefetcher.c_str(), cfg.predictor.c_str(),
+                        cfg.hermesIssueEnabled ? "on" : "off",
+                        formatTextLines(stats, columns).c_str(), fp.c_str());
 
         bool dumps_ok = true;
         if (!opt.csvPath.empty())

@@ -17,10 +17,7 @@ HermesController::predictLoad(Addr pc, Addr vaddr, PredMeta &meta)
         meta = PredMeta{};
         return false;
     }
-    const bool off_chip = predictor_->predict(pc, vaddr, meta);
-    if (off_chip)
-        ++stats_.predictedOffChip;
-    return off_chip;
+    return predictor_->predict(pc, vaddr, meta);
 }
 
 void

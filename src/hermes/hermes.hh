@@ -44,7 +44,6 @@ struct HermesParams
 struct HermesStats
 {
     PredictorStats pred;
-    std::uint64_t predictedOffChip = 0;
     std::uint64_t requestsScheduled = 0; ///< Hermes requests sent to MC
     std::uint64_t loadsServedByHermes = 0;
 };

@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
-#include <map>
 #include <stdexcept>
 
 #include "sim/model_registry.hh"
@@ -243,47 +240,13 @@ Popet::predict(Addr pc, Addr vaddr, PredMeta &meta)
     return meta.predictedOffChip;
 }
 
-namespace
-{
-/// Optional diagnostic: per-PC confusion counters (set POPET_DEBUG=1).
-struct PcDebug
-{
-    std::map<Addr, std::array<std::uint64_t, 4>> counts;
-    ~PcDebug()
-    {
-        for (auto &[pc, c] : counts)
-            std::fprintf(stderr,
-                         "popet pc %llx tp %llu fp %llu fn %llu tn %llu\n",
-                         (unsigned long long)pc, (unsigned long long)c[0],
-                         (unsigned long long)c[1], (unsigned long long)c[2],
-                         (unsigned long long)c[3]);
-    }
-};
-PcDebug *pcDebug()
-{
-    // The environment lookup is hoisted out of the per-train path
-    // (this helper runs on every prediction outcome).
-    static const bool enabled = std::getenv("POPET_DEBUG") != nullptr;
-    if (!enabled)
-        return nullptr;
-    static PcDebug d;
-    return &d;
-}
-} // namespace
-
 void
 Popet::train(Addr pc, Addr vaddr, const PredMeta &meta, bool went_off_chip)
 {
+    (void)pc;
     (void)vaddr;
     if (!meta.valid)
         return;
-    if (auto *d = pcDebug()) {
-        auto &c = d->counts[pc];
-        if (meta.predictedOffChip && went_off_chip) ++c[0];
-        else if (meta.predictedOffChip) ++c[1];
-        else if (went_off_chip) ++c[2];
-        else ++c[3];
-    }
     // Saturation check (paper §6.1.2): only adjust weights when the sum
     // was within [T_N, T_P]; optionally also on a misprediction.
     const bool within =

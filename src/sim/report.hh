@@ -2,8 +2,9 @@
 
 /**
  * @file
- * Human-readable and CSV reporting of RunStats: the full statistics
- * dump used by the CLI front end and handy for ad-hoc experiments.
+ * Rendering of RunStats over stat-registry columns
+ * (sim/stat_registry.hh): CSV and JSON rows for scripted consumption,
+ * and "key value" text lines for people.
  */
 
 #include <cstdint>
@@ -17,42 +18,23 @@
 namespace hermes
 {
 
-/** Multi-section plain-text report of a finished run. */
-std::string formatReport(const RunStats &stats);
-
-/**
- * One-line CSV header for a registry-selected column list (see
- * sim/stat_registry.hh; "label" always leads).
- */
+/** One-line CSV header for @p columns ("label" always leads). */
 std::string csvHeader(const std::vector<StatColumn> &columns);
 
-/**
- * One-line CSV header matching formatCsvRow(): the default aggregate
- * columns. When @p with_host_perf is set, sim_mips/host_seconds
- * columns are appended; they describe the simulator's own throughput
- * and are non-deterministic, so they are opt-in (the bench harness
- * enables them via --mips).
- */
-std::string csvHeader(bool with_host_perf = false);
-
-/** CSV row of registry-selected columns. */
+/** CSV row of @p columns, matching csvHeader(). */
 std::string formatCsvRow(const std::string &label, const RunStats &stats,
                          const std::vector<StatColumn> &columns);
 
-/** Flat CSV row (aggregated over cores) for scripted consumption. */
-std::string formatCsvRow(const std::string &label, const RunStats &stats,
-                         bool with_host_perf = false);
-
-/** JSON object of registry-selected columns (keys = column names). */
+/** JSON object of @p columns (keys = column names). */
 std::string formatJsonRow(const std::string &label, const RunStats &stats,
                           const std::vector<StatColumn> &columns);
 
 /**
- * The same flat aggregate as formatCsvRow() as a single JSON object
- * (keys match the csvHeader() column names).
+ * One "key value" line per column, keys as statColumnKey() spells them
+ * and values aligned; values render as in the CSV/JSON rows.
  */
-std::string formatJsonRow(const std::string &label, const RunStats &stats,
-                          bool with_host_perf = false);
+std::string formatTextLines(const RunStats &stats,
+                            const std::vector<StatColumn> &columns);
 
 /**
  * FNV-1a hash over every deterministic field of @p stats: the stat

@@ -69,8 +69,19 @@ SimBudget::fromEnv(std::uint64_t warmup, std::uint64_t sim)
                      env);
         return b;
     }
-    b.warmupInstrs = static_cast<std::uint64_t>(warmup * *scale);
-    b.simInstrs = static_cast<std::uint64_t>(sim * *scale);
+    // Converting a product past 2^64 to uint64 is undefined behaviour,
+    // and any stand-in value would run a budget nobody asked for.
+    const auto scaled = [&](std::uint64_t window) {
+        const double w = static_cast<double>(window) * *scale;
+        if (!(w < 0x1p64))
+            throw std::invalid_argument(
+                "scale " + std::string(env) + " takes the " +
+                std::to_string(window) +
+                "-instruction window past 2^64 instructions");
+        return static_cast<std::uint64_t>(w);
+    };
+    b.warmupInstrs = scaled(warmup);
+    b.simInstrs = scaled(sim);
     return b;
 }
 

@@ -51,6 +51,8 @@ struct SimBudget
      * Budget scaled by the HERMES_SIM_SCALE environment variable
      * (a positive float; e.g. 4 quadruples both windows). Lets the
      * benchmark suite trade fidelity for runtime without recompiling.
+     * Throws std::invalid_argument, naming the scale, when a scaled
+     * window does not fit in 64 bits.
      */
     static SimBudget fromEnv(std::uint64_t warmup = 100'000,
                              std::uint64_t sim = 400'000);

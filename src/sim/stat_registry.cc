@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <functional>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "common/config.hh"
 #include "sim/power.hh"
@@ -70,6 +72,18 @@ renderF64(double v)
     std::ostringstream os;
     os << v;
     return os.str();
+}
+
+/** Counter @p f of @p x, or @p x itself when @p f is nullptr (@p x is
+ * then a plain counter, not a stats struct). */
+template <class X, class F>
+auto &
+counterOf(X &x, F f)
+{
+    if constexpr (std::is_null_pointer_v<F>)
+        return x;
+    else
+        return x.*f;
 }
 
 std::string
@@ -140,128 +154,51 @@ StatRegistry::StatRegistry()
         tags.push_back(tag);
     };
 
-    auto scalar = [&](const char *key, std::uint64_t RunStats::*f,
-                      const char *doc, const char *tag) {
+    // One whole-run counter: RunStats member @p m, or counter @p f of
+    // the RunStats struct @p m (a cache level, the DRAM). Configuration
+    // echoes stay out of the fingerprint, which keeps the pinned goldens
+    // stable.
+    auto field = [&](std::string key, auto m, auto f, const char *doc,
+                     const char *tag, StatAgg agg = StatAgg::Total) {
         StatDef d;
-        d.key = key;
+        d.key = std::move(key);
         d.type = StatType::U64;
-        d.agg = StatAgg::Total;
-        d.inFingerprint = true;
+        d.agg = agg;
+        d.inFingerprint = agg != StatAgg::Config;
         d.doc = doc;
-        d.getU64 = [f](const RunStats &s) { return s.*f; };
-        d.setU64 = [f](RunStats &s, std::uint64_t v) { s.*f = v; };
+        d.getU64 = [m, f](const RunStats &s) -> std::uint64_t {
+            return counterOf(s.*m, f);
+        };
+        d.setU64 = [m, f](RunStats &s, std::uint64_t v) {
+            counterOf(s.*m, f) = v;
+        };
         add(std::move(d), tag);
     };
 
-    auto configEcho = [&](const char *key, std::uint64_t RunStats::*f,
-                          const char *doc) {
-        StatDef d;
-        d.key = key;
-        d.type = StatType::U64;
-        d.agg = StatAgg::Config;
-        d.inFingerprint = false; // keeps the pinned goldens stable
-        d.doc = doc;
-        d.getU64 = [f](const RunStats &s) { return s.*f; };
-        d.setU64 = [f](RunStats &s, std::uint64_t v) { s.*f = v; };
-        add(std::move(d), "cfg");
-    };
-
-    auto coreCounter = [&](const char *key, std::uint64_t CoreStats::*f,
-                           const char *doc) {
+    // One per-core counter: counter @p f of each element of the RunStats
+    // vector @p v (nullptr for a vector of counters). The bare key sums
+    // across cores.
+    auto perCore = [&](const char *key, auto v, auto f, const char *doc,
+                       const char *tag) {
         StatDef d;
         d.key = key;
         d.type = StatType::U64;
         d.agg = StatAgg::PerCore;
         d.inFingerprint = true;
         d.doc = doc;
-        d.getU64 = [f](const RunStats &s) {
+        d.getU64 = [v, f](const RunStats &s) {
             std::uint64_t t = 0;
-            for (const CoreStats &c : s.core)
-                t += c.*f;
+            for (const auto &e : s.*v)
+                t += counterOf(e, f);
             return t;
         };
-        d.getAtU64 = [f](const RunStats &s, std::size_t i) {
-            return i < s.core.size() ? s.core[i].*f : 0;
+        d.getAtU64 = [v, f](const RunStats &s,
+                            std::size_t i) -> std::uint64_t {
+            return i < (s.*v).size() ? counterOf((s.*v)[i], f) : 0;
         };
-        d.setAtU64 = [f](RunStats &s, std::size_t i, std::uint64_t v) {
-            s.core[i].*f = v;
+        d.setAtU64 = [v, f](RunStats &s, std::size_t i, std::uint64_t x) {
+            counterOf((s.*v)[i], f) = x;
         };
-        add(std::move(d), "core");
-    };
-
-    auto branchCounter = [&](const char *key,
-                             std::uint64_t BranchStats::*f,
-                             const char *doc) {
-        StatDef d;
-        d.key = key;
-        d.type = StatType::U64;
-        d.agg = StatAgg::PerCore;
-        d.inFingerprint = true;
-        d.doc = doc;
-        d.getU64 = [f](const RunStats &s) {
-            std::uint64_t t = 0;
-            for (const BranchStats &b : s.branch)
-                t += b.*f;
-            return t;
-        };
-        d.getAtU64 = [f](const RunStats &s, std::size_t i) {
-            return i < s.branch.size() ? s.branch[i].*f : 0;
-        };
-        d.setAtU64 = [f](RunStats &s, std::size_t i, std::uint64_t v) {
-            s.branch[i].*f = v;
-        };
-        add(std::move(d), "branch");
-    };
-
-    auto predCounter = [&](const char *key,
-                           std::uint64_t PredictorStats::*f,
-                           const char *doc) {
-        StatDef d;
-        d.key = key;
-        d.type = StatType::U64;
-        d.agg = StatAgg::PerCore;
-        d.inFingerprint = true;
-        d.doc = doc;
-        d.getU64 = [f](const RunStats &s) {
-            std::uint64_t t = 0;
-            for (const PredictorStats &p : s.predictor)
-                t += p.*f;
-            return t;
-        };
-        d.getAtU64 = [f](const RunStats &s, std::size_t i) {
-            return i < s.predictor.size() ? s.predictor[i].*f : 0;
-        };
-        d.setAtU64 = [f](RunStats &s, std::size_t i, std::uint64_t v) {
-            s.predictor[i].*f = v;
-        };
-        add(std::move(d), "pred");
-    };
-
-    auto cacheCounter = [&](const std::string &level,
-                            CacheStats RunStats::*c,
-                            std::uint64_t CacheStats::*f,
-                            const char *name, const char *doc) {
-        StatDef d;
-        d.key = level + "." + name;
-        d.type = StatType::U64;
-        d.agg = StatAgg::Total;
-        d.inFingerprint = true;
-        d.doc = doc;
-        d.getU64 = [c, f](const RunStats &s) { return s.*c.*f; };
-        d.setU64 = [c, f](RunStats &s, std::uint64_t v) { s.*c.*f = v; };
-        add(std::move(d), level.c_str());
-    };
-
-    auto dramCounter = [&](const char *key, std::uint64_t DramStats::*f,
-                           const char *doc, const char *tag) {
-        StatDef d;
-        d.key = key;
-        d.type = StatType::U64;
-        d.agg = StatAgg::Total;
-        d.inFingerprint = true;
-        d.doc = doc;
-        d.getU64 = [f](const RunStats &s) { return s.dram.*f; };
-        d.setU64 = [f](RunStats &s, std::uint64_t v) { s.dram.*f = v; };
         add(std::move(d), tag);
     };
 
@@ -292,43 +229,51 @@ StatRegistry::StatRegistry()
     };
 
     // --- simulation window ----------------------------------------
-    scalar("cycles", &RunStats::simCycles,
-           "simulated cycles in the measurement window", "cycles");
+    field("cycles", &RunStats::simCycles, nullptr,
+          "simulated cycles in the measurement window", "cycles");
 
     // --- per-core retirement and stalls ---------------------------
-    coreCounter("core.cycles", &CoreStats::cycles,
-                "cycles this core was simulated");
-    coreCounter("core.instrs", &CoreStats::instrsRetired,
-                "instructions retired (measurement window)");
-    coreCounter("core.loads", &CoreStats::loadsRetired,
-                "load instructions retired");
-    coreCounter("core.stores", &CoreStats::storesRetired,
-                "store instructions retired");
-    coreCounter("core.branches", &CoreStats::branchesRetired,
-                "branch instructions retired");
-    coreCounter("core.branch_mispredicts",
-                &CoreStats::branchMispredicts,
-                "branches mispredicted at retirement");
-    coreCounter("core.loads_offchip", &CoreStats::loadsOffChip,
-                "retired loads served by DRAM");
-    coreCounter("core.offchip_blocking", &CoreStats::offChipBlocking,
-                "off-chip loads that blocked retirement");
-    coreCounter("core.offchip_nonblocking",
-                &CoreStats::offChipNonBlocking,
-                "off-chip loads retired without blocking");
-    coreCounter("core.loads_hermes", &CoreStats::loadsServedByHermes,
-                "retired loads whose data came from a Hermes request");
-    coreCounter("core.stall_offchip", &CoreStats::stallCyclesOffChip,
-                "ROB-head stall cycles under an off-chip load (Fig. 3)");
-    coreCounter("core.stall_other_load",
-                &CoreStats::stallCyclesOtherLoad,
-                "ROB-head stall cycles under an on-chip load");
-    coreCounter("core.stall_other", &CoreStats::stallCyclesOther,
-                "ROB-head stall cycles with no load at the head");
-    coreCounter("core.stall_eliminable",
-                &CoreStats::stallCyclesEliminable,
-                "off-chip stall cycles removable by skipping the cache "
-                "hierarchy (Fig. 3 dark bars)");
+    perCore("core.cycles", &RunStats::core, &CoreStats::cycles,
+            "cycles this core was simulated", "core");
+    perCore("core.instrs", &RunStats::core, &CoreStats::instrsRetired,
+            "instructions retired (measurement window)", "core");
+    perCore("core.loads", &RunStats::core, &CoreStats::loadsRetired,
+            "load instructions retired", "core");
+    perCore("core.stores", &RunStats::core, &CoreStats::storesRetired,
+            "store instructions retired", "core");
+    perCore("core.branches", &RunStats::core,
+            &CoreStats::branchesRetired, "branch instructions retired",
+            "core");
+    perCore("core.branch_mispredicts", &RunStats::core,
+            &CoreStats::branchMispredicts,
+            "branches mispredicted at retirement", "core");
+    perCore("core.loads_offchip", &RunStats::core,
+            &CoreStats::loadsOffChip, "retired loads served by DRAM",
+            "core");
+    perCore("core.offchip_blocking", &RunStats::core,
+            &CoreStats::offChipBlocking,
+            "off-chip loads that blocked retirement", "core");
+    perCore("core.offchip_nonblocking", &RunStats::core,
+            &CoreStats::offChipNonBlocking,
+            "off-chip loads retired without blocking", "core");
+    perCore("core.loads_hermes", &RunStats::core,
+            &CoreStats::loadsServedByHermes,
+            "retired loads whose data came from a Hermes request", "core");
+    perCore("core.stall_offchip", &RunStats::core,
+            &CoreStats::stallCyclesOffChip,
+            "ROB-head stall cycles under an off-chip load (Fig. 3)",
+            "core");
+    perCore("core.stall_other_load", &RunStats::core,
+            &CoreStats::stallCyclesOtherLoad,
+            "ROB-head stall cycles under an on-chip load", "core");
+    perCore("core.stall_other", &RunStats::core,
+            &CoreStats::stallCyclesOther,
+            "ROB-head stall cycles with no load at the head", "core");
+    perCore("core.stall_eliminable", &RunStats::core,
+            &CoreStats::stallCyclesEliminable,
+            "off-chip stall cycles removable by skipping the cache "
+            "hierarchy (Fig. 3 dark bars)",
+            "core");
     derivedF64(
         "core.ipc",
         "instructions per cycle (aggregate; core.N.ipc per core)",
@@ -343,10 +288,11 @@ StatRegistry::StatRegistry()
         });
 
     // --- branch predictor -----------------------------------------
-    branchCounter("branch.lookups", &BranchStats::lookups,
-                  "branch predictor lookups");
-    branchCounter("branch.mispredicts", &BranchStats::mispredicts,
-                  "branch predictor mispredictions");
+    perCore("branch.lookups", &RunStats::branch, &BranchStats::lookups,
+            "branch predictor lookups", "branch");
+    perCore("branch.mispredicts", &RunStats::branch,
+            &BranchStats::mispredicts, "branch predictor mispredictions",
+            "branch");
     derivedF64(
         "branch.mpki", "branch mispredictions per kilo-instruction",
         [](const RunStats &s) {
@@ -365,14 +311,18 @@ StatRegistry::StatRegistry()
         });
 
     // --- off-chip load predictor (Eq. 3/4, Fig. 9) ----------------
-    predCounter("pred.tp", &PredictorStats::truePositives,
-                "loads predicted off-chip that went off-chip");
-    predCounter("pred.fp", &PredictorStats::falsePositives,
-                "loads predicted off-chip that stayed on-chip");
-    predCounter("pred.fn", &PredictorStats::falseNegatives,
-                "off-chip loads predicted on-chip");
-    predCounter("pred.tn", &PredictorStats::trueNegatives,
-                "on-chip loads predicted on-chip");
+    perCore("pred.tp", &RunStats::predictor,
+            &PredictorStats::truePositives,
+            "loads predicted off-chip that went off-chip", "pred");
+    perCore("pred.fp", &RunStats::predictor,
+            &PredictorStats::falsePositives,
+            "loads predicted off-chip that stayed on-chip", "pred");
+    perCore("pred.fn", &RunStats::predictor,
+            &PredictorStats::falseNegatives,
+            "off-chip loads predicted on-chip", "pred");
+    perCore("pred.tn", &RunStats::predictor,
+            &PredictorStats::trueNegatives,
+            "on-chip loads predicted on-chip", "pred");
     derivedF64(
         "pred.accuracy",
         "fraction of off-chip predictions that were right (Eq. 3)",
@@ -391,69 +341,49 @@ StatRegistry::StatRegistry()
         });
 
     // --- per-core completion --------------------------------------
-    {
-        StatDef d;
-        d.key = "core.finish_cycle";
-        d.type = StatType::U64;
-        d.agg = StatAgg::PerCore;
-        d.inFingerprint = true;
-        d.doc = "cycle this core reached its instruction quota";
-        d.getU64 = [](const RunStats &s) {
-            std::uint64_t t = 0;
-            for (const std::uint64_t c : s.coreFinishCycle)
-                t += c;
-            return t;
-        };
-        d.getAtU64 = [](const RunStats &s, std::size_t i) {
-            return i < s.coreFinishCycle.size() ? s.coreFinishCycle[i]
-                                                : 0;
-        };
-        d.setAtU64 = [](RunStats &s, std::size_t i, std::uint64_t v) {
-            s.coreFinishCycle[i] = v;
-        };
-        add(std::move(d), "finish");
-    }
+    perCore("core.finish_cycle", &RunStats::coreFinishCycle, nullptr,
+            "cycle this core reached its instruction quota", "finish");
 
     // --- cache hierarchy ------------------------------------------
-    auto cacheSection = [&](const std::string &level,
-                            CacheStats RunStats::*c) {
-        cacheCounter(level, c, &CacheStats::loadLookups, "load_lookups",
-                     "demand load lookups");
-        cacheCounter(level, c, &CacheStats::loadHits, "load_hits",
-                     "demand load hits");
-        cacheCounter(level, c, &CacheStats::rfoLookups, "rfo_lookups",
-                     "store (RFO) lookups");
-        cacheCounter(level, c, &CacheStats::rfoHits, "rfo_hits",
-                     "store (RFO) hits");
-        cacheCounter(level, c, &CacheStats::writebackLookups,
-                     "wb_lookups", "writeback lookups");
-        cacheCounter(level, c, &CacheStats::writebackHits, "wb_hits",
-                     "writeback hits");
-        cacheCounter(level, c, &CacheStats::prefetchLookups,
-                     "pf_lookups", "own-prefetch candidates probed");
-        cacheCounter(level, c, &CacheStats::prefetchDropped,
-                     "pf_dropped", "prefetch candidates already present");
-        cacheCounter(level, c, &CacheStats::prefetchIssued, "pf_issued",
-                     "prefetches forwarded to the lower level");
-        cacheCounter(level, c, &CacheStats::mshrMerges, "mshr_merges",
-                     "requests merged into an in-flight MSHR");
-        cacheCounter(level, c, &CacheStats::mshrLatePrefetchHits,
-                     "mshr_late_pf",
-                     "demand merged into a prefetch MSHR (late prefetch)");
-        cacheCounter(level, c, &CacheStats::fills, "fills",
-                     "lines filled");
-        cacheCounter(level, c, &CacheStats::prefetchFills, "pf_fills",
-                     "lines filled by prefetch");
-        cacheCounter(level, c, &CacheStats::evictions, "evictions",
-                     "lines evicted");
-        cacheCounter(level, c, &CacheStats::dirtyEvictions,
-                     "dirty_evictions", "dirty lines written back");
-        cacheCounter(level, c, &CacheStats::usefulPrefetches,
-                     "pf_useful", "prefetched lines later hit by demand");
-        cacheCounter(level, c, &CacheStats::uselessPrefetches,
-                     "pf_useless", "prefetched lines evicted untouched");
-        cacheCounter(level, c, &CacheStats::rqRejects, "rq_rejects",
-                     "requests rejected by a full read queue");
+    struct CacheRow
+    {
+        std::uint64_t CacheStats::*f;
+        const char *name;
+        const char *doc;
+    };
+    const CacheRow kCacheRows[] = {
+        {&CacheStats::loadLookups, "load_lookups", "demand load lookups"},
+        {&CacheStats::loadHits, "load_hits", "demand load hits"},
+        {&CacheStats::rfoLookups, "rfo_lookups", "store (RFO) lookups"},
+        {&CacheStats::rfoHits, "rfo_hits", "store (RFO) hits"},
+        {&CacheStats::writebackLookups, "wb_lookups", "writeback lookups"},
+        {&CacheStats::writebackHits, "wb_hits", "writeback hits"},
+        {&CacheStats::prefetchLookups, "pf_lookups",
+         "own-prefetch candidates probed"},
+        {&CacheStats::prefetchDropped, "pf_dropped",
+         "prefetch candidates already present"},
+        {&CacheStats::prefetchIssued, "pf_issued",
+         "prefetches forwarded to the lower level"},
+        {&CacheStats::mshrMerges, "mshr_merges",
+         "requests merged into an in-flight MSHR"},
+        {&CacheStats::mshrLatePrefetchHits, "mshr_late_pf",
+         "demand merged into a prefetch MSHR (late prefetch)"},
+        {&CacheStats::fills, "fills", "lines filled"},
+        {&CacheStats::prefetchFills, "pf_fills", "lines filled by prefetch"},
+        {&CacheStats::evictions, "evictions", "lines evicted"},
+        {&CacheStats::dirtyEvictions, "dirty_evictions",
+         "dirty lines written back"},
+        {&CacheStats::usefulPrefetches, "pf_useful",
+         "prefetched lines later hit by demand"},
+        {&CacheStats::uselessPrefetches, "pf_useless",
+         "prefetched lines evicted untouched"},
+        {&CacheStats::rqRejects, "rq_rejects",
+         "requests rejected by a full read queue"},
+    };
+    auto cacheLevel = [&](const std::string &level,
+                          CacheStats RunStats::*c) {
+        for (const CacheRow &r : kCacheRows)
+            field(level + "." + r.name, c, r.f, r.doc, level.c_str());
         derivedF64(
             (level + ".hit_rate").c_str(),
             "demand hit rate (hits / lookups)",
@@ -465,32 +395,32 @@ StatRegistry::StatRegistry()
                            : 0.0;
             });
     };
-    cacheSection("l1", &RunStats::l1);
-    cacheSection("l2", &RunStats::l2);
-    cacheSection("llc", &RunStats::llc);
+    cacheLevel("l1", &RunStats::l1);
+    cacheLevel("l2", &RunStats::l2);
+    cacheLevel("llc", &RunStats::llc);
     derivedF64("llc.mpki",
                "LLC demand misses per kilo-instruction (Fig. 5)",
                [](const RunStats &s) { return s.llcMpki(); });
 
     // --- DRAM ------------------------------------------------------
-    dramCounter("dram.demand_reads", &DramStats::demandReads,
-                "demand (load/RFO) reads serviced", "dram");
-    dramCounter("dram.prefetch_reads", &DramStats::prefetchReads,
-                "prefetch reads serviced", "dram");
-    dramCounter("dram.hermes_reads", &DramStats::hermesReads,
-                "Hermes-initiated reads serviced", "dram");
-    dramCounter("dram.writes", &DramStats::writes,
-                "writebacks serviced", "dram");
-    dramCounter("dram.row_hits", &DramStats::rowHits,
-                "row-buffer hits", "dram");
-    dramCounter("dram.row_misses", &DramStats::rowMisses,
-                "closed-row activations", "dram");
-    dramCounter("dram.row_conflicts", &DramStats::rowConflicts,
-                "row-buffer conflicts", "dram");
-    dramCounter("dram.read_merges", &DramStats::readMerges,
-                "reads merged into in-flight reads", "dram");
-    dramCounter("dram.wq_forwards", &DramStats::wqForwards,
-                "reads serviced from the write queue", "dram");
+    field("dram.demand_reads", &RunStats::dram, &DramStats::demandReads,
+          "demand (load/RFO) reads serviced", "dram");
+    field("dram.prefetch_reads", &RunStats::dram, &DramStats::prefetchReads,
+          "prefetch reads serviced", "dram");
+    field("dram.hermes_reads", &RunStats::dram, &DramStats::hermesReads,
+          "Hermes-initiated reads serviced", "dram");
+    field("dram.writes", &RunStats::dram, &DramStats::writes,
+          "writebacks serviced", "dram");
+    field("dram.row_hits", &RunStats::dram, &DramStats::rowHits,
+          "row-buffer hits", "dram");
+    field("dram.row_misses", &RunStats::dram, &DramStats::rowMisses,
+          "closed-row activations", "dram");
+    field("dram.row_conflicts", &RunStats::dram, &DramStats::rowConflicts,
+          "row-buffer conflicts", "dram");
+    field("dram.read_merges", &RunStats::dram, &DramStats::readMerges,
+          "reads merged into in-flight reads", "dram");
+    field("dram.wq_forwards", &RunStats::dram, &DramStats::wqForwards,
+          "reads serviced from the write queue", "dram");
     {
         StatDef d;
         d.key = "dram.reads";
@@ -506,35 +436,34 @@ StatRegistry::StatRegistry()
                [](const RunStats &s) { return s.dramBwUtil(); });
 
     // --- Hermes ----------------------------------------------------
-    dramCounter("hermes.issued", &DramStats::hermesIssued,
-                "Hermes requests enqueued at the controller", "hermes");
-    dramCounter("hermes.merged", &DramStats::hermesMergedIntoExisting,
-                "Hermes requests merged into an in-flight read",
-                "hermes");
-    dramCounter("hermes.dropped", &DramStats::hermesDropped,
-                "Hermes reads completed with no waiting load", "hermes");
-    dramCounter("hermes.useful", &DramStats::hermesUseful,
-                "Hermes reads completed with a waiting load", "hermes");
-    dramCounter("hermes.rejected", &DramStats::hermesRejected,
-                "Hermes requests rejected by a full read queue",
-                "hermes");
+    field("hermes.issued", &RunStats::dram, &DramStats::hermesIssued,
+          "Hermes requests enqueued at the controller", "hermes");
+    field("hermes.merged", &RunStats::dram,
+          &DramStats::hermesMergedIntoExisting,
+          "Hermes requests merged into an in-flight read", "hermes");
+    field("hermes.dropped", &RunStats::dram, &DramStats::hermesDropped,
+          "Hermes reads completed with no waiting load", "hermes");
+    field("hermes.useful", &RunStats::dram, &DramStats::hermesUseful,
+          "Hermes reads completed with a waiting load", "hermes");
+    field("hermes.rejected", &RunStats::dram, &DramStats::hermesRejected,
+          "Hermes requests rejected by a full read queue", "hermes");
 
     // --- prefetcher ------------------------------------------------
     // The LLC prefetcher's events are the LLC's prefetch counters; the
     // pf.* keys bind to them in place, so the journal's "pf" section
     // and the fingerprint keep their layout.
-    cacheCounter("pf", &RunStats::llc, &CacheStats::prefetchIssued,
-                 "issued", "prefetch lines handed to the cache");
-    cacheCounter("pf", &RunStats::llc, &CacheStats::usefulPrefetches,
-                 "useful", "prefetched lines later hit by demand");
-    cacheCounter("pf", &RunStats::llc, &CacheStats::uselessPrefetches,
-                 "useless", "prefetched lines evicted untouched");
+    field("pf.issued", &RunStats::llc, &CacheStats::prefetchIssued,
+          "prefetch lines handed to the cache", "pf");
+    field("pf.useful", &RunStats::llc, &CacheStats::usefulPrefetches,
+          "prefetched lines later hit by demand", "pf");
+    field("pf.useless", &RunStats::llc, &CacheStats::uselessPrefetches,
+          "prefetched lines evicted untouched", "pf");
 
     // --- Hermes scheduling (core side) -----------------------------
-    scalar("hermes.scheduled", &RunStats::hermesRequestsScheduled,
-           "Hermes requests scheduled by the predictors", "hsched");
-    scalar("hermes.served", &RunStats::hermesLoadsServed,
-           "retired loads served by a Hermes request", "hserved");
+    field("hermes.scheduled", &RunStats::hermesRequestsScheduled, nullptr,
+          "Hermes requests scheduled by the predictors", "hsched");
+    field("hermes.served", &RunStats::hermesLoadsServed, nullptr,
+          "retired loads served by a Hermes request", "hserved");
     derivedF64("hermes.issue_rate",
                "fraction of scheduled Hermes requests issued to DRAM",
                [](const RunStats &s) {
@@ -558,11 +487,12 @@ StatRegistry::StatRegistry()
                });
 
     // --- configuration echoes -------------------------------------
-    configEcho("dram.channels", &RunStats::dramChannels,
-               "DRAM channels (configuration echo for dram.bw_util)");
-    configEcho("dram.bus_cycles_per_line",
-               &RunStats::dramBusCyclesPerLine,
-               "core cycles one 64B line occupies a channel data bus");
+    field("dram.channels", &RunStats::dramChannels, nullptr,
+          "DRAM channels (configuration echo for dram.bw_util)", "cfg",
+          StatAgg::Config);
+    field("dram.bus_cycles_per_line", &RunStats::dramBusCyclesPerLine,
+          nullptr, "core cycles one 64B line occupies a channel data bus",
+          "cfg", StatAgg::Config);
 
     // --- dynamic power (sim/power.hh model) -----------------------
     derivedF64("power.mw", "dynamic power, total (mW; Fig. 18)",
@@ -825,10 +755,24 @@ defaultStatColumns(bool with_host_perf)
     std::vector<StatColumn> cols;
     for (const auto &[name, key] : kColumns)
         cols.push_back({name, &reg.findOrThrow(key), -1});
-    if (with_host_perf) {
-        cols.push_back({"sim_mips", &reg.findOrThrow("host.mips"), -1});
-        cols.push_back(
-            {"host_seconds", &reg.findOrThrow("host.seconds"), -1});
+    if (with_host_perf)
+        appendHostPerfColumns(cols);
+    return cols;
+}
+
+std::vector<StatColumn>
+allStatColumns(std::size_t cores)
+{
+    std::vector<StatColumn> cols;
+    for (const StatDef &d : StatRegistry::instance().stats()) {
+        cols.push_back({underscored(d.key), &d, -1});
+        if (cores < 2 || !d.perCore())
+            continue;
+        for (std::size_t i = 0; i < cores; ++i) {
+            StatColumn c{"", &d, static_cast<int>(i)};
+            c.name = underscored(statColumnKey(c));
+            cols.push_back(std::move(c));
+        }
     }
     return cols;
 }
@@ -895,6 +839,15 @@ appendHostPerfColumns(std::vector<StatColumn> &columns)
 }
 
 std::string
+statColumnKey(const StatColumn &col)
+{
+    std::string key = col.def->key;
+    if (col.coreIndex >= 0)
+        key.insert(key.find('.'), "." + std::to_string(col.coreIndex));
+    return key;
+}
+
+std::string
 statColumnValue(const StatColumn &col, const RunStats &stats)
 {
     const StatDef &d = *col.def;
@@ -939,25 +892,48 @@ statsFingerprint(const RunStats &stats)
     return h.value();
 }
 
-RunStats
-windowStats(const RunStats &end, const RunStats &start)
+namespace
 {
-    RunStats w = end;
+
+/**
+ * Every raw counter of the codec plan set to op(@p a's value, @p b's
+ * value), read and written through its registry binding; everything
+ * else (configuration echoes, host-side fields) is @p a's. Per-core
+ * groups keep @p a's length.
+ */
+template <class Op>
+RunStats
+combineCounters(const RunStats &a, const RunStats &b, Op op)
+{
+    RunStats out = a;
     for (const StatCodecItem &item :
          StatRegistry::instance().codecPlan()) {
         if (item.kind == StatCodecItem::Kind::Group) {
-            for (std::size_t i = 0; i < item.count(end); ++i)
+            for (std::size_t i = 0; i < item.count(a); ++i)
                 for (const StatDef *d : item.defs)
-                    d->setAtU64(w, i,
-                                d->getAtU64(end, i) -
-                                    d->getAtU64(start, i));
+                    d->setAtU64(out, i,
+                                op(d->getAtU64(a, i), d->getAtU64(b, i)));
             continue;
         }
         for (const StatDef *d : item.defs)
             if (d->agg != StatAgg::Config)
-                d->setU64(w, d->getU64(end) - d->getU64(start));
+                d->setU64(out, op(d->getU64(a), d->getU64(b)));
     }
-    return w;
+    return out;
+}
+
+} // namespace
+
+RunStats
+windowStats(const RunStats &end, const RunStats &start)
+{
+    return combineCounters(end, start, std::minus<std::uint64_t>());
+}
+
+RunStats
+sumStats(const RunStats &a, const RunStats &b)
+{
+    return combineCounters(a, b, std::plus<std::uint64_t>());
 }
 
 std::uint64_t

@@ -10,13 +10,14 @@
  * "pred.accuracy", "dram.bw_util", ...) with a type, an aggregation
  * rule, a doc string and a fingerprint-inclusion flag.
  *
- * Everything that renders or persists statistics funnels through this
- * schema: the CSV/JSON rows in sim/report, statsFingerprint(), the
- * sweep journal's stats codec (via codecPlan()), windowStats(), the
- * CLIs' --stats/--list-stats column selection and the bench harness
- * dumps.
- * Declaring one row here makes a new counter journal-codec'd,
- * CSV-emittable, selectable and documented at once.
+ * Everything that renders, persists or combines statistics funnels
+ * through this schema: the CSV/JSON rows and text lines in sim/report,
+ * statsFingerprint(), the sweep journal's stats codec (via
+ * codecPlan()), windowStats(), sumStats(), the CLIs' --stats/--report/
+ * --list-stats columns and the bench harness dumps.
+ * Declaring one row here makes a new counter summed over cores,
+ * windowed, journal-codec'd, CSV-emittable, selectable, reported and
+ * documented at once.
  *
  * Per-core statistics are addressable in two forms: the bare key
  * ("core.instrs") is the across-cores aggregate, and an index inserted
@@ -172,6 +173,13 @@ struct StatColumn
 std::vector<StatColumn> defaultStatColumns(bool with_host_perf = false);
 
 /**
+ * Every registered statistic, in registration order (the --report
+ * column set). When @p cores > 1, each per-core statistic is followed
+ * by its per-core forms for cores 0 .. @p cores - 1.
+ */
+std::vector<StatColumn> allStatColumns(std::size_t cores);
+
+/**
  * Parse a --stats column list: comma-separated keys, indexed per-core
  * keys ("core.0.ipc") and '*'/'?' globs over registered keys
  * ("dram.*", expanded in registration order). Throws
@@ -186,6 +194,9 @@ std::vector<StatColumn> selectStatColumns(const std::string &spec);
  * --stats selection.
  */
 void appendHostPerfColumns(std::vector<StatColumn> &columns);
+
+/** The registry key a column reads ("core.0.ipc" for core 0's IPC). */
+std::string statColumnKey(const StatColumn &col);
 
 /**
  * Rendered value of one column, using the same numeric formatting the
@@ -202,6 +213,14 @@ std::string statColumnValue(const StatColumn &col, const RunStats &stats);
  * @p end. windowStats(x, RunStats{}) is x.
  */
 RunStats windowStats(const RunStats &end, const RunStats &start);
+
+/**
+ * The same walk adding: every raw counter is a + b (System::snapshot
+ * sums the cores' private cache levels this way). Configuration echoes
+ * and host-side fields come from @p a; per-core groups keep @p a's
+ * length.
+ */
+RunStats sumStats(const RunStats &a, const RunStats &b);
 
 /** Aggregate value of a registered integer statistic. */
 std::uint64_t statU64(const RunStats &stats, const std::string &key);

@@ -543,31 +543,14 @@ System::snapshot() const
         s.core.push_back(cores_[i]->stats());
         s.branch.push_back(cores_[i]->branchStats());
         s.predictor.push_back(hermes_[i]->stats().pred);
-        s.hermesRequestsScheduled += hermes_[i]->stats().requestsScheduled;
-        s.hermesLoadsServed += hermes_[i]->stats().loadsServedByHermes;
-
-        auto add = [](CacheStats &dst, const CacheStats &src) {
-            dst.loadLookups += src.loadLookups;
-            dst.loadHits += src.loadHits;
-            dst.rfoLookups += src.rfoLookups;
-            dst.rfoHits += src.rfoHits;
-            dst.writebackLookups += src.writebackLookups;
-            dst.writebackHits += src.writebackHits;
-            dst.prefetchLookups += src.prefetchLookups;
-            dst.prefetchDropped += src.prefetchDropped;
-            dst.prefetchIssued += src.prefetchIssued;
-            dst.mshrMerges += src.mshrMerges;
-            dst.mshrLatePrefetchHits += src.mshrLatePrefetchHits;
-            dst.fills += src.fills;
-            dst.prefetchFills += src.prefetchFills;
-            dst.evictions += src.evictions;
-            dst.dirtyEvictions += src.dirtyEvictions;
-            dst.usefulPrefetches += src.usefulPrefetches;
-            dst.uselessPrefetches += src.uselessPrefetches;
-            dst.rqRejects += src.rqRejects;
-        };
-        add(s.l1, l1_[i]->stats());
-        add(s.l2, l2_[i]->stats());
+        // Core i's private levels and Hermes controller, added to the
+        // other cores' counter by counter through the stat registry.
+        RunStats own;
+        own.l1 = l1_[i]->stats();
+        own.l2 = l2_[i]->stats();
+        own.hermesRequestsScheduled = hermes_[i]->stats().requestsScheduled;
+        own.hermesLoadsServed = hermes_[i]->stats().loadsServedByHermes;
+        s = sumStats(s, own);
     }
     s.llc = llc_->stats();
     s.dram = dram_->stats();

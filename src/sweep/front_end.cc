@@ -194,7 +194,8 @@ flagTable()
          "row label for the CSV/JSON dumps (default: the trace names)",
          [](CliOptions &o, S v) { o.label = v; }},
         {"output", "--report", nullptr,
-         "full plain-text statistics report",
+         "every registered statistic, one 'key value' line each (with "
+         "the core.N. forms on a multi-core run)",
          [](CliOptions &o, S) { o.report = true; }},
         {"output", "--csv", "FILE|-", "CSV dump, one row per point",
          [](CliOptions &o, S v) { o.csvPath = v; }},
@@ -202,8 +203,9 @@ flagTable()
          "JSON dump, one object per point",
          [](CliOptions &o, S v) { o.jsonPath = v; }},
         {"output", "--stats", "LIST",
-         "dump columns: comma-separated stat keys, per-core forms "
-         "(core.0.ipc) and globs (dram.*); default: the aggregate set",
+         "dump and summary columns: comma-separated stat keys, per-core "
+         "forms (core.0.ipc) and globs (dram.*); default: the aggregate "
+         "set",
          [](CliOptions &o, S v) { o.statsSpec = v; }},
         {"output", "--fingerprint", nullptr,
          "print the 16-hex deterministic fingerprint (--stats never "

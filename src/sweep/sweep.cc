@@ -64,21 +64,15 @@ class StealQueue
 };
 
 RunStats
-simulatePoint(const GridPoint &point, std::uint64_t seed,
-              SeedPolicy policy, WarmupCache *warmup_cache)
+simulatePoint(const GridPoint &p, WarmupCache *warmup_cache)
 {
-    GridPoint p = point;
-    if (policy == SeedPolicy::PerPoint)
-        p.config.seed = seed;
     // Grid builders emit fully-specified trace lists, so unlike
     // simulate() (which replicates a lone trace across cores) a count
     // mismatch here is a caller bug and must propagate.
     if (p.traces.size() != static_cast<std::size_t>(p.config.numCores) &&
         !(p.traces.size() == 1 && p.config.numCores == 1))
         throw std::invalid_argument("need one trace per core");
-    // The warmup store only short-circuits the warmup window
-    // (fingerprint-keyed, so a PerPoint seed policy yields per-point
-    // identities and simply never shares).
+    // The warmup store only short-circuits the warmup window.
     SimSession session(p.config, p.traces, p.budget);
     return runSession(session, warmup_cache);
 }
@@ -132,15 +126,6 @@ SweepEngine::inShard(std::size_t index, const ShardSpec &shard)
         return true;
     return index % static_cast<std::size_t>(shard.count) ==
            static_cast<std::size_t>(shard.index - 1);
-}
-
-std::uint64_t
-SweepEngine::pointSeed(std::uint64_t base, std::size_t index)
-{
-    std::uint64_t z = base + (index + 1) * 0x9E3779B97F4A7C15ull;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
-    return z ^ (z >> 31);
 }
 
 int
@@ -210,9 +195,7 @@ SweepEngine::run(const std::vector<GridPoint> &grid,
         r.index = i;
         r.label = grid[i].label;
         try {
-            r.stats = simulatePoint(grid[i],
-                                    pointSeed(opts_.seedBase, i),
-                                    opts_.seedPolicy, opts_.warmupCache);
+            r.stats = simulatePoint(grid[i], opts_.warmupCache);
         } catch (...) {
             r.ok = false;
             record_error();
@@ -291,12 +274,6 @@ toCsv(const std::vector<PointResult> &results,
 }
 
 std::string
-toCsv(const std::vector<PointResult> &results, bool with_host_perf)
-{
-    return toCsv(results, defaultStatColumns(with_host_perf));
-}
-
-std::string
 toJson(const std::vector<PointResult> &results,
        const std::vector<StatColumn> &columns)
 {
@@ -309,12 +286,6 @@ toJson(const std::vector<PointResult> &results,
     }
     out += results.empty() ? "]" : "\n]";
     return out;
-}
-
-std::string
-toJson(const std::vector<PointResult> &results, bool with_host_perf)
-{
-    return toJson(results, defaultStatColumns(with_host_perf));
 }
 
 std::uint64_t

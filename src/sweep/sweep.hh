@@ -5,10 +5,10 @@
  * Parallel experiment engine: fans a grid of (SystemConfig x trace)
  * points across hardware threads with a work-stealing pool.
  *
- * Determinism contract: each grid point simulates on exactly the seeds
- * derived from its *grid index* (never from submission order, thread id
- * or completion order), and results land in an index-addressed vector,
- * so the output is byte-identical at any thread count.
+ * Determinism contract: each grid point simulates with its own
+ * configuration's seed (never one drawn from submission order, thread
+ * id or completion order), and results land in a vector slotted by grid
+ * index, so the output is byte-identical at any thread count.
  */
 
 #include <chrono>
@@ -68,23 +68,6 @@ struct ShardSpec
  */
 ShardSpec parseShardSpec(const std::string &spec);
 
-/** How the engine derives per-point seeds. */
-enum class SeedPolicy : std::uint8_t
-{
-    /**
-     * Keep the seeds the caller put into each GridPoint (default).
-     * Paired comparisons (same trace under different configs) then see
-     * identical instruction streams, matching a serial run exactly.
-     */
-    Keep,
-    /**
-     * Derive config.seed from (seedBase, grid index) via splitmix64;
-     * use for replication studies that want decorrelated system RNG
-     * per point while staying order-independent.
-     */
-    PerPoint,
-};
-
 /** Called as points finish: (completed count, total, finished point). */
 using ProgressFn =
     std::function<void(std::size_t, std::size_t, const PointResult &)>;
@@ -93,8 +76,6 @@ struct SweepOptions
 {
     /** Worker threads; 0 means std::thread::hardware_concurrency(). */
     int threads = 0;
-    SeedPolicy seedPolicy = SeedPolicy::Keep;
-    std::uint64_t seedBase = 1;
     /** Invoked under an internal mutex; may be empty. */
     ProgressFn onProgress;
     /**
@@ -126,19 +107,17 @@ class SweepEngine
 
     /**
      * Run the grid points whose @p skip entry is false (an empty mask
-     * skips nothing). Seeds stay keyed by *grid* index, so a point
-     * simulates identically whether it runs in a full sweep, a shard
-     * or a resume; skipped slots keep a default PointResult (index and
-     * label filled, stats empty). Progress counts selected points only.
+     * skips nothing). Each point runs with its own configuration's
+     * seed, so it simulates identically whether it runs in a full
+     * sweep, a shard or a resume; skipped slots keep a default
+     * PointResult (index and label filled, stats empty). Progress
+     * counts selected points only.
      */
     std::vector<PointResult> run(const std::vector<GridPoint> &grid,
                                  const std::vector<bool> &skip) const;
 
     /** Threads that run() will use for a grid of @p points points. */
     int effectiveThreads(std::size_t points) const;
-
-    /** splitmix64 mix of (base, index); the PerPoint seed derivation. */
-    static std::uint64_t pointSeed(std::uint64_t base, std::size_t index);
 
     /**
      * True when grid index @p index belongs to @p shard. The partition
@@ -155,22 +134,13 @@ class SweepEngine
 };
 
 /**
- * csvHeader() plus one formatCsvRow() line per result, grid order.
- * @p with_host_perf appends the (non-deterministic) sim_mips and
- * host_seconds columns; leave it off for reproducible dumps.
+ * csvHeader() plus one formatCsvRow() line per result, grid order, over
+ * @p columns (defaultStatColumns() or a --stats selection).
  */
-std::string toCsv(const std::vector<PointResult> &results,
-                  bool with_host_perf = false);
-
-/** The same dump over a registry-selected column list (--stats). */
 std::string toCsv(const std::vector<PointResult> &results,
                   const std::vector<StatColumn> &columns);
 
-/** JSON array of formatJsonRow() objects, grid order. */
-std::string toJson(const std::vector<PointResult> &results,
-                   bool with_host_perf = false);
-
-/** The same dump over a registry-selected column list (--stats). */
+/** JSON array of formatJsonRow() objects over @p columns, grid order. */
 std::string toJson(const std::vector<PointResult> &results,
                    const std::vector<StatColumn> &columns);
 

@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <stdexcept>
 #include <string>
 
 #include "common/addr_index.hh"
@@ -83,6 +84,27 @@ TEST(SimBudgetFromEnv, RejectsNonNumericNanInfAndNonPositive)
         EXPECT_EQ(b.warmupInstrs, 100u) << bad;
         EXPECT_EQ(b.simInstrs, 400u) << bad;
     }
+}
+
+TEST(SimBudgetFromEnv, ScaledWindowPast64BitsIsAnError)
+{
+    // A finite scale whose product does not fit a uint64 window must
+    // fail, naming the scale, instead of converting out of range.
+    for (const char *huge : {"1e300", "1.8446744073709552e19"}) {
+        ScopedEnv env("HERMES_SIM_SCALE", huge);
+        try {
+            SimBudget::fromEnv(1, 400);
+            ADD_FAILURE() << huge << " must be rejected";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(huge), std::string::npos)
+                << e.what();
+        }
+    }
+    // A scaled window just under 2^64 still converts exactly.
+    ScopedEnv env("HERMES_SIM_SCALE", "4294967296");
+    const SimBudget b = SimBudget::fromEnv(1, 4294967295u);
+    EXPECT_EQ(b.warmupInstrs, 4294967296u);
+    EXPECT_EQ(b.simInstrs, 18446744069414584320u);
 }
 
 TEST(Ring, FifoSemanticsWithGrowth)

@@ -97,7 +97,7 @@ TEST(Hermes, NegativePredictionIssuesNothing)
     h.hermes.onLoadIssued(loadReq(0x1000), meta, h.now);
     h.run(50);
     EXPECT_EQ(h.dram.stats().hermesIssued, 0u);
-    EXPECT_EQ(h.hermes.stats().predictedOffChip, 0u);
+    EXPECT_EQ(h.hermes.stats().requestsScheduled, 0u);
 }
 
 TEST(Hermes, PredictorOnlyModeNeverIssues)

@@ -203,8 +203,9 @@ TEST(Journal, WriterRoundTripReproducesResultsExactly)
         loaded.push_back(rec.result);
     // Deterministic columns, fingerprints AND the non-deterministic
     // host-perf doubles all survive the round trip bit-for-bit.
-    EXPECT_EQ(sweep::toCsv(loaded, true), sweep::toCsv(direct, true));
-    EXPECT_EQ(sweep::toJson(loaded, true), sweep::toJson(direct, true));
+    const auto all = defaultStatColumns(true);
+    EXPECT_EQ(sweep::toCsv(loaded, all), sweep::toCsv(direct, all));
+    EXPECT_EQ(sweep::toJson(loaded, all), sweep::toJson(direct, all));
     EXPECT_EQ(sweep::sweepFingerprint(loaded),
               sweep::sweepFingerprint(direct));
     for (std::size_t i = 0; i < loaded.size(); ++i) {
@@ -246,8 +247,9 @@ TEST(Journal, ShardUnionByteIdenticalToUnshardedRun)
     std::vector<sweep::PointResult> unioned;
     for (const auto &rec : merged[0].records)
         unioned.push_back(rec.result);
-    EXPECT_EQ(sweep::toCsv(unioned), sweep::toCsv(direct));
-    EXPECT_EQ(sweep::toJson(unioned), sweep::toJson(direct));
+    const auto cols = defaultStatColumns();
+    EXPECT_EQ(sweep::toCsv(unioned, cols), sweep::toCsv(direct, cols));
+    EXPECT_EQ(sweep::toJson(unioned, cols), sweep::toJson(direct, cols));
     EXPECT_EQ(sweep::sweepFingerprint(unioned),
               sweep::sweepFingerprint(direct));
     for (const auto &p : paths)
@@ -284,7 +286,8 @@ TEST(Journal, ResumeSimulatesOnlyMissingPoints)
     // The contract under test: resuming re-simulates ONLY the points
     // the journal is missing.
     EXPECT_EQ(run.simulated, grid.size() - recorded);
-    EXPECT_EQ(sweep::toCsv(run.results), sweep::toCsv(direct));
+    EXPECT_EQ(sweep::toCsv(run.results, defaultStatColumns()),
+              sweep::toCsv(direct, defaultStatColumns()));
     EXPECT_EQ(sweep::sweepFingerprint(run.results),
               sweep::sweepFingerprint(direct));
     std::remove(path.c_str());

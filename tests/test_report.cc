@@ -1,7 +1,9 @@
-// Tests for the statistics report formatting and the power model.
+// Tests for the statistics renderers (text lines, CSV and JSON rows)
+// and the power model.
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <sstream>
 
 #include "sim/power.hh"
@@ -26,21 +28,51 @@ sampleRun()
     return simulate(cfg, {findTrace("spec06.mcf_like.0")}, b);
 }
 
-TEST(Report, ContainsAllSections)
+TEST(Report, ReportLinesHoldEveryKeyOnceAndEachCoresForms)
 {
-    const RunStats r = sampleRun();
-    const std::string report = formatReport(r);
-    for (const char *needle :
-         {"simulation report", "core 0", "off-chip predictor", "L1D",
-          "LLC MPKI", "dram:", "hermes:", "dynamic power"})
-        EXPECT_NE(report.find(needle), std::string::npos) << needle;
+    // --report's columns: every registered key once and, on a 2-core
+    // run, core.0. and core.1. forms of each per-core key, one
+    // "key value" line each.
+    SystemConfig cfg = SystemConfig::baseline(2);
+    cfg.predictor = PredictorKind::Popet;
+    SimBudget b;
+    b.warmupInstrs = 2'000;
+    b.simInstrs = 6'000;
+    const RunStats r = simulate(
+        cfg, {findTrace("spec06.mcf_like.0"), findTrace("ligra.bfs_like.0")},
+        b);
+    ASSERT_EQ(r.core.size(), 2u);
+
+    std::multiset<std::string> want;
+    for (const StatDef &d : StatRegistry::instance().stats()) {
+        want.insert(d.key);
+        if (!d.perCore())
+            continue;
+        const std::size_t dot = d.key.find('.');
+        for (const char *core : {".0", ".1"})
+            want.insert(d.key.substr(0, dot) + core + d.key.substr(dot));
+    }
+
+    std::multiset<std::string> got;
+    std::istringstream lines(
+        formatTextLines(r, allStatColumns(r.core.size())));
+    std::string line;
+    while (std::getline(lines, line)) {
+        std::istringstream fields(line);
+        std::string key, value, extra;
+        ASSERT_TRUE(fields >> key >> value) << line;
+        EXPECT_FALSE(fields >> extra) << line;
+        got.insert(key);
+    }
+    EXPECT_EQ(got, want);
+    EXPECT_NE(want.count("core.1.ipc"), 0u);
 }
 
 TEST(Report, CsvRowMatchesHeaderArity)
 {
     const RunStats r = sampleRun();
-    const std::string header = csvHeader();
-    const std::string row = formatCsvRow("label", r);
+    const std::string header = csvHeader(defaultStatColumns());
+    const std::string row = formatCsvRow("label", r, defaultStatColumns());
     const auto commas = [](const std::string &s) {
         return std::count(s.begin(), s.end(), ',');
     };
@@ -51,14 +83,15 @@ TEST(Report, CsvRowMatchesHeaderArity)
 TEST(Report, JsonRowCarriesEveryCsvColumn)
 {
     const RunStats r = sampleRun();
-    const std::string json = formatJsonRow("a \"label\"", r);
+    const std::string json =
+        formatJsonRow("a \"label\"", r, defaultStatColumns());
     EXPECT_EQ(json.front(), '{');
     EXPECT_EQ(json.back(), '}');
     EXPECT_NE(json.find("\"label\":\"a \\\"label\\\"\""),
               std::string::npos);
 
     // Every csvHeader() column name appears as a JSON key.
-    std::istringstream header(csvHeader());
+    std::istringstream header(csvHeader(defaultStatColumns()));
     std::string col;
     while (std::getline(header, col, ','))
         EXPECT_NE(json.find("\"" + col + "\":"), std::string::npos)
@@ -89,20 +122,6 @@ TEST(Power, ScalesWithAccessEnergy)
     PowerParams costly = cheap;
     costly.dramAccessPj *= 2;
     EXPECT_GT(computePower(r, costly).bus, computePower(r, cheap).bus);
-}
-
-TEST(Budget, EnvScalingParsesFloats)
-{
-    setenv("HERMES_SIM_SCALE", "2.0", 1);
-    const SimBudget b = SimBudget::fromEnv(100, 200);
-    EXPECT_EQ(b.warmupInstrs, 200u);
-    EXPECT_EQ(b.simInstrs, 400u);
-    setenv("HERMES_SIM_SCALE", "bogus", 1);
-    const SimBudget c = SimBudget::fromEnv(100, 200);
-    EXPECT_EQ(c.simInstrs, 200u);
-    unsetenv("HERMES_SIM_SCALE");
-    const SimBudget d = SimBudget::fromEnv(100, 200);
-    EXPECT_EQ(d.simInstrs, 200u);
 }
 
 } // namespace

@@ -154,10 +154,11 @@ TEST(ResultCache, WarmRunSimulatesNothingAndMatchesByteForByte)
     // (host-perf columns included), same fingerprints, and the two
     // journals are byte-for-byte the same in canonical form (the
     // identity journal.hh defines; appends keep completion order).
-    EXPECT_EQ(sweep::toCsv(warm.results, true),
-              sweep::toCsv(cold.results, true));
-    EXPECT_EQ(sweep::toJson(warm.results, true),
-              sweep::toJson(cold.results, true));
+    const auto all = defaultStatColumns(true);
+    EXPECT_EQ(sweep::toCsv(warm.results, all),
+              sweep::toCsv(cold.results, all));
+    EXPECT_EQ(sweep::toJson(warm.results, all),
+              sweep::toJson(cold.results, all));
     EXPECT_EQ(sweep::sweepFingerprint(warm.results),
               sweep::sweepFingerprint(cold.results));
     const auto canonical = [](const std::string &path) {

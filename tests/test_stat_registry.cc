@@ -302,6 +302,41 @@ TEST(StatRegistry, WindowIsEndMinusStartForEveryRawCounter)
               statsFingerprint(end));
 }
 
+TEST(StatRegistry, SumIsAPlusBForEveryRawCounter)
+{
+    // The twin of the window walk: every raw key added through the
+    // registry bindings, so a counter registered later is summed too.
+    const RunStats a = syntheticStats(2, 1000, 3);
+    RunStats b = syntheticStats(2, 1, 1);
+    b.hostPerf.seconds = 2.5;
+    const RunStats sum = sumStats(a, b);
+
+    for (const StatCodecItem &item :
+         StatRegistry::instance().codecPlan()) {
+        if (item.kind == StatCodecItem::Kind::Group) {
+            ASSERT_EQ(item.count(sum), 2u) << item.name;
+            for (std::size_t i = 0; i < 2; ++i)
+                for (const StatDef *d : item.defs)
+                    EXPECT_EQ(d->getAtU64(sum, i),
+                              d->getAtU64(a, i) + d->getAtU64(b, i))
+                        << d->key << "[" << i << "]";
+            continue;
+        }
+        for (const StatDef *d : item.defs) {
+            if (d->agg == StatAgg::Config)
+                EXPECT_EQ(d->getU64(sum), d->getU64(a)) << d->key;
+            else
+                EXPECT_EQ(d->getU64(sum), d->getU64(a) + d->getU64(b))
+                    << d->key;
+        }
+    }
+    EXPECT_EQ(sum.hostPerf.seconds, a.hostPerf.seconds);
+
+    // Adding nothing changes nothing.
+    EXPECT_EQ(statsFingerprint(sumStats(a, RunStats{})),
+              statsFingerprint(a));
+}
+
 TEST(StatRegistry, CsvAndJsonRowsMatchLegacyAcrossQuickSuite)
 {
     SystemConfig cfg = SystemConfig::baseline(1);
@@ -310,18 +345,19 @@ TEST(StatRegistry, CsvAndJsonRowsMatchLegacyAcrossQuickSuite)
     cfg.hermesIssueEnabled = true;
     for (const TraceSpec &t : quickSuite()) {
         const RunStats s = simulate(cfg, {t}, tinyBudget());
-        EXPECT_EQ(formatCsvRow(t.name(), s),
+        EXPECT_EQ(formatCsvRow(t.name(), s, defaultStatColumns()),
                   legacyCsvRow(t.name(), s))
             << t.name();
     }
     // The pinned pre-refactor header, byte for byte.
-    EXPECT_EQ(csvHeader(),
+    EXPECT_EQ(csvHeader(defaultStatColumns()),
               "label,cycles,instrs,ipc,llc_mpki,loads,offchip_loads,"
               "pred_accuracy,pred_coverage,dram_reads,dram_writes,"
               "hermes_issued,hermes_useful,hermes_dropped,pf_issued,"
               "pf_useful,power_mw");
-    EXPECT_EQ(csvHeader(true),
-              csvHeader() + std::string(",sim_mips,host_seconds"));
+    EXPECT_EQ(csvHeader(defaultStatColumns(true)),
+              csvHeader(defaultStatColumns()) +
+                  std::string(",sim_mips,host_seconds"));
 }
 
 TEST(StatRegistry, DerivedMetricsAreZeroOnEmptyInputs)
@@ -470,7 +506,7 @@ TEST(StatRegistry, SelectedColumnsRenderTheSameValuesAsDefaults)
     // values (only the header names differ: keys vs legacy aliases).
     const auto sel = selectStatColumns("cycles,core.instrs,core.ipc");
     const std::string row = formatCsvRow("x", s, sel);
-    const std::string def = formatCsvRow("x", s);
+    const std::string def = formatCsvRow("x", s, defaultStatColumns());
     EXPECT_EQ(row, def.substr(0, row.size()));
     EXPECT_EQ(csvHeader(sel), "label,cycles,core_instrs,core_ipc");
 

@@ -1,5 +1,5 @@
 // Tests for the work-stealing sweep engine: determinism at any thread
-// count, index-keyed seeding, edge cases and the CSV/JSON dumps.
+// count, edge cases and the CSV/JSON dumps.
 
 #include <gtest/gtest.h>
 
@@ -47,12 +47,12 @@ smallGrid()
 }
 
 std::string
-csvAt(int threads, sweep::SeedPolicy policy = sweep::SeedPolicy::Keep)
+csvAt(int threads)
 {
     sweep::SweepOptions opts;
     opts.threads = threads;
-    opts.seedPolicy = policy;
-    return sweep::toCsv(sweep::SweepEngine(opts).run(smallGrid()));
+    return sweep::toCsv(sweep::SweepEngine(opts).run(smallGrid()),
+                        defaultStatColumns());
 }
 
 TEST(Sweep, EmptyGridReturnsEmpty)
@@ -86,26 +86,9 @@ TEST(Sweep, ResultsIdenticalAtAnyThreadCount)
     EXPECT_EQ(serial, csvAt(16));
 }
 
-TEST(Sweep, PerPointSeedingIsThreadCountInvariant)
-{
-    const std::string serial = csvAt(1, sweep::SeedPolicy::PerPoint);
-    EXPECT_EQ(serial, csvAt(4, sweep::SeedPolicy::PerPoint));
-}
-
 TEST(Sweep, RepeatedRunsAreDeterministic)
 {
     EXPECT_EQ(csvAt(3), csvAt(3));
-}
-
-TEST(Sweep, PointSeedIsKeyedByIndex)
-{
-    const std::uint64_t a = sweep::SweepEngine::pointSeed(1, 0);
-    const std::uint64_t b = sweep::SweepEngine::pointSeed(1, 1);
-    const std::uint64_t c = sweep::SweepEngine::pointSeed(2, 0);
-    EXPECT_NE(a, b);
-    EXPECT_NE(a, c);
-    // Stable across calls: the derivation is pure.
-    EXPECT_EQ(a, sweep::SweepEngine::pointSeed(1, 0));
 }
 
 TEST(Sweep, ProgressReportsEveryPoint)
@@ -256,7 +239,7 @@ TEST(Sweep, ErrorStopsDispatchOfQueuedPoints)
 TEST(SweepOutput, CsvHasHeaderAndOneRowPerPoint)
 {
     const auto results = sweep::SweepEngine().run(smallGrid());
-    const std::string csv = sweep::toCsv(results);
+    const std::string csv = sweep::toCsv(results, defaultStatColumns());
     const auto lines = std::count(csv.begin(), csv.end(), '\n');
     EXPECT_EQ(static_cast<std::size_t>(lines), results.size() + 1);
     EXPECT_EQ(csv.rfind("label,", 0), 0u);
@@ -264,9 +247,9 @@ TEST(SweepOutput, CsvHasHeaderAndOneRowPerPoint)
 
 TEST(SweepOutput, JsonShape)
 {
-    EXPECT_EQ(sweep::toJson({}), "[]");
+    EXPECT_EQ(sweep::toJson({}, defaultStatColumns()), "[]");
     const auto results = sweep::SweepEngine().run(smallGrid());
-    const std::string json = sweep::toJson(results);
+    const std::string json = sweep::toJson(results, defaultStatColumns());
     EXPECT_EQ(json.front(), '[');
     EXPECT_EQ(json.back(), ']');
     std::size_t labels = 0, pos = 0;

@@ -6,6 +6,7 @@
 
 #include "sim/power.hh"
 #include "sim/simulator.hh"
+#include "sim/stat_registry.hh"
 #include "sim/system.hh"
 
 namespace hermes
@@ -178,6 +179,47 @@ TEST(System, EightCoreRunsAllCores)
         EXPECT_GT(r.ipc(c), 0.01) << "core " << c;
     }
     EXPECT_EQ(cfg.dram.channels, 4u);
+}
+
+TEST(System, SnapshotSumsEachCoresPrivateCachesThroughTheRegistry)
+{
+    // Every raw l1.* and l2.* key of a 2-core snapshot is the sum over
+    // cores of that core's own cache counters.
+    SystemConfig cfg = SystemConfig::baseline(2);
+    cfg.prefetcher = PrefetcherKind::Pythia;
+    SimBudget b;
+    b.warmupInstrs = 5'000;
+    SimSession session(
+        cfg, {findTrace("spec06.mcf_like.0"), findTrace("ligra.bfs_like.0")},
+        b);
+    session.build();
+    session.warmup();
+    System &sys = session.system();
+    const RunStats snap = sys.snapshot();
+
+    std::size_t checked = 0;
+    for (const StatCodecItem &item :
+         StatRegistry::instance().codecPlan()) {
+        if (item.name != "l1" && item.name != "l2")
+            continue;
+        for (const StatDef *d : item.defs) {
+            std::uint64_t sum = 0;
+            for (int i = 0; i < 2; ++i) {
+                RunStats own;
+                own.l1 = sys.l1At(i).stats();
+                own.l2 = sys.l2At(i).stats();
+                sum += d->getU64(own);
+            }
+            EXPECT_EQ(d->getU64(snap), sum) << d->key;
+            ++checked;
+        }
+    }
+    EXPECT_EQ(checked, 2 * sizeof(CacheStats) / sizeof(std::uint64_t));
+    // Both cores' private levels saw traffic, so the sums mean something.
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_GT(sys.l1At(i).stats().loadLookups, 0u) << i;
+        EXPECT_GT(sys.l2At(i).stats().loadLookups, 0u) << i;
+    }
 }
 
 TEST(System, EightCoreHermesPredictorsPerCore)
