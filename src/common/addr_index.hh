@@ -5,7 +5,7 @@
  * Open-addressed hash index mapping an in-flight line address to a
  * slot: a cache's MSHR slot (replacing the linear MSHR array scan on
  * every cache lookup, the second-hottest operation in the simulator
- * after tag search), or mere membership for the DRAM read queue.
+ * after tag search), or a DRAM channel's read-entry slot.
  *
  * Linear probing with backward-shift deletion; the table is sized at
  * 4x the most keys it may hold, so probe chains stay short. Keys are

@@ -7,9 +7,19 @@ namespace hermes
 {
 
 DramController::Channel::Channel(const DramParams &p)
-    : banks(p.ranksPerChannel * p.banksPerRank), rqLines(p.rqSize)
+    : reads(p.rqSize), issuedReads(p.rqSize), readSlots(p.rqSize),
+      banks(p.ranksPerChannel * p.banksPerRank)
 {
-    rq.reserve(p.rqSize);
+    queuedReads.reserve(p.rqSize);
+    freeSlotsFrom(0);
+}
+
+void
+DramController::Channel::freeSlotsFrom(std::uint32_t first)
+{
+    freeReads.clear();
+    for (auto slot = static_cast<std::uint32_t>(reads.size()); slot > first;)
+        freeReads.push_back(--slot);
 }
 
 DramController::DramController(DramParams params) : params_(params)
@@ -34,78 +44,81 @@ DramController::channelOf(Addr line) const
     return static_cast<unsigned>(line % params_.channels);
 }
 
-std::uint32_t
-DramController::bankOf(Addr line) const
+void
+DramController::place(Addr line, std::uint32_t &bank,
+                      std::uint64_t &row) const
 {
+    // Consecutive lines of a channel fill a row, consecutive rows
+    // stripe across the banks.
     const Addr l = line / params_.channels;
-    const unsigned lines_per_row = params_.rowBufferBytes / kBlockSize;
+    const Addr stripe = l / (params_.rowBufferBytes / kBlockSize);
     const unsigned banks = params_.ranksPerChannel * params_.banksPerRank;
-    return static_cast<std::uint32_t>((l / lines_per_row) % banks);
+    bank = static_cast<std::uint32_t>(stripe % banks);
+    row = stripe / banks;
 }
 
-std::uint64_t
-DramController::rowOf(Addr line) const
+DramController::ReadEntry *
+DramController::enqueueRead(Channel &ch, Addr line, bool hermes)
 {
-    const Addr l = line / params_.channels;
-    const unsigned lines_per_row = params_.rowBufferBytes / kBlockSize;
-    const unsigned banks = params_.ranksPerChannel * params_.banksPerRank;
-    return (l / lines_per_row) / banks;
+    if (ch.freeReads.empty())
+        return nullptr;
+    const std::uint32_t slot = ch.freeReads.back();
+    ch.freeReads.pop_back();
+    ReadEntry &e = ch.reads[slot];
+    e.line = line;
+    place(line, e.bank, e.row);
+    e.arrived = now_;
+    e.seq = ch.nextReadSeq++;
+    e.state = State::Queued;
+    e.finishAt = 0;
+    e.hermesOnly = hermes;
+    e.hermesInitiated = hermes;
+    e.waiters.clear();
+    ch.readSlots.insert(line, slot);
+    ch.queuedReads.push_back(slot);
+    ch.readSchedBlockedUntil = 0;
+    return &e;
+}
+
+void
+DramController::deliver(const MemRequest &resp)
+{
+    const auto idx = static_cast<std::size_t>(resp.coreId);
+    if (idx < clients_.size() && clients_[idx] != nullptr)
+        clients_[idx]->returnData(resp);
 }
 
 bool
 DramController::addRead(const MemRequest &req)
 {
     Channel &ch = channels_[channelOf(req.line())];
-
-    // Read-after-write forwarding from the write queue (the line set
-    // gates the scan so the common no-match case is O(1)).
-    if (ch.wqLines.find(req.line()) != ch.wqLines.end())
-        for (const auto &w : ch.wq) {
-            if (w.line != req.line())
-                continue;
-            ++stats_.wqForwards;
-            MemRequest resp = req;
-            resp.servedFrom = MemLevel::Dram;
-            resp.cycleMcArrive = now_;
-            const auto idx = static_cast<std::size_t>(req.coreId);
-            if (idx < clients_.size() && clients_[idx] != nullptr)
-                clients_[idx]->returnData(resp);
-            return true;
-        }
-
-    // Merge with an in-flight read (regular or Hermes) to the same
-    // line; rq holds at most one entry per line, so the line set
-    // decides in O(1) whether the locating scan is needed at all.
-    if (ch.rqLines.contains(req.line()))
-        for (auto &e : ch.rq) {
-            if (e.line != req.line())
-                continue;
-            MemRequest w = req;
-            w.cycleMcArrive = now_;
-            if (e.hermesInitiated && e.hermesOnly)
-                w.servedByHermes = true;
-            e.waiters.push_back(w);
-            e.hermesOnly = false;
-            ++stats_.readMerges;
-            return true;
-        }
-
-    if (ch.rq.size() >= params_.rqSize)
-        return false;
-
-    ReadEntry e;
-    e.line = req.line();
-    e.bank = bankOf(req.line());
-    e.row = rowOf(req.line());
-    e.arrived = now_;
-    e.hermesOnly = false;
     MemRequest w = req;
     w.cycleMcArrive = now_;
-    e.waiters.push_back(w);
-    ch.rqLines.insert(e.line, 0);
-    ch.rq.push_back(std::move(e));
-    ++ch.queuedReads;
-    ch.readSchedBlockedUntil = 0;
+
+    // Read-after-write forwarding from the write queue.
+    if (!ch.wq.empty() && ch.wqLines.count(req.line()) != 0) {
+        ++stats_.wqForwards;
+        w.servedFrom = MemLevel::Dram;
+        deliver(w);
+        return true;
+    }
+
+    // Merge with an in-flight read (regular or Hermes) to the same line.
+    const std::uint32_t slot = ch.readSlots.find(req.line());
+    if (slot != AddrIndex::kNotFound) {
+        ReadEntry &e = ch.reads[slot];
+        if (e.hermesInitiated && e.hermesOnly)
+            w.servedByHermes = true;
+        e.waiters.push_back(w);
+        e.hermesOnly = false;
+        ++stats_.readMerges;
+        return true;
+    }
+
+    ReadEntry *e = enqueueRead(ch, req.line(), false);
+    if (e == nullptr)
+        return false;
+    e->waiters.push_back(w);
     return true;
 }
 
@@ -115,28 +128,16 @@ DramController::addHermes(const MemRequest &req)
     Channel &ch = channels_[channelOf(req.line())];
 
     // Already in flight (regular or another Hermes request): nothing to
-    // do, the data is on its way. Pure membership test — no entry needs
-    // touching, so the line set answers without any rq scan.
-    if (ch.rqLines.contains(req.line())) {
+    // do, the data is on its way.
+    if (ch.readSlots.contains(req.line())) {
         ++stats_.hermesMergedIntoExisting;
         return true;
     }
-    if (ch.rq.size() >= params_.rqSize) {
+    if (enqueueRead(ch, req.line(), true) == nullptr) {
         ++stats_.hermesRejected;
         return false;
     }
-    ReadEntry e;
-    e.line = req.line();
-    e.bank = bankOf(req.line());
-    e.row = rowOf(req.line());
-    e.arrived = now_;
-    e.hermesOnly = true;
-    e.hermesInitiated = true;
-    ch.rqLines.insert(e.line, 0);
-    ch.rq.push_back(std::move(e));
-    ++ch.queuedReads;
     ++stats_.hermesIssued;
-    ch.readSchedBlockedUntil = 0;
     return true;
 }
 
@@ -148,8 +149,7 @@ DramController::addWrite(const MemRequest &req)
     // drain mode stealing read bandwidth.
     WriteEntry w;
     w.line = req.line();
-    w.bank = bankOf(req.line());
-    w.row = rowOf(req.line());
+    place(w.line, w.bank, w.row);
     w.arrived = req.cycleCreated;
     ++ch.wqLines[w.line];
     ch.wq.push_back(w);
@@ -185,7 +185,9 @@ DramController::access(Channel &ch, std::uint32_t bank, std::uint64_t row,
     b.open = true;
     b.row = row;
 
-    // Data transfer occupies the shared channel bus.
+    // Data transfer occupies the shared channel bus, so every access
+    // finishes strictly after the one issued before it on the channel:
+    // the issue-order FIFO of in-flight reads relies on this.
     const Cycle data_start = std::max(start + latency, ch.busFreeAt);
     const Cycle finish = data_start + params_.busCyclesPerLine();
     ch.busFreeAt = finish;
@@ -194,34 +196,46 @@ DramController::access(Channel &ch, std::uint32_t bank, std::uint64_t row,
     return finish;
 }
 
+bool
+DramController::drainsWrites(const Channel &ch) const
+{
+    // Write drain hysteresis: start draining when the WQ is deep or
+    // reads are absent; leave drain mode quickly once pressure eases
+    // so reads are not starved behind long write bursts.
+    const unsigned writes = ch.queuedWrites + ch.issuedWrites;
+    const bool reads = !ch.queuedReads.empty() || !ch.issuedReads.empty();
+    bool draining = ch.drainingWrites;
+    if (writes >= params_.wqSize * 7 / 8 || (!reads && writes != 0))
+        draining = true;
+    if (writes == 0 || (writes <= params_.wqSize / 2 && reads))
+        draining = false;
+    return draining;
+}
+
 void
 DramController::scheduleReads(Channel &ch, Cycle now)
 {
-    // FR-FCFS: prefer the oldest row-hit among ready banks, else the
-    // oldest request whose bank is ready. Stop scanning once every
-    // still-Queued entry has been seen (the tail is all in-flight).
-    ReadEntry *pick = nullptr;
+    // FR-FCFS over the Queued reads in arrival order: prefer the
+    // oldest row-hit among ready banks, else the oldest request whose
+    // bank is ready.
+    const std::size_t none = ch.queuedReads.size();
+    std::size_t pick = none;
     Cycle earliest_bank = kNoEventCycle;
-    unsigned queued_left = ch.queuedReads;
-    for (auto &e : ch.rq) {
-        if (queued_left == 0)
-            break;
-        if (e.state != State::Queued)
-            continue;
-        --queued_left;
+    for (std::size_t i = 0; i < ch.queuedReads.size(); ++i) {
+        const ReadEntry &e = ch.reads[ch.queuedReads[i]];
         const Bank &b = ch.banks[e.bank];
         if (b.readyAt > now) {
             earliest_bank = std::min(earliest_bank, b.readyAt);
             continue;
         }
         if (b.open && b.row == e.row) {
-            pick = &e;
+            pick = i;
             break;
         }
-        if (pick == nullptr)
-            pick = &e;
+        if (pick == none)
+            pick = i;
     }
-    if (pick == nullptr) {
+    if (pick == none) {
         // Every queued entry's bank is busy; nothing can be picked
         // before the earliest bank frees up, so skip the scan until
         // then (bank readyAt values only ever move later, and a new
@@ -230,13 +244,15 @@ DramController::scheduleReads(Channel &ch, Cycle now)
         return;
     }
     ch.readSchedBlockedUntil = 0;
-    pick->state = State::Issued;
-    pick->finishAt = access(ch, pick->bank, pick->row, now);
-    --ch.queuedReads;
-    ch.nextReadFinish = ch.issuedReads == 0
-                            ? pick->finishAt
-                            : std::min(ch.nextReadFinish, pick->finishAt);
-    ++ch.issuedReads;
+    const std::uint32_t slot = ch.queuedReads[pick];
+    ch.queuedReads.erase(ch.queuedReads.begin() +
+                         static_cast<std::ptrdiff_t>(pick));
+    ReadEntry &e = ch.reads[slot];
+    e.state = State::Issued;
+    e.finishAt = access(ch, e.bank, e.row, now);
+    if (ch.issuedReads.empty())
+        ch.nextReadFinish = e.finishAt;
+    ch.issuedReads.push_back(slot);
 }
 
 void
@@ -259,49 +275,42 @@ DramController::scheduleWrites(Channel &ch, Cycle now)
 void
 DramController::completeReads(Channel &ch, Cycle now)
 {
-    Cycle next_read = 0;
-    bool have_next_read = false;
-    unsigned issued_left = ch.issuedReads;
-    for (auto it = ch.rq.begin(); issued_left != 0 && it != ch.rq.end();) {
-        if (it->state != State::Issued || it->finishAt > now) {
-            if (it->state == State::Issued) {
-                --issued_left;
-                if (!have_next_read || it->finishAt < next_read) {
-                    next_read = it->finishAt;
-                    have_next_read = true;
-                }
-            }
-            ++it;
-            continue;
-        }
-        --issued_left;
-        --ch.issuedReads;
+    // Reads finish in issue order, so the finished ones are a prefix
+    // of the FIFO.
+    while (!ch.issuedReads.empty() && ch.nextReadFinish <= now) {
+        const std::uint32_t slot = ch.issuedReads.front();
+        ch.issuedReads.pop_front();
+        ch.nextReadFinish = ch.issuedReads.empty()
+                                ? 0
+                                : ch.reads[ch.issuedReads.front()].finishAt;
+        ReadEntry &e = ch.reads[slot];
         // Account the serviced read once, by its originating class.
-        if (it->hermesInitiated)
+        if (e.hermesInitiated)
             ++stats_.hermesReads;
-        else if (!it->waiters.empty() &&
-                 it->waiters.front().type == AccessType::Prefetch)
+        else if (!e.waiters.empty() &&
+                 e.waiters.front().type == AccessType::Prefetch)
             ++stats_.prefetchReads;
         else
             ++stats_.demandReads;
 
-        if (it->hermesInitiated) {
-            if (it->waiters.empty())
+        if (e.hermesInitiated) {
+            if (e.waiters.empty())
                 ++stats_.hermesDropped; // §6.2.2: drop, no cache fill.
             else
                 ++stats_.hermesUseful;
         }
-        for (MemRequest w : it->waiters) {
+        for (MemRequest w : e.waiters) {
             w.servedFrom = MemLevel::Dram;
-            const auto idx = static_cast<std::size_t>(w.coreId);
-            if (idx < clients_.size() && clients_[idx] != nullptr)
-                clients_[idx]->returnData(w);
+            deliver(w);
         }
-        ch.rqLines.erase(it->line);
-        it = ch.rq.erase(it);
+        ch.readSlots.erase(e.line);
+        ch.freeReads.push_back(slot);
     }
-    ch.nextReadFinish = next_read;
+}
 
+void
+DramController::completeWrites(Channel &ch, Cycle now)
+{
     Cycle next_write = 0;
     bool have_next_write = false;
     unsigned w_issued_left = ch.issuedWrites;
@@ -334,41 +343,29 @@ DramController::tick(Cycle now)
 {
     now_ = now;
     for (auto &ch : channels_) {
-        if (ch.rq.empty() && ch.wq.empty())
-            continue;
         const bool reads_done =
-            ch.issuedReads != 0 && ch.nextReadFinish <= now;
+            !ch.issuedReads.empty() && ch.nextReadFinish <= now;
         const bool writes_done =
             ch.issuedWrites != 0 && ch.nextWriteFinish <= now;
         // Idle fast path: nothing completes this cycle and nothing is
-        // waiting for a bank, so neither sweep can make progress — and
-        // the drain-mode hysteresis below is a pure function of queue
-        // sizes, which cannot have changed since it last ran.
-        if (!reads_done && !writes_done && ch.queuedReads == 0 &&
+        // waiting for a bank, so no step below can make progress — and
+        // the drain-mode hysteresis is a pure function of queue sizes,
+        // which cannot have changed since it last ran.
+        if (!reads_done && !writes_done && ch.queuedReads.empty() &&
             ch.queuedWrites == 0)
             continue;
-        // Sweep completions only when an in-flight access can actually
-        // finish this cycle; otherwise the scan finds nothing.
-        if (reads_done || writes_done)
+        if (reads_done)
             completeReads(ch, now);
-
-        // Write drain hysteresis: start draining when the WQ is deep or
-        // reads are absent; stop when it has mostly emptied.
-        if (ch.wq.size() >= params_.wqSize * 7 / 8 ||
-            (ch.rq.empty() && !ch.wq.empty()))
-            ch.drainingWrites = true;
-        // Leave drain mode quickly once pressure eases so reads are
-        // not starved behind long write bursts.
-        if (ch.wq.empty() ||
-            (ch.wq.size() <= params_.wqSize / 2 && !ch.rq.empty()))
-            ch.drainingWrites = false;
+        if (writes_done)
+            completeWrites(ch, now);
+        ch.drainingWrites = drainsWrites(ch);
 
         // The FR-FCFS scan can only pick a Queued entry — and, for
         // reads, only once the earliest busy bank it last saw frees up.
         if (ch.drainingWrites) {
             if (ch.queuedWrites != 0)
                 scheduleWrites(ch, now);
-        } else if (ch.queuedReads != 0 &&
+        } else if (!ch.queuedReads.empty() &&
                    now >= ch.readSchedBlockedUntil) {
             scheduleReads(ch, now);
         }
@@ -381,9 +378,7 @@ DramController::nextEventCycle(Cycle now) const
     const Cycle next = now + 1;
     Cycle horizon = kNoEventCycle;
     for (const Channel &ch : channels_) {
-        if (ch.rq.empty() && ch.wq.empty())
-            continue;
-        if (ch.issuedReads != 0) {
+        if (!ch.issuedReads.empty()) {
             if (ch.nextReadFinish <= now)
                 return next;
             horizon = std::min(horizon, ch.nextReadFinish);
@@ -396,16 +391,8 @@ DramController::nextEventCycle(Cycle now) const
         // Mirror the write-drain hysteresis the next tick will apply.
         // Inside an event-free span the queue sizes cannot change, so
         // the flag tick() recomputes is a pure function of today's
-        // sizes; applying the same set-then-clear rules here selects
-        // the side the scheduler will actually scan.
-        bool draining = ch.drainingWrites;
-        if (ch.wq.size() >= params_.wqSize * 7 / 8 ||
-            (ch.rq.empty() && !ch.wq.empty()))
-            draining = true;
-        if (ch.wq.empty() ||
-            (ch.wq.size() <= params_.wqSize / 2 && !ch.rq.empty()))
-            draining = false;
-        if (draining) {
+        // sizes: it selects the side the scheduler will actually scan.
+        if (drainsWrites(ch)) {
             unsigned left = ch.queuedWrites;
             for (const WriteEntry &e : ch.wq) {
                 if (left == 0)
@@ -418,7 +405,7 @@ DramController::nextEventCycle(Cycle now) const
                     return next;
                 horizon = std::min(horizon, at);
             }
-        } else if (ch.queuedReads != 0) {
+        } else if (!ch.queuedReads.empty()) {
             // The scheduler's cached bound is a valid lower bound on
             // the next read issue (cleared on arrivals, and bank
             // readyAt only moves later); reuse it to skip the walk.
@@ -426,14 +413,8 @@ DramController::nextEventCycle(Cycle now) const
                 horizon = std::min(horizon, ch.readSchedBlockedUntil);
                 continue;
             }
-            unsigned left = ch.queuedReads;
-            for (const ReadEntry &e : ch.rq) {
-                if (left == 0)
-                    break;
-                if (e.state != State::Queued)
-                    continue;
-                --left;
-                const Cycle at = ch.banks[e.bank].readyAt;
+            for (const std::uint32_t slot : ch.queuedReads) {
+                const Cycle at = ch.banks[ch.reads[slot].bank].readyAt;
                 if (at <= now)
                     return next;
                 horizon = std::min(horizon, at);
@@ -446,7 +427,7 @@ DramController::nextEventCycle(Cycle now) const
 bool
 DramController::probeRead(Addr line) const
 {
-    return channels_[channelOf(line)].rqLines.contains(line);
+    return channels_[channelOf(line)].readSlots.contains(line);
 }
 
 void
@@ -454,9 +435,19 @@ DramController::saveState(StateWriter &w) const
 {
     w.section("DRAM");
     w.u64(channels_.size());
+    std::vector<std::uint32_t> order;
     for (const Channel &ch : channels_) {
-        w.u64(ch.rq.size());
-        for (const ReadEntry &e : ch.rq) {
+        // Reads go out in arrival order, whichever slots they hold.
+        order = ch.queuedReads;
+        for (std::size_t i = 0; i < ch.issuedReads.size(); ++i)
+            order.push_back(ch.issuedReads.at(i));
+        std::sort(order.begin(), order.end(),
+                  [&ch](std::uint32_t a, std::uint32_t b) {
+                      return ch.reads[a].seq < ch.reads[b].seq;
+                  });
+        w.u64(order.size());
+        for (const std::uint32_t slot : order) {
+            const ReadEntry &e = ch.reads[slot];
             w.u64(e.line);
             w.u32(e.bank);
             w.u64(e.row);
@@ -486,8 +477,8 @@ DramController::saveState(StateWriter &w) const
         }
         w.u64(ch.busFreeAt);
         w.b(ch.drainingWrites);
-        w.u32(ch.queuedReads);
-        w.u32(ch.issuedReads);
+        w.u32(static_cast<std::uint32_t>(ch.queuedReads.size()));
+        w.u32(static_cast<std::uint32_t>(ch.issuedReads.size()));
         w.u32(ch.queuedWrites);
         w.u32(ch.issuedWrites);
         w.u64(ch.nextReadFinish);
@@ -502,52 +493,71 @@ DramController::loadState(StateReader &r)
     r.section("DRAM");
     if (r.u64() != channels_.size())
         throw StateError("dram channel count mismatch");
-    // A queue's Queued and Issued counts and its earliest Issued finish
-    // cycle (0 with none in flight, as the scheduler leaves it).
-    const auto recount = [](const auto &q, unsigned &queued,
-                            unsigned &issued, Cycle &next_finish) {
-        queued = issued = 0;
-        next_finish = 0;
-        for (const auto &e : q) {
-            if (e.state == State::Queued) {
-                ++queued;
-            } else if (e.state == State::Issued) {
-                next_finish = issued == 0 ? e.finishAt
-                                          : std::min(next_finish, e.finishAt);
-                ++issued;
-            } else {
-                throw StateError("dram entry state is neither queued "
-                                 "nor issued");
-            }
-        }
+    const auto state = [&r] {
+        const auto s = static_cast<State>(r.u8());
+        if (s != State::Queued && s != State::Issued)
+            throw StateError("dram entry state is neither queued "
+                             "nor issued");
+        return s;
     };
+    std::vector<std::uint32_t> issued;
     for (Channel &ch : channels_) {
-        // The read queue is rebuilt with its line index as it loads:
-        // more than rqSize entries or a repeated line is a state the
-        // controller can never reach (enqueues stop at rqSize and
-        // merge by line), and the index relies on both.
-        ch.rq.clear();
-        ch.rqLines.clear();
-        const std::size_t nr = r.count(params_.rqSize);
-        for (std::size_t i = 0; i < nr; ++i) {
-            ReadEntry e;
+        // The reads fill slots 0, 1, ... in their saved (arrival)
+        // order, rebuilding the line index, the Queued list and the
+        // issue FIFO. More than rqSize entries or a repeated line is a
+        // state the controller can never reach (enqueues stop at
+        // rqSize and merge by line), and the index relies on both.
+        ch.readSlots.clear();
+        ch.queuedReads.clear();
+        ch.issuedReads.clear();
+        issued.clear();
+        const auto nr = static_cast<std::uint32_t>(r.count(params_.rqSize));
+        for (std::uint32_t slot = 0; slot < nr; ++slot) {
+            ReadEntry &e = ch.reads[slot];
             e.line = r.u64();
-            if (ch.rqLines.contains(e.line))
+            if (ch.readSlots.contains(e.line))
                 throw StateError("dram read queue repeats a line");
-            ch.rqLines.insert(e.line, 0);
+            ch.readSlots.insert(e.line, slot);
             e.bank = r.u32();
             e.row = r.u64();
             e.arrived = r.u64();
-            e.state = static_cast<State>(r.u8());
+            e.seq = slot;
+            e.state = state();
             e.finishAt = r.u64();
             e.hermesOnly = r.b();
             e.hermesInitiated = r.b();
             e.waiters.resize(r.count(1u << 16));
             for (MemRequest &req : e.waiters)
                 loadMemRequest(r, req);
-            ch.rq.push_back(std::move(e));
+            (e.state == State::Queued ? ch.queuedReads : issued)
+                .push_back(slot);
         }
+        ch.freeSlotsFrom(nr);
+        ch.nextReadSeq = nr;
+        // Issue order is finish order; two reads finishing on one
+        // cycle would have shared the data bus.
+        const auto finish = [&ch](std::uint32_t slot) {
+            return ch.reads[slot].finishAt;
+        };
+        std::sort(issued.begin(), issued.end(),
+                  [&](std::uint32_t a, std::uint32_t b) {
+                      return finish(a) < finish(b);
+                  });
+        if (std::adjacent_find(issued.begin(), issued.end(),
+                               [&](std::uint32_t a, std::uint32_t b) {
+                                   return finish(a) == finish(b);
+                               }) != issued.end())
+            throw StateError("dram reads in flight on one channel "
+                             "finish on the same cycle");
+        for (const std::uint32_t slot : issued)
+            ch.issuedReads.push_back(slot);
+        ch.nextReadFinish = issued.empty() ? 0 : finish(issued.front());
+        // The write queue's Queued and Issued counts and its earliest
+        // Issued finish cycle (0 with none in flight, as the scheduler
+        // leaves it).
         ch.wq.clear();
+        ch.queuedWrites = ch.issuedWrites = 0;
+        ch.nextWriteFinish = 0;
         const std::size_t nw = r.count(1u << 20);
         for (std::size_t i = 0; i < nw; ++i) {
             WriteEntry e;
@@ -555,8 +565,17 @@ DramController::loadState(StateReader &r)
             e.bank = r.u32();
             e.row = r.u64();
             e.arrived = r.u64();
-            e.state = static_cast<State>(r.u8());
+            e.state = state();
             e.finishAt = r.u64();
+            if (e.state == State::Queued) {
+                ++ch.queuedWrites;
+            } else {
+                ch.nextWriteFinish =
+                    ch.issuedWrites == 0
+                        ? e.finishAt
+                        : std::min(ch.nextWriteFinish, e.finishAt);
+                ++ch.issuedWrites;
+            }
             ch.wq.push_back(e);
         }
         if (r.u64() != ch.banks.size())
@@ -569,14 +588,12 @@ DramController::loadState(StateReader &r)
         ch.busFreeAt = r.u64();
         ch.drainingWrites = r.b();
         // The scheduler's counts and next-finish cycles are a summary
-        // of the entries: recount them, and reject a stored count the
-        // entries disagree with (tick() trusts the counts to decide
-        // whether to scan at all, so a wrong one strands a request).
-        recount(ch.rq, ch.queuedReads, ch.issuedReads, ch.nextReadFinish);
-        recount(ch.wq, ch.queuedWrites, ch.issuedWrites,
-                ch.nextWriteFinish);
+        // of the entries: reject a stored count the entries disagree
+        // with (tick() trusts the counts to decide whether to scan at
+        // all, so a wrong one strands a request).
         const unsigned stored[] = {r.u32(), r.u32(), r.u32(), r.u32()};
-        if (stored[0] != ch.queuedReads || stored[1] != ch.issuedReads ||
+        if (stored[0] != ch.queuedReads.size() ||
+            stored[1] != ch.issuedReads.size() ||
             stored[2] != ch.queuedWrites || stored[3] != ch.issuedWrites)
             throw StateError("dram queue counts disagree with the queues");
         r.u64(); // nextReadFinish and nextWriteFinish, recomputed above

@@ -22,6 +22,7 @@
 
 #include "cache/mem_iface.hh"
 #include "common/addr_index.hh"
+#include "common/ring.hh"
 #include "common/types.hh"
 
 namespace hermes
@@ -138,10 +139,16 @@ class DramController final : public MemDevice
         std::uint32_t bank = 0;
         std::uint64_t row = 0;
         Cycle arrived = 0;
+        /** Arrival order on the channel, by which saveState lists the
+         * entries. Derived state (not checkpointed, renumbered on
+         * loadState). */
+        std::uint64_t seq = 0;
         State state = State::Queued;
         Cycle finishAt = 0;
         bool hermesOnly = true; ///< No regular request attached yet
         bool hermesInitiated = false;
+        /** Cleared, never shrunk, when the slot is reused: a warm slab
+         * enqueues a read without allocating. */
         std::vector<MemRequest> waiters;
     };
 
@@ -166,28 +173,48 @@ class DramController final : public MemDevice
     {
         explicit Channel(const DramParams &p);
 
+        /** Slots [first, rqSize) become the free slots. */
+        void freeSlotsFrom(std::uint32_t first);
+
         /**
-         * Arrival-ordered read queue. Reserved to rqSize and never
-         * grown past it (addRead/addHermes refuse an entry at rqSize,
-         * loadState reads at most rqSize), so it never reallocates;
-         * completions erase in place, keeping the order.
+         * The read queue, shaped like a cache's MSHR file: a slab of
+         * rqSize entries, each either free or in exactly one of the
+         * two lists below, and found by line through readSlots.
          */
-        std::vector<ReadEntry> rq;
+        std::vector<ReadEntry> reads;
+        std::vector<std::uint32_t> freeReads; ///< Free slots (a stack)
+        /** Queued slots in arrival order: the FR-FCFS scan order. */
+        std::vector<std::uint32_t> queuedReads;
+        /**
+         * Issued slots in issue order, which is also finish order: the
+         * shared data bus makes every access on a channel finish
+         * strictly after the one issued before it (see access()), so
+         * completions pop the front.
+         */
+        Ring<std::uint32_t> issuedReads;
+        /** Finish cycle of issuedReads' front (0 with none in flight):
+         * the next read completion. */
+        Cycle nextReadFinish = 0;
+        std::uint64_t nextReadSeq = 0; ///< Next ReadEntry::seq
+        /**
+         * Line -> slot of every read entry (reads merge by line, so
+         * entries are unique per line): the same open-addressed index
+         * as the caches' MSHRs. Derived state, rebuilt on loadState.
+         */
+        AddrIndex readSlots;
+
         std::deque<WriteEntry> wq;
         std::vector<Bank> banks;
         Cycle busFreeAt = 0;
         bool drainingWrites = false;
 
-        // Scheduler fast-path bookkeeping: how many entries are still
-        // waiting for a bank (Queued) vs in flight (Issued), and the
-        // earliest in-flight completion time. Lets tick() skip the
-        // FR-FCFS scan and the completion sweep on the many cycles
-        // where neither can make progress.
-        unsigned queuedReads = 0;
-        unsigned issuedReads = 0;
+        // Write-queue bookkeeping: how many entries are still waiting
+        // for a bank (Queued) vs in flight (Issued), and the earliest
+        // in-flight completion time. Lets tick() skip the write scan
+        // and the completion sweep on the many cycles where neither
+        // can make progress.
         unsigned queuedWrites = 0;
         unsigned issuedWrites = 0;
-        Cycle nextReadFinish = 0;
         Cycle nextWriteFinish = 0;
         /**
          * When the FR-FCFS read scan last found every queued entry's
@@ -198,28 +225,29 @@ class DramController final : public MemDevice
          * (not checkpointed, rebuilt lazily after loadState).
          */
         Cycle readSchedBlockedUntil = 0;
-        /**
-         * Lines of every entry in rq (reads merge by line, so entries
-         * are unique per line). O(1) duplicate/merge pre-check for
-         * addRead/addHermes/probeRead instead of an rq scan; the same
-         * open-addressed index as the caches' MSHRs, sized from
-         * rqSize. Derived state, rebuilt on loadState.
-         */
-        AddrIndex rqLines;
         /** Occupancy count per line in wq (writes to one line can
-         * coexist). Gates the read-after-write forwarding scan. */
+         * coexist): read-after-write forwarding looks a line up here. */
         std::unordered_map<Addr, unsigned> wqLines;
     };
 
     unsigned channelOf(Addr line) const;
-    std::uint32_t bankOf(Addr line) const;
-    std::uint64_t rowOf(Addr line) const;
+    /** The bank and row that hold @p line on its channel. */
+    void place(Addr line, std::uint32_t &bank, std::uint64_t &row) const;
+    /** Take a free slot for a Queued read of @p line arriving now (a
+     * Hermes request when @p hermes); nullptr when the channel's read
+     * queue is full. */
+    ReadEntry *enqueueRead(Channel &ch, Addr line, bool hermes);
+    /** Hand @p resp to the LLC path of its core. */
+    void deliver(const MemRequest &resp);
     /** Bank access latency for the target row; updates row state. */
     Cycle access(Channel &ch, std::uint32_t bank, std::uint64_t row,
                  Cycle now);
+    /** The write-drain flag the next tick sets, from the queue sizes. */
+    bool drainsWrites(const Channel &ch) const;
     void scheduleReads(Channel &ch, Cycle now);
     void scheduleWrites(Channel &ch, Cycle now);
     void completeReads(Channel &ch, Cycle now);
+    void completeWrites(Channel &ch, Cycle now);
 
     DramParams params_;
     std::vector<Channel> channels_;

@@ -70,7 +70,8 @@ SimBudget::fromEnv(std::uint64_t warmup, std::uint64_t sim)
         return b;
     }
     // Converting a product past 2^64 to uint64 is undefined behaviour,
-    // and any stand-in value would run a budget nobody asked for.
+    // and any stand-in value would run a budget nobody asked for; so
+    // would a nonzero window that truncates to no instructions at all.
     const auto scaled = [&](std::uint64_t window) {
         const double w = static_cast<double>(window) * *scale;
         if (!(w < 0x1p64))
@@ -78,6 +79,11 @@ SimBudget::fromEnv(std::uint64_t warmup, std::uint64_t sim)
                 "scale " + std::string(env) + " takes the " +
                 std::to_string(window) +
                 "-instruction window past 2^64 instructions");
+        if (window != 0 && w < 1.0)
+            throw std::invalid_argument(
+                "scale " + std::string(env) + " takes the " +
+                std::to_string(window) +
+                "-instruction window to 0 instructions");
         return static_cast<std::uint64_t>(w);
     };
     b.warmupInstrs = scaled(warmup);

@@ -52,7 +52,7 @@ struct SimBudget
      * (a positive float; e.g. 4 quadruples both windows). Lets the
      * benchmark suite trade fidelity for runtime without recompiling.
      * Throws std::invalid_argument, naming the scale, when a scaled
-     * window does not fit in 64 bits.
+     * window does not fit in 64 bits or a nonzero window scales to 0.
      */
     static SimBudget fromEnv(std::uint64_t warmup = 100'000,
                              std::uint64_t sim = 400'000);

@@ -107,6 +107,28 @@ TEST(SimBudgetFromEnv, ScaledWindowPast64BitsIsAnError)
     EXPECT_EQ(b.simInstrs, 18446744069414584320u);
 }
 
+TEST(SimBudgetFromEnv, ScaledWindowOfZeroInstructionsIsAnError)
+{
+    // A nonzero window that the scale truncates to no instructions
+    // would measure nothing; it fails, naming the scale.
+    for (const char *tiny : {"1e-300", "0.0009"}) {
+        ScopedEnv env("HERMES_SIM_SCALE", tiny);
+        try {
+            SimBudget::fromEnv(1000, 400'000);
+            ADD_FAILURE() << tiny << " must be rejected";
+        } catch (const std::invalid_argument &e) {
+            EXPECT_NE(std::string(e.what()).find(tiny), std::string::npos)
+                << e.what();
+        }
+    }
+    // A window that scales to exactly one instruction runs, and a zero
+    // window stays zero under any scale.
+    ScopedEnv env("HERMES_SIM_SCALE", "0.001");
+    const SimBudget b = SimBudget::fromEnv(0, 1000);
+    EXPECT_EQ(b.warmupInstrs, 0u);
+    EXPECT_EQ(b.simInstrs, 1u);
+}
+
 TEST(Ring, FifoSemanticsWithGrowth)
 {
     Ring<int> r(2);

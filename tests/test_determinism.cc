@@ -62,11 +62,25 @@ goldenCases()
     mix_cfg.predictor = PredictorKind::Popet;
     mix_cfg.hermesIssueEnabled = true;
 
+    // The DRAM write path: tiny caches evict dirty lines to DRAM, and an
+    // 8-entry write queue makes drain mode steal read bandwidth. At the
+    // golden budget this trace writes nothing, so it runs longer.
+    SystemConfig writes_cfg = hermes_cfg;
+    writes_cfg.l1Sets = 8;
+    writes_cfg.l2Sets = 16;
+    writes_cfg.llcBytesPerCore = 64 << 10;
+    writes_cfg.dram.wqSize = 8;
+    SimBudget writes_budget = b;
+    writes_budget.simInstrs = 50'000;
+
     return {
         {"one.base.mcf", {"one.base.mcf", base, {mcf}, b}},
         {"one.pythia.stream", {"one.pythia.stream", pythia, {stream}, b}},
         {"one.hermes.mcf", {"one.hermes.mcf", hermes_cfg, {mcf}, b}},
         {"mix2.hermes", {"mix2.hermes", mix_cfg, {mcf, stream}, b}},
+        {"one.writes.lbm",
+         {"one.writes.lbm", writes_cfg, {findTrace("spec06.lbm_like.0")},
+          writes_budget}},
     };
 }
 

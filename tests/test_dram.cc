@@ -1,11 +1,13 @@
 // Tests for the DDR4 memory controller: timing classes, bus
 // serialisation, merging, write handling, the Hermes datapath
-// (merge / drop semantics, §6.2), the read queue's line index and the
-// checkpoint restore bounds.
+// (merge / drop semantics, §6.2), the read queue's line index, issue
+// and completion order, checkpoint round trips and the checkpoint
+// restore bounds.
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <deque>
 #include <initializer_list>
 
 #include "common/rng.hh"
@@ -260,6 +262,107 @@ TEST(DramHermes, CountsAsMainMemoryRequest)
     EXPECT_EQ(h.dram.stats().hermesReads, 1u);
 }
 
+/** @p dram's checkpoint section, sealed with its checksum. */
+std::vector<char>
+checkpointOf(const DramController &dram)
+{
+    test::VectorSink sink;
+    StateWriter w(sink);
+    dram.saveState(w);
+    w.sealChecksum();
+    return sink.bytes;
+}
+
+/** One queue entry as the checkpoint lists it. */
+struct EntryView
+{
+    Addr line = 0;
+    bool issued = false;
+    Cycle finishAt = 0;
+};
+
+/** One channel's queues (arrival order) and data-bus state. */
+struct ChannelView
+{
+    std::vector<EntryView> reads;
+    std::vector<EntryView> writes;
+    Cycle busFreeAt = 0;
+};
+
+/** Decode @p dram's checkpoint section into per-channel views. */
+std::vector<ChannelView>
+viewOf(const DramController &dram)
+{
+    test::VectorSource src(checkpointOf(dram));
+    StateReader r(src);
+    r.section("DRAM");
+    std::vector<ChannelView> out(r.u64());
+    // line, bank, row, arrival cycle, state, finish cycle
+    const auto entry = [&r] {
+        EntryView e;
+        e.line = r.u64();
+        r.u32();
+        r.u64();
+        r.u64();
+        e.issued = r.u8() != 0;
+        e.finishAt = r.u64();
+        return e;
+    };
+    for (ChannelView &ch : out) {
+        ch.reads.resize(r.u64());
+        for (EntryView &e : ch.reads) {
+            e = entry();
+            r.b(); // hermesOnly
+            r.b(); // hermesInitiated
+            MemRequest waiter;
+            for (std::uint64_t n = r.u64(); n != 0; --n)
+                loadMemRequest(r, waiter);
+        }
+        ch.writes.resize(r.u64());
+        for (EntryView &e : ch.writes)
+            e = entry();
+        for (std::uint64_t n = r.u64(); n != 0; --n) { // banks
+            r.b();
+            r.u64();
+            r.u64();
+        }
+        ch.busFreeAt = r.u64();
+        r.b(); // drainingWrites
+        for (int i = 0; i < 4; ++i) // queued/issued read/write counts
+            r.u32();
+        r.u64(); // nextReadFinish
+        r.u64(); // nextWriteFinish
+    }
+    return out;
+}
+
+/**
+ * Seeded traffic on 64 lines spread over every bank and several rows,
+ * so reads merge, Hermes reads meet regular ones, reads forward from
+ * the write queue, FR-FCFS reorders row hits ahead of conflicts and
+ * both queues fill: enqueue one random request into @p h, or return a
+ * number of cycles for the caller to run (0 after an enqueue).
+ */
+Cycle
+randomOp(DramHarness &h, Rng &rng, int id)
+{
+    const Addr line = rng.below(64) * 37;
+    MemRequest req = loadReq(line << kLogBlockSize, 0x400000, 0, id);
+    const double op = rng.uniform();
+    if (op < 0.3) {
+        h.dram.addRead(req);
+    } else if (op < 0.5) {
+        req.type = AccessType::Hermes;
+        h.dram.addHermes(req);
+    } else if (op < 0.65) {
+        req.type = AccessType::Writeback;
+        h.dram.addWrite(req);
+    } else {
+        return 1 + rng.below(30);
+    }
+    return 0;
+}
+
 /** Property: under random traffic every accepted read gets exactly one
  * response per waiter, and row stats partition all accesses. */
 class DramRandomTraffic : public ::testing::TestWithParam<unsigned>
@@ -289,6 +392,189 @@ TEST_P(DramRandomTraffic, ConservesRequests)
     const auto &s = h.dram.stats();
     EXPECT_EQ(s.rowHits + s.rowMisses + s.rowConflicts,
               s.totalReads() + s.writes);
+}
+
+/**
+ * Property: the shared data bus serialises each channel, so every
+ * access (read or write) finishes strictly after the access issued on
+ * that channel before it, and every read completes exactly at its
+ * finish cycle, in the order the reads were issued. Throughout, the
+ * checkpoint lists each channel's reads in arrival order.
+ */
+TEST_P(DramRandomTraffic, AccessesFinishInIssueOrder)
+{
+    DramParams p;
+    p.channels = GetParam();
+    p.rqSize = 8;
+    p.wqSize = 8;
+    DramHarness h(p);
+    Rng rng(31 + GetParam());
+    // Per channel: the reads in flight, in issue order.
+    std::vector<std::deque<EntryView>> in_flight(p.channels);
+    std::vector<ChannelView> before = viewOf(h.dram);
+    std::uint64_t issued_reads = 0, issued_writes = 0, completed = 0;
+
+    const auto check = [&] {
+        const std::vector<ChannelView> after = viewOf(h.dram);
+        for (unsigned c = 0; c < p.channels; ++c) {
+            const ChannelView &was = before[c];
+            const ChannelView &now = after[c];
+            // Reads are unique per line, so a line identifies one.
+            const auto issuedRead = [](const ChannelView &v, Addr line) {
+                for (const EntryView &e : v.reads)
+                    if (e.line == line && e.issued)
+                        return true;
+                return false;
+            };
+            // Arrival order: the reads still queued or in flight keep
+            // their order, ahead of every read that arrived since.
+            std::size_t kept = 0;
+            for (const EntryView &e : was.reads)
+                for (std::size_t i = kept; i < now.reads.size(); ++i)
+                    if (now.reads[i].line == e.line) {
+                        EXPECT_EQ(i, kept) << "channel " << c << " line "
+                                           << e.line << " moved";
+                        kept = i + 1;
+                        break;
+                    }
+            // Completions: reads in flight before, gone now.
+            for (const EntryView &e : was.reads) {
+                if (!e.issued || issuedRead(now, e.line))
+                    continue;
+                ASSERT_FALSE(in_flight[c].empty());
+                EXPECT_EQ(e.line, in_flight[c].front().line)
+                    << "channel " << c << ": completed out of issue order";
+                EXPECT_EQ(e.finishAt, h.now)
+                    << "channel " << c << ": completed off its finish cycle";
+                in_flight[c].pop_front();
+                ++completed;
+            }
+            if (now.busFreeAt == was.busFreeAt)
+                continue;
+            // An issue: the bus now frees when the new access finishes,
+            // strictly after the previous access on the channel did.
+            EXPECT_GT(now.busFreeAt, was.busFreeAt) << "channel " << c;
+            unsigned found = 0;
+            for (const EntryView &e : now.reads)
+                if (e.issued && e.finishAt == now.busFreeAt &&
+                    !issuedRead(was, e.line)) {
+                    in_flight[c].push_back(e);
+                    ++found;
+                    ++issued_reads;
+                }
+            for (const EntryView &e : now.writes)
+                if (e.issued && e.finishAt == now.busFreeAt) {
+                    ++found;
+                    ++issued_writes;
+                }
+            EXPECT_EQ(found, 1u) << "channel " << c << " at " << h.now;
+        }
+        before = after;
+    };
+
+    // Enqueues only add Queued entries, so `before` stays valid.
+    for (int i = 0; i < 3000; ++i)
+        for (Cycle n = randomOp(h, rng, i); n != 0; --n) {
+            h.run(1);
+            check();
+        }
+    while (h.dram.nextEventCycle(h.now) != kNoEventCycle) {
+        h.run(1);
+        check();
+    }
+    for (unsigned c = 0; c < p.channels; ++c)
+        EXPECT_TRUE(in_flight[c].empty()) << "channel " << c;
+    EXPECT_EQ(completed, issued_reads);
+    EXPECT_EQ(issued_reads, h.dram.stats().totalReads());
+    EXPECT_EQ(issued_writes, h.dram.stats().writes);
+    EXPECT_GT(h.dram.stats().writes, 0u);
+    EXPECT_GT(h.dram.stats().hermesReads, 0u);
+}
+
+/** Run @p a and @p b in lockstep until both are idle; every cycle they
+ * must deliver the same responses. */
+void
+drainInLockstep(DramHarness &a, DramHarness &b)
+{
+    while (a.dram.nextEventCycle(a.now) != kNoEventCycle ||
+           b.dram.nextEventCycle(b.now) != kNoEventCycle) {
+        a.run(1);
+        b.run(1);
+        ASSERT_EQ(a.client.responses.size(), b.client.responses.size())
+            << "at cycle " << a.now;
+        ASSERT_LT(a.now, 1'000'000u) << "never drained";
+    }
+    for (std::size_t i = 0; i < a.client.responses.size(); ++i) {
+        const MemRequest &x = a.client.responses[i];
+        const MemRequest &y = b.client.responses[i];
+        EXPECT_EQ(x.id, y.id) << "response " << i;
+        EXPECT_EQ(x.address, y.address) << "response " << i;
+        EXPECT_EQ(x.cycleMcArrive, y.cycleMcArrive) << "response " << i;
+        EXPECT_EQ(x.servedByHermes, y.servedByHermes) << "response " << i;
+    }
+}
+
+/**
+ * Property: a controller checkpointed with reads and writes both
+ * queued and in flight restores into a fresh controller that
+ * checkpoints to the same bytes, and from there both behave alike: the
+ * same responses on the same cycles under the same further traffic.
+ */
+TEST_P(DramRandomTraffic, CheckpointRoundTripsMidFlight)
+{
+    DramParams p;
+    p.channels = GetParam();
+    p.rqSize = 8;
+    p.wqSize = 8;
+    DramHarness a(p);
+    Rng rng(17 + GetParam());
+
+    // Some channel holds two queued reads, an issued one, and writes
+    // both queued and in flight.
+    const auto midFlight = [&] {
+        for (const ChannelView &ch : viewOf(a.dram)) {
+            unsigned qr = 0, ir = 0, qw = 0, iw = 0;
+            for (const EntryView &e : ch.reads)
+                ++(e.issued ? ir : qr);
+            for (const EntryView &e : ch.writes)
+                ++(e.issued ? iw : qw);
+            if (qr >= 2 && ir != 0 && qw != 0 && iw != 0)
+                return true;
+        }
+        return false;
+    };
+    int id = 0;
+    for (int round = 0; round < 8; ++round) {
+        // Churn first, so slots are reused out of arrival order.
+        for (int n = 0; n < 300 || !midFlight(); ++n) {
+            ASSERT_LT(n, 100'000) << "never reached a mixed state";
+            a.run(randomOp(a, rng, id++));
+        }
+        const std::vector<char> bytes = checkpointOf(a.dram);
+        a.client.responses.clear();
+
+        DramHarness b(p);
+        b.now = a.now;
+        test::VectorSource src(bytes);
+        StateReader r(src);
+        b.dram.loadState(r);
+        r.verifyChecksum();
+        EXPECT_EQ(checkpointOf(b.dram), bytes) << "round " << round;
+
+        // The same further traffic into both, then drain.
+        Rng ra(round), rb(round);
+        for (int i = 0; i < 300; ++i) {
+            a.run(randomOp(a, ra, id + i));
+            b.run(randomOp(b, rb, id + i));
+            ASSERT_EQ(a.client.responses.size(), b.client.responses.size())
+                << "round " << round << ", after operation " << i;
+        }
+        id += 300;
+        drainInLockstep(a, b);
+        EXPECT_GT(a.client.responses.size(), 0u);
+        EXPECT_EQ(checkpointOf(a.dram), checkpointOf(b.dram))
+            << "round " << round;
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Channels, DramRandomTraffic,
@@ -383,17 +669,6 @@ INSTANTIATE_TEST_SUITE_P(Channels, DramLineIndex,
                          ::testing::Values(1u, 2u, 4u));
 
 // ---- Checkpoint restore bounds ----------------------------------------
-
-/** @p dram's checkpoint section, sealed with its checksum. */
-std::vector<char>
-checkpointOf(const DramController &dram)
-{
-    test::VectorSink sink;
-    StateWriter w(sink);
-    dram.saveState(w);
-    w.sealChecksum();
-    return sink.bytes;
-}
 
 /** Restore @p bytes into a fresh controller; throws on a defect. */
 void
@@ -496,6 +771,40 @@ TEST(DramCheckpoint, RejectsStateThatDisagreesWithTheQueue)
     const std::size_t state = 8 + 4 + 8 + 8 + 8 + 4 + 8 + 8;
     EXPECT_THROW(restore(p, edited({{state, 0, 2}, {queued_reads, 1, 0}})),
                  StateError);
+}
+
+TEST(DramCheckpoint, RejectsReadsFinishingOnOneCycle)
+{
+    // Two reads in flight on one channel: the data bus serialises
+    // them, so they finish on different cycles and restore in that
+    // order. Rewriting the second one's finish cycle to the first's is
+    // a state the controller can never reach.
+    DramParams p;
+    DramHarness h(p);
+    queueHermes(h.dram, {1, 2});
+    ChannelView ch = viewOf(h.dram)[0];
+    for (; ch.reads.size() == 2 && !ch.reads[1].issued;
+         ch = viewOf(h.dram)[0])
+        h.run(1);
+    ASSERT_EQ(ch.reads.size(), 2u);
+    ASSERT_TRUE(ch.reads[0].issued);
+    ASSERT_LT(ch.reads[0].finishAt, ch.reads[1].finishAt);
+    const std::vector<char> good = checkpointOf(h.dram);
+    EXPECT_NO_THROW(restore(p, good));
+
+    // The second read's finish cycle: "DRAM" tag, channel and read
+    // counts, one 47-byte read, then line, bank, row, arrival cycle
+    // and state (see RejectsARepeatedLine).
+    const std::size_t second_finish = 8 + 4 + 8 + 8 + 47 + 8 + 4 + 8 + 8 + 1;
+    std::vector<char> bytes = good;
+    std::uint64_t was = 0;
+    std::memcpy(&was, bytes.data() + second_finish, 8);
+    ASSERT_EQ(was, ch.reads[1].finishAt) << "the layout above is stale";
+    for (int i = 0; i < 8; ++i)
+        bytes[second_finish + i] =
+            static_cast<char>(ch.reads[0].finishAt >> (8 * i));
+    test::resealChecksum(bytes);
+    EXPECT_THROW(restore(p, bytes), StateError);
 }
 
 } // namespace
