@@ -52,16 +52,12 @@ constexpr auto kBases = tableBases();
 } // namespace
 
 Popet::Popet(PopetParams params)
-    : params_(params), pageBuffer_(params.pageBufferEntries),
-      pageIndex_(params.pageBufferEntries),
-      pageInvalidLeft_(params.pageBufferEntries)
+    : params_(params), pageBuffer_(params.pageBufferEntries)
 {
     assert(params_.weightBits >= 2 && params_.weightBits <= 8);
     arena_.assign(kBases[kPopetFeatureCount], 0);
     for (unsigned f = 0; f < kPopetFeatureCount; ++f)
         featActive_[f] = (params_.featureMask >> f) & 1u;
-    lruPrev_.assign(pageBuffer_.size(), kLruNil);
-    lruNext_.assign(pageBuffer_.size(), kLruNil);
     const unsigned active = activeFeatureCount();
     assert(active > 0 && "POPET needs at least one feature");
     tauActScaled_ = scaleThreshold(params_.activationThreshold, active,
@@ -82,107 +78,20 @@ Popet::activeFeatureCount() const
     return n;
 }
 
-void
-Popet::lruDetach(std::uint32_t slot)
-{
-    const std::uint32_t prev = lruPrev_[slot];
-    const std::uint32_t next = lruNext_[slot];
-    if (prev != kLruNil)
-        lruNext_[prev] = next;
-    else
-        lruHead_ = next;
-    if (next != kLruNil)
-        lruPrev_[next] = prev;
-    else
-        lruTail_ = prev;
-}
-
-void
-Popet::lruAppend(std::uint32_t slot)
-{
-    lruPrev_[slot] = lruTail_;
-    lruNext_[slot] = kLruNil;
-    if (lruTail_ != kLruNil)
-        lruNext_[lruTail_] = slot;
-    else
-        lruHead_ = slot;
-    lruTail_ = slot;
-}
-
 bool
 Popet::firstAccessHint(Addr vaddr)
 {
     const Addr page = pageNumber(vaddr);
     const std::uint64_t bit = 1ull << lineOffsetInPage(vaddr);
     ++pageBufferClock_;
-
-    // O(1) hit path through the page index (this runs per prediction).
-    const std::uint32_t slot = pageIndex_.find(page);
-    if (slot != AddrIndex::kNotFound) {
-        PageBufferEntry &e = pageBuffer_[slot];
-        e.lastUse = pageBufferClock_;
-        lruDetach(slot);
-        lruAppend(slot);
-        const bool first = (e.bitmap & bit) == 0;
-        e.bitmap |= bit;
+    if (std::uint64_t *bitmap = pageBuffer_.touch(page, pageBufferClock_)) {
+        const bool first = (*bitmap & bit) == 0;
+        *bitmap |= bit;
         return first;
     }
-
-    // Miss: fill invalid slots in ascending order first, else evict
-    // the least recently used entry — the recency-list head, which is
-    // exactly the min-lastUse slot the old O(n) scan found (clock
-    // values are unique). The line has not been seen in the tracked
-    // window -> first access.
-    std::uint32_t victim;
-    if (pageInvalidLeft_ > 0) {
-        victim = static_cast<std::uint32_t>(pageBuffer_.size()) -
-                 pageInvalidLeft_;
-        --pageInvalidLeft_;
-    } else {
-        victim = lruHead_;
-        lruDetach(victim);
-        pageIndex_.erase(pageBuffer_[victim].pageTag);
-    }
-    PageBufferEntry &e = pageBuffer_[victim];
-    e.pageTag = page;
-    e.bitmap = bit;
-    e.lastUse = pageBufferClock_;
-    lruAppend(victim);
-    pageIndex_.insert(page, victim);
+    // The page has not been seen in the tracked window -> first access.
+    pageBuffer_.insert(page, pageBufferClock_) = bit;
     return true;
-}
-
-std::uint32_t
-Popet::featureIndex(unsigned feature, Addr pc, Addr vaddr,
-                    bool first_access) const
-{
-    std::uint64_t raw = 0;
-    switch (feature) {
-      case kFeatPcXorLineOffset:
-        raw = pc ^ (static_cast<std::uint64_t>(lineOffsetInPage(vaddr))
-                    << 1);
-        break;
-      case kFeatPcXorByteOffset:
-        raw = pc ^ (static_cast<std::uint64_t>(byteOffsetInLine(vaddr))
-                    << 1) ^ 0xABCDull;
-        break;
-      case kFeatPcFirstAccess:
-        raw = (pc << 1) | static_cast<std::uint64_t>(first_access);
-        break;
-      case kFeatOffsetFirstAccess:
-        raw = (static_cast<std::uint64_t>(lineOffsetInPage(vaddr)) << 1) |
-              static_cast<std::uint64_t>(first_access);
-        break;
-      case kFeatLast4LoadPcs: {
-        raw = (lastLoadPcs_[0] << 3) ^ (lastLoadPcs_[1] << 2) ^
-              (lastLoadPcs_[2] << 1) ^ lastLoadPcs_[3];
-        break;
-      }
-      default:
-        assert(false && "bad feature id");
-    }
-    return hashFeature(raw + feature * 0x9E3779B9ull) &
-           (kTableSizes[feature] - 1);
 }
 
 bool
@@ -288,13 +197,16 @@ Popet::saveState(StateWriter &w) const
         for (std::uint32_t i = 0; i < kTableSizes[f]; ++i)
             w.i8(arena_[kBases[f] + i]);
     }
-    w.u64(pageBuffer_.size());
-    for (const PageBufferEntry &e : pageBuffer_) {
-        w.u64(e.pageTag);
-        w.u64(e.bitmap);
-        w.u64(e.lastUse);
+    // Slots go out last to first: the pinned format lists the valid
+    // entries first, in the order they were filled.
+    const std::uint32_t n = pageBuffer_.size();
+    w.u64(n);
+    for (std::uint32_t i = n; i-- > 0;) {
+        w.u64(pageBuffer_.tag(i));
+        w.u64(pageBuffer_[i]);
+        w.u64(pageBuffer_.stamp(i));
     }
-    w.u32(pageInvalidLeft_);
+    w.u32(pageBuffer_.invalidSlots());
     w.u64(pageBufferClock_);
     for (Addr pc : lastLoadPcs_)
         w.u64(pc);
@@ -310,40 +222,24 @@ Popet::loadState(StateReader &r)
         for (std::uint32_t i = 0; i < kTableSizes[f]; ++i)
             arena_[kBases[f] + i] = r.i8();
     }
-    if (r.u64() != pageBuffer_.size())
+    const std::uint32_t n = pageBuffer_.size();
+    if (r.u64() != n)
         throw StateError("popet page buffer size mismatch");
-    for (PageBufferEntry &e : pageBuffer_) {
-        e.pageTag = r.u64();
-        e.bitmap = r.u64();
-        e.lastUse = r.u64();
+    std::vector<LruSlotState> pages(n);
+    for (std::uint32_t i = n; i-- > 0;) {
+        pages[i].tag = r.u64();
+        pageBuffer_[i] = r.u64();
+        pages[i].stamp = r.u64();
     }
-    pageInvalidLeft_ = r.u32();
+    const std::uint32_t invalid = r.u32();
+    if (invalid > n)
+        throw StateError("popet page buffer fill count out of range");
+    for (std::uint32_t i = invalid; i < n; ++i)
+        pages[i].valid = true;
     pageBufferClock_ = r.u64();
     for (Addr &pc : lastLoadPcs_)
         pc = r.u64();
-    // Valid slots fill in ascending index order (see the
-    // pageInvalidLeft_ comment in the header), so the occupied prefix
-    // is exactly the content to rebuild the page index from; the
-    // recency list is rebuilt by linking those slots in lastUse order
-    // (unique strictly-increasing clock values).
-    pageIndex_.clear();
-    const std::size_t used =
-        pageBuffer_.size() - static_cast<std::size_t>(pageInvalidLeft_);
-    for (std::size_t i = 0; i < used; ++i)
-        pageIndex_.insert(pageBuffer_[i].pageTag,
-                          static_cast<std::uint32_t>(i));
-    lruHead_ = lruTail_ = kLruNil;
-    lruPrev_.assign(pageBuffer_.size(), kLruNil);
-    lruNext_.assign(pageBuffer_.size(), kLruNil);
-    std::vector<std::uint32_t> order(used);
-    for (std::size_t i = 0; i < used; ++i)
-        order[i] = static_cast<std::uint32_t>(i);
-    std::sort(order.begin(), order.end(),
-              [this](std::uint32_t a, std::uint32_t b) {
-                  return pageBuffer_[a].lastUse < pageBuffer_[b].lastUse;
-              });
-    for (std::uint32_t slot : order)
-        lruAppend(slot);
+    pageBuffer_.restore(pages, pageBufferClock_, "popet page buffer");
 }
 
 std::uint64_t

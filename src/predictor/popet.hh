@@ -27,7 +27,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/addr_index.hh"
+#include "common/lru_table.hh"
 #include "common/state_io.hh"
 #include "common/types.hh"
 #include "predictor/offchip_pred.hh"
@@ -97,30 +97,13 @@ class Popet : public OffChipPredictor
     void loadState(StateReader &r) override;
 
   private:
-    struct PageBufferEntry
-    {
-        Addr pageTag = 0;
-        std::uint64_t bitmap = 0;
-        std::uint64_t lastUse = 0;
-    };
-
     /**
      * Look up / update the page buffer and return the first-access
      * hint for the line (true = not recently touched).
      */
     bool firstAccessHint(Addr vaddr);
 
-    /** Compute the hashed table index of one feature. */
-    std::uint32_t featureIndex(unsigned feature, Addr pc, Addr vaddr,
-                               bool first_access) const;
-
     unsigned activeFeatureCount() const;
-
-    /** Intrusive LRU list maintenance (head = least recently used). */
-    void lruDetach(std::uint32_t slot);
-    void lruAppend(std::uint32_t slot);
-
-    static constexpr std::uint32_t kLruNil = ~std::uint32_t{0};
 
     PopetParams params_;
     int tauActScaled_;
@@ -137,24 +120,9 @@ class Popet : public OffChipPredictor
     /** 1 for enabled features, 0 for masked-out ones (multiplicative
      * predication: the dot product has no per-feature branches). */
     std::array<std::int32_t, kPopetFeatureCount> featActive_{};
-    std::vector<PageBufferEntry> pageBuffer_;
-    /** page tag -> pageBuffer_ slot; hits are O(1) instead of a scan. */
-    AddrIndex pageIndex_;
-    /**
-     * Intrusive doubly-linked recency list over pageBuffer_ slots
-     * (head = LRU victim). lastUse clock values are strictly
-     * increasing and unique, so list order equals lastUse order and
-     * the head is exactly the entry the old O(n) min-scan selected;
-     * lastUse stays authoritative for the checkpoint format and the
-     * list is rebuilt from it on loadState.
-     */
-    std::vector<std::uint32_t> lruPrev_;
-    std::vector<std::uint32_t> lruNext_;
-    std::uint32_t lruHead_ = kLruNil;
-    std::uint32_t lruTail_ = kLruNil;
-    /** Invalid slots left; they fill in ascending index order,
-     * matching the scan-based allocation order they replace. */
-    std::uint32_t pageInvalidLeft_;
+    /** Page tag -> bitmap of the lines touched in it, stamped with
+     * pageBufferClock_. */
+    LruTable<std::uint64_t> pageBuffer_;
     std::uint64_t pageBufferClock_ = 0;
     std::array<Addr, 4> lastLoadPcs_{};
 };

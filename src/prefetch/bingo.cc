@@ -49,14 +49,13 @@ Bingo::keyOffset(Addr pc, unsigned offset) const
 }
 
 void
-Bingo::commitToHistory(const AccumEntry &e)
+Bingo::commitToHistory(Addr region, const AccumEntry &e)
 {
     // Only remember regions with at least two accessed lines; a single
     // touch carries no spatial pattern.
     if (__builtin_popcountll(e.footprint) < 2)
         return;
-    const std::uint64_t ka = keyAddr(e.triggerPc, e.region,
-                                     e.triggerOffset);
+    const std::uint64_t ka = keyAddr(e.triggerPc, region, e.triggerOffset);
     // Index by the PC+Offset key so the precise (PC+Address) and
     // fallback (PC+Offset) lookups probe the same set.
     const std::uint32_t set = keyOffset(e.triggerPc, e.triggerOffset) &
@@ -117,28 +116,20 @@ Bingo::onAccess(Addr addr, Addr pc, bool hit, std::vector<Addr> &out_lines)
     const unsigned offset = offsetInRegion(addr);
     ++clock_;
 
-    AccumEntry *lru = &accum_.front();
-    for (auto &e : accum_) {
-        if (e.valid && e.region == region) {
-            e.footprint |= 1ull << offset;
-            e.lastUse = clock_;
-            return; // Region already being tracked: just accumulate.
-        }
-        if (!e.valid || e.lastUse < lru->lastUse)
-            lru = &e;
+    if (AccumEntry *e = accum_.touch(region, clock_)) {
+        e->footprint |= 1ull << offset;
+        return; // Region already being tracked: just accumulate.
     }
 
     // New region generation: commit the evicted one, predict for this
     // trigger access and start accumulating.
-    if (lru->valid)
-        commitToHistory(*lru);
-    *lru = AccumEntry{};
-    lru->valid = true;
-    lru->region = region;
-    lru->triggerPc = pc;
-    lru->triggerOffset = offset;
-    lru->footprint = 1ull << offset;
-    lru->lastUse = clock_;
+    const std::uint32_t victim = accum_.victim();
+    if (accum_.valid(victim))
+        commitToHistory(accum_.tag(victim), accum_[victim]);
+    AccumEntry &e = accum_.insert(region, clock_);
+    e.triggerPc = pc;
+    e.triggerOffset = offset;
+    e.footprint = 1ull << offset;
 
     const std::uint64_t predicted = lookupHistory(pc, region, offset);
     if (predicted == 0)

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/lru_table.hh"
 #include "common/state_io.hh"
 #include "common/types.hh"
 #include "prefetch/prefetcher.hh"
@@ -47,13 +48,13 @@ class Bingo : public Prefetcher
     {
         w.section("BNGO");
         w.u64(accum_.size());
-        for (const AccumEntry &e : accum_) {
-            w.u64(e.region);
-            w.u64(e.triggerPc);
-            w.u32(e.triggerOffset);
-            w.u64(e.footprint);
-            w.u64(e.lastUse);
-            w.b(e.valid);
+        for (std::uint32_t i = 0; i < accum_.size(); ++i) {
+            w.u64(accum_.tag(i));
+            w.u64(accum_[i].triggerPc);
+            w.u32(accum_[i].triggerOffset);
+            w.u64(accum_[i].footprint);
+            w.u64(accum_.stamp(i));
+            w.b(accum_.valid(i));
         }
         w.u64(history_.size());
         for (const HistEntry &e : history_) {
@@ -72,13 +73,14 @@ class Bingo : public Prefetcher
         r.section("BNGO");
         if (r.u64() != accum_.size())
             throw StateError("bingo accumulation table size mismatch");
-        for (AccumEntry &e : accum_) {
-            e.region = r.u64();
-            e.triggerPc = r.u64();
-            e.triggerOffset = r.u32();
-            e.footprint = r.u64();
-            e.lastUse = r.u64();
-            e.valid = r.b();
+        std::vector<LruSlotState> accum(accum_.size());
+        for (std::uint32_t i = 0; i < accum_.size(); ++i) {
+            accum[i].tag = r.u64();
+            accum_[i].triggerPc = r.u64();
+            accum_[i].triggerOffset = r.u32();
+            accum_[i].footprint = r.u64();
+            accum[i].stamp = r.u64();
+            accum[i].valid = r.b();
         }
         if (r.u64() != history_.size())
             throw StateError("bingo history table size mismatch");
@@ -90,17 +92,16 @@ class Bingo : public Prefetcher
             e.valid = r.b();
         }
         clock_ = r.u64();
+        accum_.restore(accum, clock_, "bingo accumulation table");
     }
 
   private:
+    /** Accumulation table payload, per region. */
     struct AccumEntry
     {
-        Addr region = 0;
         Addr triggerPc = 0;
         unsigned triggerOffset = 0;
         std::uint64_t footprint = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
     };
 
     struct HistEntry
@@ -117,12 +118,13 @@ class Bingo : public Prefetcher
     unsigned offsetInRegion(Addr addr) const;
     std::uint64_t keyAddr(Addr pc, Addr region, unsigned offset) const;
     std::uint32_t keyOffset(Addr pc, unsigned offset) const;
-    void commitToHistory(const AccumEntry &e);
+    void commitToHistory(Addr region, const AccumEntry &e);
     /** Predict footprint for a trigger; 0 when unknown. */
     std::uint64_t lookupHistory(Addr pc, Addr region, unsigned offset);
 
     BingoParams params_;
-    std::vector<AccumEntry> accum_;
+    /** Region -> footprint being accumulated, stamped with clock_. */
+    LruTable<AccumEntry> accum_;
     std::vector<HistEntry> history_;
     std::uint64_t clock_ = 0;
 };

@@ -15,32 +15,12 @@ Mlop::Mlop(MlopParams params) : params_(params), zones_(params.mapEntries)
     scores_.assign(candidateOffsets_.size(), 0);
 }
 
-Mlop::Zone &
-Mlop::zoneFor(Addr line)
-{
-    const Addr zone = line / kBlocksPerPage;
-    Zone *lru = &zones_.front();
-    for (auto &z : zones_) {
-        if (z.valid && z.zone == zone)
-            return z;
-        if (!z.valid || z.lastUse < lru->lastUse)
-            lru = &z;
-    }
-    *lru = Zone{};
-    lru->valid = true;
-    lru->zone = zone;
-    return *lru;
-}
-
 bool
 Mlop::wasAccessed(Addr line) const
 {
-    const Addr zone = line / kBlocksPerPage;
-    const unsigned off = static_cast<unsigned>(line % kBlocksPerPage);
-    for (const auto &z : zones_)
-        if (z.valid && z.zone == zone)
-            return (z.bitmap >> off) & 1;
-    return false;
+    const std::uint32_t slot = zones_.find(line / kBlocksPerPage);
+    return slot != LruTable<std::uint64_t>::kNotFound &&
+           ((zones_[slot] >> (line % kBlocksPerPage)) & 1);
 }
 
 void
@@ -69,8 +49,7 @@ Mlop::finishRound()
     std::fill(scores_.begin(), scores_.end(), 0);
     // Age the access maps: each round scores against recent history
     // only, like MLOP's per-generation access maps.
-    for (auto &z : zones_)
-        z.valid = false;
+    zones_.clear();
     accessesThisRound_ = 0;
 }
 
@@ -92,9 +71,11 @@ Mlop::onAccess(Addr addr, Addr pc, bool hit, std::vector<Addr> &out_lines)
             ++scores_[i];
     }
 
-    Zone &z = zoneFor(line);
-    z.bitmap |= 1ull << (line % kBlocksPerPage);
-    z.lastUse = clock_;
+    const Addr zone = line / kBlocksPerPage;
+    std::uint64_t *bitmap = zones_.touch(zone, clock_);
+    if (bitmap == nullptr)
+        bitmap = &zones_.insert(zone, clock_);
+    *bitmap |= 1ull << (line % kBlocksPerPage);
 
     if (++accessesThisRound_ >= params_.roundLength)
         finishRound();

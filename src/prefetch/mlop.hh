@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/lru_table.hh"
 #include "common/state_io.hh"
 #include "common/types.hh"
 #include "prefetch/prefetcher.hh"
@@ -52,11 +53,11 @@ class Mlop : public Prefetcher
     {
         w.section("MLOP");
         w.u64(zones_.size());
-        for (const Zone &z : zones_) {
-            w.u64(z.zone);
-            w.u64(z.bitmap);
-            w.u64(z.lastUse);
-            w.b(z.valid);
+        for (std::uint32_t i = 0; i < zones_.size(); ++i) {
+            w.u64(zones_.tag(i));
+            w.u64(zones_[i]);
+            w.u64(zones_.stamp(i));
+            w.b(zones_.valid(i));
         }
         w.u64(scores_.size());
         for (std::uint32_t v : scores_)
@@ -74,11 +75,12 @@ class Mlop : public Prefetcher
         r.section("MLOP");
         if (r.u64() != zones_.size())
             throw StateError("mlop zone table size mismatch");
-        for (Zone &z : zones_) {
-            z.zone = r.u64();
-            z.bitmap = r.u64();
-            z.lastUse = r.u64();
-            z.valid = r.b();
+        std::vector<LruSlotState> zones(zones_.size());
+        for (std::uint32_t i = 0; i < zones_.size(); ++i) {
+            zones[i].tag = r.u64();
+            zones_[i] = r.u64();
+            zones[i].stamp = r.u64();
+            zones[i].valid = r.b();
         }
         if (r.u64() != scores_.size())
             throw StateError("mlop score table size mismatch");
@@ -89,24 +91,18 @@ class Mlop : public Prefetcher
             v = r.i32();
         accessesThisRound_ = r.u32();
         clock_ = r.u64();
+        zones_.restore(zones, clock_, "mlop zone table");
     }
 
   private:
-    struct Zone
-    {
-        Addr zone = 0;              ///< 4KB-aligned zone number
-        std::uint64_t bitmap = 0;   ///< Accessed lines in the zone
-        std::uint64_t lastUse = 0;
-        bool valid = false;
-    };
-
     /** Was (line) recently accessed according to the maps? */
     bool wasAccessed(Addr line) const;
-    Zone &zoneFor(Addr line);
     void finishRound();
 
     MlopParams params_;
-    std::vector<Zone> zones_;
+    /** 4KB zone number -> bitmap of the lines accessed in it this
+     * round, stamped with clock_. */
+    LruTable<std::uint64_t> zones_;
     std::vector<int> candidateOffsets_;
     std::vector<std::uint32_t> scores_;
     std::vector<int> active_;

@@ -145,71 +145,18 @@ Pythia::retireEqOverflow()
     }
 }
 
-void
-Pythia::pagesLruDetach(std::uint32_t slot)
-{
-    const std::uint32_t prev = pagesLruPrev_[slot];
-    const std::uint32_t next = pagesLruNext_[slot];
-    if (prev != kLruNil)
-        pagesLruNext_[prev] = next;
-    else
-        pagesLruHead_ = next;
-    if (next != kLruNil)
-        pagesLruPrev_[next] = prev;
-    else
-        pagesLruTail_ = prev;
-}
-
-void
-Pythia::pagesLruAppend(std::uint32_t slot)
-{
-    pagesLruPrev_[slot] = pagesLruTail_;
-    pagesLruNext_[slot] = kLruNil;
-    if (pagesLruTail_ != kLruNil)
-        pagesLruNext_[pagesLruTail_] = slot;
-    else
-        pagesLruHead_ = slot;
-    pagesLruTail_ = slot;
-}
-
 int
 Pythia::pageLocalDelta(Addr line)
 {
     const Addr page = line / kBlocksPerPage;
     const int offset = static_cast<int>(line % kBlocksPerPage);
     ++pageClock_;
-
-    // O(1) hit path through the page index (this runs per LLC access).
-    const std::uint32_t slot = pagesIndex_.find(page);
-    if (slot != AddrIndex::kNotFound) {
-        PageCtx &p = pages_[slot];
-        const int delta = offset - p.lastOffset;
-        p.lastOffset = offset;
-        p.lastUse = pageClock_;
-        pagesLruDetach(slot);
-        pagesLruAppend(slot);
+    if (int *last = pages_.touch(page, pageClock_)) {
+        const int delta = offset - *last;
+        *last = offset;
         return delta;
     }
-
-    // Miss: fill invalid slots from the highest index down first, else
-    // evict the recency-list head — the least recently used entry
-    // (unique clock values, so the O(n) min-lastUse scan this replaces
-    // had no ties and picked exactly this slot).
-    std::uint32_t victim;
-    if (pagesInvalidLeft_ > 0) {
-        victim = --pagesInvalidLeft_;
-    } else {
-        victim = pagesLruHead_;
-        pagesLruDetach(victim);
-        pagesIndex_.erase(pages_[victim].page);
-    }
-    PageCtx &p = pages_[victim];
-    p = PageCtx{};
-    p.page = page;
-    p.lastOffset = offset;
-    p.lastUse = pageClock_;
-    pagesIndex_.insert(page, victim);
-    pagesLruAppend(victim);
+    pages_.insert(page, pageClock_) = offset;
     return 0;
 }
 

@@ -20,14 +20,13 @@
  * Storage budget follows Table 6 (25.5KB).
  */
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <deque>
 #include <unordered_map>
 #include <vector>
 
-#include "common/addr_index.hh"
+#include "common/lru_table.hh"
 #include "common/rng.hh"
 #include "common/state_io.hh"
 #include "common/types.hh"
@@ -92,12 +91,12 @@ class Pythia : public Prefetcher
             w.u32(e.action);
             w.b(e.rewarded);
         }
-        for (const PageCtx &p : pages_) {
-            w.u64(p.page);
-            w.i32(p.lastOffset);
-            w.u64(p.lastUse);
+        for (std::uint32_t i = 0; i < kPageCtxEntries; ++i) {
+            w.u64(pages_.tag(i));
+            w.i32(pages_[i]);
+            w.u64(pages_.stamp(i));
         }
-        w.u32(pagesInvalidLeft_);
+        w.u32(pages_.invalidSlots());
         w.u64(pageClock_);
         w.u64(lastLine_);
         for (std::uint8_t o : lastOffsets_)
@@ -142,32 +141,19 @@ class Pythia : public Prefetcher
                 eqChainLink(e, eqBaseSeq_ + eq_.size());
             eq_.push_back(e);
         }
-        for (PageCtx &p : pages_) {
-            p.page = r.u64();
-            p.lastOffset = r.i32();
-            p.lastUse = r.u64();
+        std::vector<LruSlotState> pages(kPageCtxEntries);
+        for (std::uint32_t i = 0; i < kPageCtxEntries; ++i) {
+            pages[i].tag = r.u64();
+            pages_[i] = r.i32();
+            pages[i].stamp = r.u64();
         }
-        pagesInvalidLeft_ = r.u32();
-        if (pagesInvalidLeft_ > kPageCtxEntries)
+        const std::uint32_t invalid = r.u32();
+        if (invalid > kPageCtxEntries)
             throw StateError("pythia page context fill count out of range");
-        // The index and recency list are derived state: rebuild them
-        // over the valid slots, which fill from the highest index down
-        // (see pagesInvalidLeft_). Appending in ascending lastUse order
-        // reproduces the recency list the saved run had.
-        pagesIndex_.clear();
-        pagesLruHead_ = pagesLruTail_ = kLruNil;
-        std::vector<std::uint32_t> byAge;
-        for (unsigned i = pagesInvalidLeft_; i < kPageCtxEntries; ++i) {
-            pagesIndex_.insert(pages_[i].page, i);
-            byAge.push_back(i);
-        }
-        std::sort(byAge.begin(), byAge.end(),
-                  [this](std::uint32_t a, std::uint32_t b) {
-                      return pages_[a].lastUse < pages_[b].lastUse;
-                  });
-        for (std::uint32_t slot : byAge)
-            pagesLruAppend(slot);
+        for (std::uint32_t i = invalid; i < kPageCtxEntries; ++i)
+            pages[i].valid = true;
         pageClock_ = r.u64();
+        pages_.restore(pages, pageClock_, "pythia page contexts");
         lastLine_ = r.u64();
         for (std::uint8_t &o : lastOffsets_)
             o = r.u8();
@@ -228,42 +214,15 @@ class Pythia : public Prefetcher
      */
     std::unordered_map<Addr, EqChain> eqByLine_;
 
-    struct PageCtx
-    {
-        Addr page = 0;
-        int lastOffset = 0;
-        std::uint64_t lastUse = 0;
-    };
-
-    static constexpr unsigned kPageCtxEntries = 64;
+    static constexpr std::uint32_t kPageCtxEntries = 64;
 
     /** Page-local last offset, so interleaved streams keep clean
      * deltas (Pythia derives its delta feature from page context). */
     int pageLocalDelta(Addr line);
 
-    /** Intrusive recency list over pages_ (head = LRU victim). */
-    void pagesLruDetach(std::uint32_t slot);
-    void pagesLruAppend(std::uint32_t slot);
-
-    static constexpr std::uint32_t kLruNil = ~std::uint32_t{0};
-
-    std::vector<PageCtx> pages_ = std::vector<PageCtx>(kPageCtxEntries);
-    /** page -> pages_ slot; O(1) hit path for the per-access lookup. */
-    AddrIndex pagesIndex_{kPageCtxEntries};
-    /** Invalid slots left; they fill from the highest index down,
-     * matching the scan-based allocation order they replace. */
-    std::uint32_t pagesInvalidLeft_ = kPageCtxEntries;
-    /**
-     * Doubly-linked recency order over the valid pages_ slots. Clock
-     * values are unique and increasing, so the list head is exactly
-     * the min-lastUse entry the old O(n) victim scan selected; lastUse
-     * stays authoritative for the checkpoint format and the list is
-     * rebuilt from it on loadState.
-     */
-    std::array<std::uint32_t, kPageCtxEntries> pagesLruPrev_{};
-    std::array<std::uint32_t, kPageCtxEntries> pagesLruNext_{};
-    std::uint32_t pagesLruHead_ = kLruNil;
-    std::uint32_t pagesLruTail_ = kLruNil;
+    /** Page -> last line offset touched in it, stamped with
+     * pageClock_. */
+    LruTable<int> pages_{kPageCtxEntries};
     std::uint64_t pageClock_ = 0;
     Addr lastLine_ = 0;
     std::array<std::uint8_t, 4> lastOffsets_{};

@@ -65,27 +65,19 @@ Sms::onAccess(Addr addr, Addr pc, bool hit, std::vector<Addr> &out_lines)
         (addr / kBlockSize) % linesPerRegion());
     ++clock_;
 
-    AgtEntry *lru = &agt_.front();
-    for (auto &e : agt_) {
-        if (e.valid && e.region == region) {
-            e.footprint |= 1ull << offset;
-            e.lastUse = clock_;
-            return;
-        }
-        if (!e.valid || e.lastUse < lru->lastUse)
-            lru = &e;
+    if (AgtEntry *e = agt_.touch(region, clock_)) {
+        e->footprint |= 1ull << offset;
+        return;
     }
 
     // Generation start: end the evicted generation, predict, accumulate.
-    if (lru->valid)
-        commit(*lru);
+    const std::uint32_t victim = agt_.victim();
+    if (agt_.valid(victim))
+        commit(agt_[victim]);
     const std::uint32_t sig = signature(pc, offset);
-    *lru = AgtEntry{};
-    lru->valid = true;
-    lru->region = region;
-    lru->signature = sig;
-    lru->footprint = 1ull << offset;
-    lru->lastUse = clock_;
+    AgtEntry &e = agt_.insert(region, clock_);
+    e.signature = sig;
+    e.footprint = 1ull << offset;
 
     const std::uint32_t set = sig & (params_.phtSets - 1);
     const std::size_t base =

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/lru_table.hh"
 #include "common/state_io.hh"
 #include "common/types.hh"
 #include "prefetch/prefetcher.hh"
@@ -48,12 +49,12 @@ class Sms : public Prefetcher
     {
         w.section("SMSP");
         w.u64(agt_.size());
-        for (const AgtEntry &e : agt_) {
-            w.u64(e.region);
-            w.u32(e.signature);
-            w.u64(e.footprint);
-            w.u64(e.lastUse);
-            w.b(e.valid);
+        for (std::uint32_t i = 0; i < agt_.size(); ++i) {
+            w.u64(agt_.tag(i));
+            w.u32(agt_[i].signature);
+            w.u64(agt_[i].footprint);
+            w.u64(agt_.stamp(i));
+            w.b(agt_.valid(i));
         }
         w.u64(pht_.size());
         for (const PhtEntry &e : pht_) {
@@ -71,12 +72,13 @@ class Sms : public Prefetcher
         r.section("SMSP");
         if (r.u64() != agt_.size())
             throw StateError("sms active generation table size mismatch");
-        for (AgtEntry &e : agt_) {
-            e.region = r.u64();
-            e.signature = r.u32();
-            e.footprint = r.u64();
-            e.lastUse = r.u64();
-            e.valid = r.b();
+        std::vector<LruSlotState> agt(agt_.size());
+        for (std::uint32_t i = 0; i < agt_.size(); ++i) {
+            agt[i].tag = r.u64();
+            agt_[i].signature = r.u32();
+            agt_[i].footprint = r.u64();
+            agt[i].stamp = r.u64();
+            agt[i].valid = r.b();
         }
         if (r.u64() != pht_.size())
             throw StateError("sms pattern history table size mismatch");
@@ -87,16 +89,15 @@ class Sms : public Prefetcher
             e.valid = r.b();
         }
         clock_ = r.u64();
+        agt_.restore(agt, clock_, "sms active generation table");
     }
 
   private:
+    /** Active generation table payload, per region. */
     struct AgtEntry
     {
-        Addr region = 0;
         std::uint32_t signature = 0;
         std::uint64_t footprint = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
     };
 
     struct PhtEntry
@@ -112,7 +113,8 @@ class Sms : public Prefetcher
     void commit(const AgtEntry &e);
 
     SmsParams params_;
-    std::vector<AgtEntry> agt_;
+    /** Region -> generation being accumulated, stamped with clock_. */
+    LruTable<AgtEntry> agt_;
     std::vector<PhtEntry> pht_;
     std::uint64_t clock_ = 0;
 };

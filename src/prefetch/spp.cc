@@ -38,21 +38,6 @@ Spp::advanceSignature(std::uint16_t sig, int delta)
     return static_cast<std::uint16_t>(((sig << 3) ^ d) & 0xFFF);
 }
 
-Spp::StEntry *
-Spp::lookupSt(Addr page)
-{
-    StEntry *lru = &st_.front();
-    for (auto &e : st_) {
-        if (e.valid && e.pageTag == page)
-            return &e;
-        if (!e.valid || e.lastUse < lru->lastUse)
-            lru = &e;
-    }
-    *lru = StEntry{};
-    lru->pageTag = page;
-    return lru;
-}
-
 void
 Spp::trainPt(std::uint16_t sig, int delta)
 {
@@ -93,9 +78,9 @@ Spp::onAccess(Addr addr, Addr pc, bool hit, std::vector<Addr> &out_lines)
     const Addr page = pageNumber(addr);
     const int offset = static_cast<int>(lineOffsetInPage(addr));
 
-    StEntry *st = lookupSt(page);
     std::uint16_t sig = 0;
-    if (st->valid) {
+    StEntry *st = st_.touch(page, clock_);
+    if (st != nullptr) {
         const int delta = offset - st->lastOffset;
         if (delta != 0) {
             trainPt(st->signature, delta);
@@ -103,11 +88,11 @@ Spp::onAccess(Addr addr, Addr pc, bool hit, std::vector<Addr> &out_lines)
         } else {
             sig = st->signature;
         }
+    } else {
+        st = &st_.insert(page, clock_);
     }
-    st->valid = true;
     st->lastOffset = offset;
     st->signature = sig;
-    st->lastUse = clock_;
 
     // Lookahead down the highest-confidence delta path.
     double path_conf = 1.0;
@@ -135,16 +120,14 @@ Spp::onAccess(Addr addr, Addr pc, bool hit, std::vector<Addr> &out_lines)
         const Addr line = (page << (kLogPageSize - kLogBlockSize)) +
                           static_cast<Addr>(cur_offset);
 
-        if (params_.usePerceptronFilter) {
-            PpfRecord rec{};
-            const int sum = ppfSum(pc, cur_sig, best->delta, rec);
-            if (sum < params_.ppfThreshold) {
-                cur_sig = advanceSignature(cur_sig, best->delta);
-                continue; // filtered out; keep walking the path
-            }
-            if (inflight_.size() < 4096)
-                inflight_.emplace(line, rec);
+        PpfRecord rec{};
+        const int sum = ppfSum(pc, cur_sig, best->delta, rec);
+        if (sum < params_.ppfThreshold) {
+            cur_sig = advanceSignature(cur_sig, best->delta);
+            continue; // filtered out; keep walking the path
         }
+        if (inflight_.size() < 4096)
+            inflight_.emplace(line, rec);
         out_lines.push_back(line);
         cur_sig = advanceSignature(cur_sig, best->delta);
     }

@@ -24,6 +24,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/lru_table.hh"
 #include "common/state_io.hh"
 #include "common/types.hh"
 #include "prefetch/prefetcher.hh"
@@ -36,10 +37,8 @@ struct SppParams
 {
     std::uint32_t stEntries = 256;
     std::uint32_t ptEntries = 2048;
-    unsigned ptWays = 4;           ///< Delta candidates per signature
     double lookaheadThreshold = 0.30;
     unsigned maxLookahead = 12;
-    bool usePerceptronFilter = true;
     int ppfThreshold = 0;          ///< Accept when sum >= threshold
     std::uint32_t ppfTableSize = 1024;
 };
@@ -64,12 +63,12 @@ class Spp : public Prefetcher
     {
         w.section("SPPF");
         w.u64(st_.size());
-        for (const StEntry &e : st_) {
-            w.u64(e.pageTag);
-            w.i32(e.lastOffset);
-            w.u16(e.signature);
-            w.u64(e.lastUse);
-            w.b(e.valid);
+        for (std::uint32_t i = 0; i < st_.size(); ++i) {
+            w.u64(st_.tag(i));
+            w.i32(st_[i].lastOffset);
+            w.u16(st_[i].signature);
+            w.u64(st_.stamp(i));
+            w.b(st_.valid(i));
         }
         w.u64(pt_.size());
         for (const PtEntry &e : pt_) {
@@ -107,12 +106,13 @@ class Spp : public Prefetcher
         r.section("SPPF");
         if (r.u64() != st_.size())
             throw StateError("spp signature table size mismatch");
-        for (StEntry &e : st_) {
-            e.pageTag = r.u64();
-            e.lastOffset = r.i32();
-            e.signature = r.u16();
-            e.lastUse = r.u64();
-            e.valid = r.b();
+        std::vector<LruSlotState> st(st_.size());
+        for (std::uint32_t i = 0; i < st_.size(); ++i) {
+            st[i].tag = r.u64();
+            st_[i].lastOffset = r.i32();
+            st_[i].signature = r.u16();
+            st[i].stamp = r.u64();
+            st[i].valid = r.b();
         }
         if (r.u64() != pt_.size())
             throw StateError("spp pattern table size mismatch");
@@ -139,16 +139,15 @@ class Spp : public Prefetcher
             inflight_.emplace(line, rec);
         }
         clock_ = r.u64();
+        st_.restore(st, clock_, "spp signature table");
     }
 
   private:
+    /** Signature table payload, per page. */
     struct StEntry
     {
-        Addr pageTag = 0;
         int lastOffset = 0;
         std::uint16_t signature = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
     };
 
     struct PtSlot
@@ -170,13 +169,13 @@ class Spp : public Prefetcher
     };
 
     static std::uint16_t advanceSignature(std::uint16_t sig, int delta);
-    StEntry *lookupSt(Addr page);
     void trainPt(std::uint16_t sig, int delta);
     int ppfSum(Addr pc, std::uint16_t sig, int delta,
                PpfRecord &rec) const;
 
     SppParams params_;
-    std::vector<StEntry> st_;
+    /** Page -> signature-table entry, stamped with clock_. */
+    LruTable<StEntry> st_;
     std::vector<PtEntry> pt_;
     std::vector<std::int8_t> ppf_[3];
     /** In-flight prefetched line -> PPF indices (for feedback). */

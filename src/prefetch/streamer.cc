@@ -20,25 +20,11 @@ Streamer::onAccess(Addr addr, Addr pc, bool hit,
     const int offset = static_cast<int>(lineOffsetInPage(addr));
     ++clock_;
 
-    Entry *e = nullptr;
-    Entry *lru = &table_.front();
-    for (auto &cand : table_) {
-        if (cand.valid && cand.page == page) {
-            e = &cand;
-            break;
-        }
-        if (!cand.valid || cand.lastUse < lru->lastUse)
-            lru = &cand;
-    }
+    Entry *e = table_.touch(page, clock_);
     if (e == nullptr) {
-        *lru = Entry{};
-        lru->valid = true;
-        lru->page = page;
-        lru->lastOffset = offset;
-        lru->lastUse = clock_;
+        table_.insert(page, clock_).lastOffset = offset;
         return;
     }
-    e->lastUse = clock_;
     const int delta = offset - e->lastOffset;
     e->lastOffset = offset;
     if (delta == 0)

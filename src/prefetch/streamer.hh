@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/lru_table.hh"
 #include "common/state_io.hh"
 #include "common/types.hh"
 #include "prefetch/prefetcher.hh"
@@ -44,13 +45,13 @@ class Streamer : public Prefetcher
     {
         w.section("STRM");
         w.u64(table_.size());
-        for (const Entry &e : table_) {
-            w.u64(e.page);
-            w.i32(e.lastOffset);
-            w.i32(e.direction);
-            w.u32(e.confidence);
-            w.u64(e.lastUse);
-            w.b(e.valid);
+        for (std::uint32_t i = 0; i < table_.size(); ++i) {
+            w.u64(table_.tag(i));
+            w.i32(table_[i].lastOffset);
+            w.i32(table_[i].direction);
+            w.u32(table_[i].confidence);
+            w.u64(table_.stamp(i));
+            w.b(table_.valid(i));
         }
         w.u64(clock_);
     }
@@ -61,30 +62,31 @@ class Streamer : public Prefetcher
         r.section("STRM");
         if (r.u64() != table_.size())
             throw StateError("streamer table size mismatch");
-        for (Entry &e : table_) {
-            e.page = r.u64();
-            e.lastOffset = r.i32();
-            e.direction = r.i32();
-            e.confidence = r.u32();
-            e.lastUse = r.u64();
-            e.valid = r.b();
+        std::vector<LruSlotState> pages(table_.size());
+        for (std::uint32_t i = 0; i < table_.size(); ++i) {
+            pages[i].tag = r.u64();
+            table_[i].lastOffset = r.i32();
+            table_[i].direction = r.i32();
+            table_[i].confidence = r.u32();
+            pages[i].stamp = r.u64();
+            pages[i].valid = r.b();
         }
         clock_ = r.u64();
+        table_.restore(pages, clock_, "streamer table");
     }
 
   private:
+    /** Stream state, per page. */
     struct Entry
     {
-        Addr page = 0;
         int lastOffset = 0;
         int direction = 0;
         unsigned confidence = 0;
-        std::uint64_t lastUse = 0;
-        bool valid = false;
     };
 
     StreamerParams params_;
-    std::vector<Entry> table_;
+    /** Page -> stream state, stamped with clock_. */
+    LruTable<Entry> table_;
     std::uint64_t clock_ = 0;
 };
 

@@ -1,6 +1,6 @@
 // Unit tests for src/common: RNG determinism, saturating counters,
 // statistics helpers, the config parser, the hot-path containers
-// (Ring, AddrIndex), the HERMES_SIM_SCALE budget parsing, the
+// (Ring, AddrIndex, LruTable), the HERMES_SIM_SCALE budget parsing, the
 // shared --scale/--threads and integer parsers, and the checkpoint
 // checksum (Xxh64).
 
@@ -10,9 +10,11 @@
 #include <cstdlib>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/addr_index.hh"
 #include "common/config.hh"
+#include "common/lru_table.hh"
 #include "common/ring.hh"
 #include "common/rng.hh"
 #include "common/sat_counter.hh"
@@ -188,6 +190,133 @@ TEST(AddrIndex, SurvivesChurnAgainstReferenceMap)
         for (const Addr l : live)
             EXPECT_NE(idx.find(l), AddrIndex::kNotFound);
     }
+}
+
+/**
+ * LruTable's reference, the linear scan a model table can run
+ * instead: a hit is the first valid slot holding the tag; on a miss
+ * the victim is the last invalid slot, else the first slot of minimum
+ * stamp. Invalid slots keep their tag and stamp.
+ */
+struct ScanTable
+{
+    std::uint32_t
+    find(Addr tag) const
+    {
+        for (std::uint32_t i = 0; i < slots.size(); ++i)
+            if (slots[i].valid && slots[i].tag == tag)
+                return i;
+        return LruTable<int>::kNotFound;
+    }
+
+    std::uint32_t
+    victim() const
+    {
+        for (std::size_t i = slots.size(); i-- > 0;)
+            if (!slots[i].valid)
+                return static_cast<std::uint32_t>(i);
+        std::uint32_t lru = 0;
+        for (std::uint32_t i = 1; i < slots.size(); ++i)
+            if (slots[i].stamp < slots[lru].stamp)
+                lru = i;
+        return lru;
+    }
+
+    std::vector<LruSlotState> slots;
+};
+
+TEST(LruTable, MatchesTheReferenceScan)
+{
+    // Seeded finds, inserts, clears and restores (into the live table
+    // and into a new one); hits, victims and every slot's tag, stamp,
+    // validity and payload must match the scan at every step.
+    for (const std::uint32_t n : {1u, 2u, 7u, 64u}) {
+        SCOPED_TRACE("slots " + std::to_string(n));
+        LruTable<int> table(n);
+        ScanTable ref{std::vector<LruSlotState>(n)};
+        std::vector<LruSlotState> saved = ref.slots;
+        std::uint64_t clock = 0;
+        std::uint64_t saved_clock = 0;
+        Rng rng(n);
+        for (int step = 0; step < 20000; ++step) {
+            SCOPED_TRACE("step " + std::to_string(step));
+            const double op = rng.uniform();
+            if (op < 0.002) {
+                table.clear();
+                for (LruSlotState &s : ref.slots)
+                    s.valid = false;
+            } else if (op < 0.004) {
+                saved = ref.slots;
+                saved_clock = clock;
+            } else if (op < 0.006) {
+                if (rng.chance(0.5))
+                    table = LruTable<int>(n);
+                table.restore(saved, saved_clock, "test table");
+                for (std::uint32_t i = 0; i < n; ++i)
+                    table[i] = static_cast<int>(saved[i].tag);
+                ref.slots = saved;
+                clock = saved_clock;
+            } else {
+                const Addr tag = rng.below(3 * n);
+                ++clock;
+                const std::uint32_t hit = ref.find(tag);
+                ASSERT_EQ(table.find(tag), hit);
+                if (hit != LruTable<int>::kNotFound) {
+                    const int *value = table.touch(tag, clock);
+                    ASSERT_NE(value, nullptr);
+                    ASSERT_EQ(*value, static_cast<int>(tag));
+                    ref.slots[hit].stamp = clock;
+                } else {
+                    const std::uint32_t victim = ref.victim();
+                    ASSERT_EQ(table.victim(), victim);
+                    table.insert(tag, clock) = static_cast<int>(tag);
+                    ref.slots[victim] = {tag, clock, true};
+                }
+            }
+            for (std::uint32_t i = 0; i < n; ++i) {
+                ASSERT_EQ(table.valid(i), ref.slots[i].valid) << i;
+                ASSERT_EQ(table.tag(i), ref.slots[i].tag) << i;
+                ASSERT_EQ(table.stamp(i), ref.slots[i].stamp) << i;
+                ASSERT_EQ(table[i], static_cast<int>(ref.slots[i].tag)) << i;
+            }
+        }
+    }
+}
+
+TEST(LruTable, RestoreRejectsStatesTheTableCannotReach)
+{
+    // Slots 0 and 1 invalid (with stale tags and stamps), 2 and 3
+    // valid with slot 3 the older: a state the table can reach.
+    const std::vector<LruSlotState> good = {
+        {7, 9, false}, {8, 0, false}, {5, 3, true}, {6, 2, true}};
+    LruTable<int> table(4);
+    table.restore(good, 3, "test table");
+    EXPECT_EQ(table.find(5), 2u);
+    EXPECT_EQ(table.find(7), LruTable<int>::kNotFound);
+    // Invalid slots fill from the highest down, then the LRU goes.
+    std::uint64_t stamp = 3;
+    for (const std::uint32_t victim : {1u, 0u, 3u, 2u}) {
+        EXPECT_EQ(table.victim(), victim);
+        table.insert(100 + victim, ++stamp);
+    }
+
+    const auto rejects = [&](std::vector<LruSlotState> state,
+                             std::uint64_t clock) {
+        LruTable<int> t(4);
+        EXPECT_THROW(t.restore(state, clock, "test table"), StateError);
+    };
+    std::vector<LruSlotState> bad = good;
+    bad[3].tag = 5; // two valid slots hold one tag
+    rejects(bad, 3);
+    bad = good;
+    bad[3].stamp = 3; // two valid slots hold one stamp
+    rejects(bad, 3);
+    bad = good;
+    bad[1].valid = true; // an invalid slot above a valid one
+    bad[2].valid = false;
+    rejects(bad, 3);
+    rejects(good, 2); // a stamp past the clock
+    rejects({good[0], good[1], good[2]}, 3); // wrong slot count
 }
 
 TEST(Types, AddressDecomposition)

@@ -73,7 +73,7 @@ goldenCases()
     SimBudget writes_budget = b;
     writes_budget.simInstrs = 50'000;
 
-    return {
+    std::vector<GoldenCase> cases = {
         {"one.base.mcf", {"one.base.mcf", base, {mcf}, b}},
         {"one.pythia.stream", {"one.pythia.stream", pythia, {stream}, b}},
         {"one.hermes.mcf", {"one.hermes.mcf", hermes_cfg, {mcf}, b}},
@@ -82,6 +82,21 @@ goldenCases()
          {"one.writes.lbm", writes_cfg, {findTrace("spec06.lbm_like.0")},
           writes_budget}},
     };
+
+    // Every other prefetcher alone on the server trace, whose footprint
+    // fills each model's page/region table and then evicts from it
+    // (the stream trace touches too few pages to fill one), and on
+    // which every one of them issues prefetches.
+    const TraceSpec db = findTrace("cvp.server_db_like.0");
+    for (const char *pf :
+         {PrefetcherKind::Streamer, PrefetcherKind::Spp,
+          PrefetcherKind::Bingo, PrefetcherKind::Sms, PrefetcherKind::Mlop}) {
+        SystemConfig cfg = base;
+        cfg.prefetcher = pf;
+        const std::string key = std::string("one.") + pf + ".db";
+        cases.push_back({key, {key, cfg, {db}, b}});
+    }
+    return cases;
 }
 
 RunStats

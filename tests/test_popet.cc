@@ -1,16 +1,43 @@
 // Tests for POPET: hashed-perceptron prediction/training mechanics, the
-// page buffer first-access hint, threshold semantics, feature ablation
-// plumbing, storage accounting and weight-boundedness properties.
+// page buffer first-access hint and its checkpoint validation,
+// threshold semantics, feature ablation plumbing, storage accounting
+// and weight-boundedness properties.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "common/rng.hh"
+#include "common/state_io.hh"
 #include "predictor/popet.hh"
+#include "test_helpers.hh"
 
 namespace hermes
 {
 namespace
 {
+
+/** @p popet's sealed checkpoint section. */
+std::vector<char>
+checkpointOf(const Popet &popet)
+{
+    test::VectorSink sink;
+    StateWriter w(sink);
+    popet.saveState(w);
+    w.sealChecksum();
+    return sink.bytes;
+}
+
+/** Load @p bytes into @p popet; any defect throws StateError. */
+void
+restore(Popet &popet, const std::vector<char> &bytes)
+{
+    test::VectorSource source(bytes);
+    StateReader r(source);
+    popet.loadState(r);
+    r.verifyChecksum();
+}
 
 TEST(Popet, UntrainedPredictsOffChipAtDefaultThreshold)
 {
@@ -145,6 +172,52 @@ TEST(Popet, FirstAccessHintTracksPageBuffer)
     popet.predict(pc, fresh, repeat);
     EXPECT_TRUE(first.predictedOffChip);
     EXPECT_FALSE(repeat.predictedOffChip);
+}
+
+TEST(Popet, RestoreRejectsAnImpossiblePageBuffer)
+{
+    // Three pages in a four-entry buffer: the checkpoint lists them
+    // oldest first, then the unused entry, then the unused count.
+    PopetParams params;
+    params.pageBufferEntries = 4;
+    Popet popet(params);
+    PredMeta meta;
+    for (Addr page = 1; page <= 3; ++page)
+        popet.predict(0x400000, page << kLogPageSize, meta);
+    const std::vector<char> good = checkpointOf(popet);
+    Popet restored(params);
+    restore(restored, good);
+    EXPECT_EQ(checkpointOf(restored), good);
+
+    // Layout: the "POPT" tag (u64 length + 4 bytes), each weight table
+    // (u64 size + one byte per weight), the u64 entry count, then per
+    // entry the page tag, line bitmap and stamp (u64 each), then the
+    // u32 unused count. The buffer stamps its n-th access n.
+    std::size_t entries = 8 + 4 + 8;
+    for (const std::uint32_t size : Popet::kTableSizes)
+        entries += 8 + size;
+    const std::size_t unused = entries + 4 * 24;
+    const auto edited = [&](std::size_t at, std::size_t width,
+                            std::uint64_t was, std::uint64_t now) {
+        std::vector<char> bytes = good;
+        std::uint64_t old = 0;
+        std::memcpy(&old, bytes.data() + at, width);
+        EXPECT_EQ(old, was) << "the layout above is stale";
+        for (std::size_t i = 0; i < width; ++i)
+            bytes[at + i] = static_cast<char>(now >> (8 * i));
+        test::resealChecksum(bytes);
+        return bytes;
+    };
+    const auto rejects = [&](const std::vector<char> &bytes) {
+        Popet fresh(params);
+        EXPECT_THROW(restore(fresh, bytes), StateError);
+    };
+    // More unused entries than the buffer has.
+    rejects(edited(unused, 4, 1, 5));
+    // The second entry holds the first one's page...
+    rejects(edited(entries + 24, 8, 2, 1));
+    // ...or the first one's stamp.
+    rejects(edited(entries + 24 + 16, 8, 2, 1));
 }
 
 TEST(Popet, TrainingGateStopsAtSaturation)

@@ -118,12 +118,24 @@ sessionCases()
     mix_cfg.predictor = PredictorKind::Popet;
     mix_cfg.hermesIssueEnabled = true;
 
-    return {
+    std::vector<SessionCase> cases = {
         {"one.hermes.mcf", popet_pythia, {mcf}},
         {"popet.streamer", popet_streamer, {stream}},
         {"hmp.spp", hmp_spp, {mcf}},
         {"mix2.hermes", mix_cfg, {mcf, stream}},
     };
+    // On the server trace Bingo's and SMS's region tables are full at
+    // the seam, so their restores rebuild a table that evicts next;
+    // MLOP's zone map was cleared at a round's end and restores partly
+    // filled.
+    const TraceSpec db = findTrace("cvp.server_db_like.0");
+    for (const char *pf : {PrefetcherKind::Bingo, PrefetcherKind::Sms,
+                           PrefetcherKind::Mlop}) {
+        SystemConfig cfg = popet_pythia;
+        cfg.prefetcher = pf;
+        cases.push_back({std::string("popet.") + pf, cfg, {db}});
+    }
+    return cases;
 }
 
 std::uint64_t
